@@ -11,13 +11,13 @@ error rate over many independent observations.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .divergence import tsallis
 from .extended import INF
+from .likelihood import _sum_stat
 from .measure import DensityPair, DiscreteIntensity
 from . import sampler as _sampler
 
@@ -102,7 +102,7 @@ def _parabolic_vertex(points):
 
 
 def bayes_risk_sim(pair: DensityPair, prior0: float, n: int, trials: int,
-                   seed, workers: int | None = None):
+                   seed):
     """Simulated Bayes risk of the optimal test between the two discrete
     intensities from ``n`` independent observations.
 
@@ -131,16 +131,12 @@ def bayes_risk_sim(pair: DensityPair, prior0: float, n: int, trials: int,
     threshold = _log_prior_ratio(prior0)
     const = -float(n * (lam.sum() - mu.sum()))
 
-    nw = max(1, int(workers if workers is not None
-                    else os.environ.get("PPDIV_THREADS", 1)))
-    errors = 0
-    for size, rng in zip(_chunks(trials, nw), _sampler.spawn_streams(seed, nw)):
-        theta = rng.uniform(size=size) >= prior0  # True -> hypothesis 1
-        means = np.where(theta[:, None], mu[None, :], lam[None, :])
-        counts = rng.poisson(n * means)
-        stat = _sum_stat(counts, logratio) + const
-        decide1 = stat < threshold
-        errors += int(np.sum(decide1 != theta))
+    rng = _sampler.spawn_streams(seed, 1)[0]
+    theta = rng.uniform(size=trials) >= prior0  # True -> hypothesis 1
+    means = np.where(theta[:, None], mu[None, :], lam[None, :])
+    counts = rng.poisson(n * means)
+    stat = _sum_stat(counts, logratio) + const
+    errors = int(np.sum((stat < threshold) != theta))
     risk = errors / trials
     se = math.sqrt(max(risk * (1.0 - risk), 1.0 / trials) / trials)
     return risk, se
@@ -152,18 +148,3 @@ def _log_prior_ratio(prior0: float) -> float:
     if prior0 == 1.0:
         return -INF
     return math.log((1.0 - prior0) / prior0)
-
-
-def _sum_stat(counts: np.ndarray, logratio: np.ndarray) -> np.ndarray:
-    finite = np.isfinite(logratio)
-    stat = counts[:, finite] @ logratio[finite]
-    for j in np.nonzero(~finite)[0]:
-        hit = counts[:, j] > 0
-        stat = np.where(hit, logratio[j], stat)
-    return stat
-
-
-def _chunks(n: int, workers: int) -> list[int]:
-    k = min(workers, n)
-    base, extra = divmod(n, k)
-    return [base + (1 if i < extra else 0) for i in range(k)]

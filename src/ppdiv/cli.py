@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -28,11 +27,6 @@ from .extended import fmt_extended
 from .measure import DiscreteIntensity, MarkedModel, common_reference
 
 _KINDS = ("tsallis", "renyi", "kl", "hellinger", "hellinger_pp")
-
-
-def _workers() -> int | None:
-    env = os.environ.get("PPDIV_THREADS")
-    return int(env) if env else None
 
 
 def _load_pair(path_a, path_b):
@@ -143,13 +137,15 @@ def _parse_window(text: str):
 
 def cmd_chernoff(args) -> int:
     pair, _, _ = _load_pair(args.model_a, args.model_b)
+    if args.simulate and not isinstance(pair.reference, DiscreteIntensity):
+        raise ParseError("--simulate needs two discrete models")
     result = _chernoff.chernoff_info(pair)
     out = {"C": fmt_extended(result.value),
            "alpha_star": result.argmax_alpha}
     if args.simulate:
         n, trials, seed = (int(v) for v in args.simulate)
         risk, se = _chernoff.bayes_risk_sim(pair, args.prior0, n, trials,
-                                            seed, workers=_workers())
+                                            seed)
         out["risk"] = risk
         out["se"] = se
     _emit(args, json.dumps(out, allow_nan=False, indent=2) + "\n")

@@ -16,13 +16,16 @@ from scipy.special import gammaln, logsumexp
 from .errors import InvalidAlpha, NonConvergent
 from .extended import INF
 
-# |alpha - 1| below this switches to the limiting (KL) branch: the
-# 1/(1 - alpha) factor is catastrophically cancellative closer in.
-_ALPHA_ONE_WINDOW = 1e-9
+# |alpha - 1| up to this uses the KL-plus-correction form: the
+# 1/(1 - alpha) factor of the closed form cancels catastrophically near 1.
+_ALPHA_NEAR_ONE = 0.25
 
 # s/t inside [1/2, 2] uses a compensated expm1/log1p evaluation.
 _RATIO_LO = 0.5
 _RATIO_HI = 2.0
+
+# |z| below this evaluates (expm1(z) - z) / z by its Taylor series.
+_SERIES_Z = 1e-3
 
 _ORACLE_BLOCK = 4096
 
@@ -35,18 +38,6 @@ def _validate(s: float, t: float, alpha: float):
     for name, v in (("s", s), ("t", t)):
         if math.isnan(v) or v < 0 or math.isinf(v):
             raise ValueError(f"{name} must be a finite nonnegative real, got {v!r}")
-
-
-def _kl_poisson(s: float, t: float) -> float:
-    if s == 0.0:
-        return t
-    if t == 0.0:
-        return INF
-    x = (s - t) / t
-    if -0.5 <= x <= 1.0:
-        # s log(s/t) + t - s == t ((1+x) log1p(x) - x), stable near s == t
-        return t * ((1.0 + x) * math.log1p(x) - x)
-    return s * math.log(s / t) + t - s
 
 
 def renyi_poisson(s: float, t: float, alpha: float) -> float:
@@ -64,23 +55,39 @@ def renyi_poisson(s: float, t: float, alpha: float) -> float:
         return t if s == 0.0 else 0.0
     if s == t:
         return 0.0
-    if abs(alpha - 1.0) < _ALPHA_ONE_WINDOW:
-        return _kl_poisson(s, t)
-    one_m = 1.0 - alpha
     if s == 0.0:
         return t
+    one_m = 1.0 - alpha
     if t == 0.0:
         return alpha / one_m * s if alpha < 1.0 else INF
-    if _RATIO_LO <= s / t <= _RATIO_HI:
+    in_band = _RATIO_LO <= s / t <= _RATIO_HI
+    if abs(one_m) <= _ALPHA_NEAR_ONE:
+        # With L = log(s/t) and z = -(1-alpha) L the closed form is
+        # s L + t - s + s L (expm1(z) - z) / z, which is the KL value at
+        # z = 0 and has no 1/(1-alpha) left to cancel.
+        if in_band:
+            x = (s - t) / t
+            log_ratio = math.log1p(x)
+            kl = t * ((1.0 + x) * log_ratio - x)
+        else:
+            log_ratio = math.log(s) - math.log(t)
+            kl = s * log_ratio + t - s
+        z = -one_m * log_ratio
+        if abs(z) < _SERIES_Z:
+            excess = z * (1.0 / 2.0 + z * (1.0 / 6.0 + z * (1.0 / 24.0
+                                                            + z / 120.0)))
+        else:
+            excess = (math.expm1(z) - z) / z
+        value = kl + s * log_ratio * excess
+    elif in_band:
         x = (s - t) / t
-        num = t * (alpha * x - math.expm1(alpha * math.log1p(x)))
+        value = t * (alpha * x - math.expm1(alpha * math.log1p(x))) / one_m
     else:
         try:
             cross = math.exp(alpha * math.log(s) + one_m * math.log(t))
         except OverflowError:
             cross = INF
-        num = alpha * s + one_m * t - cross
-    value = num / one_m
+        value = (alpha * s + one_m * t - cross) / one_m
     return value if value > 0.0 else 0.0
 
 

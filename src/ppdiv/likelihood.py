@@ -13,7 +13,6 @@ the loop between likelihood ratios and divergences.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,22 +235,15 @@ def log_lr_sigma_finite(pair: DensityPair, eta: PointPattern,
     return TruncatedLogLikelihood(pair, n_max=n_max).evaluate(eta, tol=tol)
 
 
-def _worker_count(workers) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("PPDIV_THREADS")
-    return max(1, int(env)) if env else 1
-
-
 def mc_divergence_estimate(pair: DensityPair, alpha: float, n_samples: int,
-                           seed, workers: int | None = None):
+                           seed):
     """Monte Carlo estimate of the order-``alpha`` divergence of the two
     pattern laws through the likelihood ratio.
 
     At ``alpha = 1`` this averages the log ratio under the first law; away
     from 1 it averages the ratio to the power ``alpha`` under the second
     law and rescales the log.  Returns ``(estimate, standard_error)``.
-    Reproducible given ``(seed, n_samples, worker_count)``.
+    Reproducible given ``(seed, n_samples)``.
     """
     if not 0.0 < alpha <= 2.0:
         raise InvalidAlpha("monte carlo estimation is restricted to "
@@ -260,21 +252,14 @@ def mc_divergence_estimate(pair: DensityPair, alpha: float, n_samples: int,
     if lam == INF or mu == INF:
         raise InfiniteMass("monte carlo estimation needs finite intensities")
     _require_ac(pair)
-    nw = _worker_count(workers)
-    chunks = _chunk_sizes(int(n_samples), nw)
-    streams = _sampler.spawn_streams(seed, len(chunks))
+    n_samples = int(n_samples)
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
+    rng = _sampler.spawn_streams(seed, 1)[0]
 
     sample_from_first = abs(alpha - 1.0) < 1e-12
-    base = mu - lam
-    loglrs = []
-    for size, rng in zip(chunks, streams):
-        if pair.is_exact:
-            loglrs.append(_exact_loglr_batch(pair, base, size, rng,
-                                             sample_from_first))
-        else:
-            loglrs.append(_smooth_loglr_batch(pair, base, size, rng,
-                                              sample_from_first))
-    ll = np.concatenate(loglrs)
+    batch = _exact_loglr_batch if pair.is_exact else _smooth_loglr_batch
+    ll = batch(pair, mu - lam, n_samples, rng, sample_from_first)
 
     if sample_from_first:
         est = float(np.mean(ll))
@@ -288,14 +273,6 @@ def mc_divergence_estimate(pair: DensityPair, alpha: float, n_samples: int,
     return est, se
 
 
-def _chunk_sizes(n: int, workers: int) -> list[int]:
-    if n < 1:
-        raise ValueError("n_samples must be positive")
-    k = min(workers, n)
-    base, extra = divmod(n, k)
-    return [base + (1 if i < extra else 0) for i in range(k)]
-
-
 def _exact_loglr_batch(pair, base, size, rng, sample_from_first):
     # Counts per atom/cell are sufficient for the log ratio, so whole
     # batches reduce to one Poisson draw per support element.
@@ -303,18 +280,28 @@ def _exact_loglr_batch(pair, base, size, rng, sample_from_first):
     means = w * (f if sample_from_first else g)
     logphi = np.array([_log_ratio(fi, gi) for fi, gi in zip(f, g)])
     counts = rng.poisson(means, size=(size, len(means)))
-    finite = np.isfinite(logphi)
-    ll = base + counts[:, finite] @ logphi[finite]
-    dead = ~finite & (logphi == -INF)
-    if dead.any():
-        hit = counts[:, dead].sum(axis=1) > 0
-        ll = np.where(hit, -INF, ll)
-    return ll
+    return base + _sum_stat(counts, logphi)
+
+
+def _sum_stat(counts: np.ndarray, logratio: np.ndarray) -> np.ndarray:
+    """Per-row ``counts @ logratio`` with ``0 * inf = 0``: a row with a
+    positive count on an infinite log ratio takes that infinity."""
+    finite = np.isfinite(logratio)
+    stat = counts[:, finite] @ logratio[finite]
+    for j in np.nonzero(~finite)[0]:
+        hit = counts[:, j] > 0
+        stat = np.where(hit, logratio[j], stat)
+    return stat
 
 
 def _smooth_loglr_batch(pair, base, size, rng, sample_from_first):
     dens = pair.f if sample_from_first else pair.g
     model = intensity_from_density(pair.reference, dens)
+    if not model.has_unbounded_domain:
+        # The probe-grid bound is deterministic, so estimating it once per
+        # batch leaves every draw unchanged.
+        model = SmoothIntensity(model.bounds, model.density, model.quadrature,
+                                _sampler._density_bound(model, model.bounds))
     out = np.empty(size)
     for i in range(size):
         eta = _sampler.sample_pp(model, window=None, seed=rng)

@@ -83,7 +83,7 @@ def _sample_discrete(m: DiscreteIntensity, window, rng) -> PointPattern:
     else:
         win = frozenset(window)
         ids = tuple(pid for pid in m.support_locations() if pid in win)
-        weights = np.array([dict(m.atoms)[pid] for pid in ids], dtype=float)
+        weights = m.weight_array[[m.index[pid] for pid in ids]]
     total = float(weights.sum()) if len(ids) else 0.0
     if total == 0.0:
         return PointPattern((), window=win)

@@ -222,6 +222,28 @@ class TestChernoffCommand:
         _validate(out, "chernoff")
         assert set(out) == {"C", "alpha_star", "risk", "se"}
 
+    def test_simulation_of_grid_models_rejected(self, files, capsys):
+        write, _ = files
+        code = main(["chernoff", write("a.json", GRID_2),
+                     write("b.json", GRID_1),
+                     "--simulate", "5", "1000", "7"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_simulation_ignores_thread_variable(self, files, capsys,
+                                                monkeypatch):
+        write, _ = files
+        argv = ["chernoff", write("a.json", POISSON_1),
+                write("b.json", POISSON_4), "--simulate", "5", "1000", "7"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("PPDIV_THREADS", "abc")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == plain
+
 
 class TestModelFiles:
     def test_roundtrip_discrete(self, tmp_path):

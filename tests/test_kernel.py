@@ -4,7 +4,7 @@ plus its structural properties."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppdiv import (InvalidAlpha, NonConvergent, renyi_poisson,
@@ -36,6 +36,14 @@ class TestClosedForm:
     def test_zero_t_below_one(self):
         # alpha/(1-alpha) * s against the degenerate distribution at zero
         assert renyi_poisson(3.0, 0.0, 0.25) == pytest.approx(1.0, abs=1e-12)
+        # finite for every order below one, however close
+        near_one = 1.0 - 1e-10
+        assert renyi_poisson(1.0, 0.0, near_one) == pytest.approx(
+            near_one / (1.0 - near_one), rel=1e-12)
+
+    def test_subnormal_mean(self):
+        # s/t underflows to zero; the log ratio must not
+        assert renyi_poisson(5e-324, 2.0, 1.0) == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0, 2.0, 7.5])
     @pytest.mark.parametrize("s", [0.0, 0.2, 1.0, 9.0])
@@ -87,6 +95,8 @@ _orders = st.floats(min_value=0.0, max_value=6.0)
 class TestProperties:
     @given(s=st.floats(min_value=0.0, max_value=50.0),
            t=st.floats(min_value=0.0, max_value=50.0), alpha=_orders)
+    @example(s=5e-324, t=2.0, alpha=1.0)
+    @example(s=1.0, t=0.0, alpha=1.0 - 1e-10)
     def test_nonnegative_never_nan(self, s, t, alpha):
         value = renyi_poisson(s, t, alpha)
         assert value >= 0.0
@@ -94,6 +104,8 @@ class TestProperties:
 
     @given(s=_means, t=_means, alpha=_orders,
            c=st.floats(min_value=1e-2, max_value=100.0))
+    @example(s=2.0, t=0.75, alpha=0.99999, c=2.0)
+    @example(s=1.9, t=1.0, alpha=1.0 + 1e-8, c=100.0)
     def test_homogeneous_in_the_means(self, s, t, alpha, c):
         lhs = renyi_poisson(c * s, c * t, alpha)
         rhs = c * renyi_poisson(s, t, alpha)

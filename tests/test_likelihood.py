@@ -193,8 +193,13 @@ class TestMonteCarlo:
         with pytest.raises(InvalidAlpha):
             mc_divergence_estimate(pair, 2.5, 100, seed=0)
 
-    def test_worker_chunking_is_reproducible(self):
+    def test_sample_count_enforced(self):
         pair = common_reference(UNIT_2, UNIT_1)
-        a = mc_divergence_estimate(pair, 1.0, 5_000, seed=3, workers=4)
-        b = mc_divergence_estimate(pair, 1.0, 5_000, seed=3, workers=4)
+        with pytest.raises(ValueError):
+            mc_divergence_estimate(pair, 1.0, 0, seed=0)
+
+    def test_same_seed_is_reproducible(self):
+        pair = common_reference(UNIT_2, UNIT_1)
+        a = mc_divergence_estimate(pair, 1.0, 5_000, seed=3)
+        b = mc_divergence_estimate(pair, 1.0, 5_000, seed=3)
         assert a == b

@@ -45,6 +45,16 @@ class TestSamplePP:
             se = math.sqrt(lam / reps)
             assert abs(totals[pid] / reps - lam) <= 3.0 * se
 
+    def test_discrete_window_samples_the_restriction(self):
+        atoms = [(f"p{i}", 0.1 + (i % 7) * 0.3) for i in range(40)]
+        inside = atoms[5:30:2]
+        model = DiscreteIntensity(atoms)
+        restricted = DiscreteIntensity(inside)
+        window = [pid for pid, _ in reversed(inside)] + ["absent"]
+        for seed in range(5):
+            assert (sample_pp(model, window=window, seed=seed).points
+                    == sample_pp(restricted, seed=seed).points)
+
     def test_restriction_property_chi_square(self):
         # counts inside a sub-window of the sampling window stay Poisson
         grid = GridIntensity([(0, 2)], [2], [2.0, 1.0])
