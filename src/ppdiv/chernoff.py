@@ -17,7 +17,7 @@ import numpy as np
 
 from .divergence import tsallis
 from .extended import INF
-from .likelihood import _sum_stat
+from .likelihood import _log_ratios, _sum_stat
 from .measure import DensityPair, DiscreteIntensity
 from . import sampler as _sampler
 
@@ -125,9 +125,7 @@ def bayes_risk_sim(pair: DensityPair, prior0: float, n: int, trials: int,
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
 
-    with np.errstate(divide="ignore"):
-        logratio = np.log(lam) - np.log(mu)  # +-inf where exactly one is zero
-    logratio[(lam == 0.0) & (mu == 0.0)] = 0.0
+    logratio = _log_ratios(f, g)
     threshold = _log_prior_ratio(prior0)
     const = -float(n * (lam.sum() - mu.sum()))
 

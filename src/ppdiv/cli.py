@@ -47,7 +47,8 @@ def _emit(args, payload: str):
 
 def cmd_divergence(args) -> int:
     pair, _, _ = _load_pair(args.model_a, args.model_b)
-    alphas = [float(a) for a in args.alphas.split(",")] if args.alphas else [1.0]
+    alphas = ([_parse_number(float, a, "order") for a in args.alphas.split(",")]
+              if args.alphas else [1.0])
     rows = []
     for alpha in alphas:
         if alpha < 0:
@@ -125,6 +126,13 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _parse_number(kind, text: str, what: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParseError(f"bad {what} {text!r}") from None
+
+
 def _parse_window(text: str):
     try:
         parts = text.split(",")
@@ -143,7 +151,8 @@ def cmd_chernoff(args) -> int:
     out = {"C": fmt_extended(result.value),
            "alpha_star": result.argmax_alpha}
     if args.simulate:
-        n, trials, seed = (int(v) for v in args.simulate)
+        n, trials, seed = (_parse_number(int, v, "--simulate value")
+                           for v in args.simulate)
         risk, se = _chernoff.bayes_risk_sim(pair, args.prior0, n, trials,
                                             seed)
         out["risk"] = risk

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .divergence import DivergenceReport, tsallis
+from .divergence import DivergenceReport, _kernel_sums, tsallis
 from .errors import (InvalidAlpha, KernelMismatch, NonDiffuseBase,
                      ZeroMarkAtom)
 from .extended import INF, ext_mul
@@ -34,14 +34,16 @@ def _cross(f: float, g: float, alpha: float) -> float:
 
 
 class _MarkDivergence:
-    """Memoised per-location divergence of two mark kernels."""
+    """Per-location divergence of two mark kernels: memoised scalar-kernel
+    sums at single locations (quadrature nodes), one array-kernel call
+    over a whole finite support."""
 
     def __init__(self, K: MarkedModel, L: MarkedModel, alpha: float):
         if K.mark_reference != L.mark_reference:
             raise KernelMismatch("mark kernels must share a mark reference")
         if K.base.domain_class != L.base.domain_class:
             raise KernelMismatch("mark kernels must share a base domain class")
-        self.reference = K.mark_reference
+        self.masses = np.array([w for _, w in K._mark_support()], dtype=float)
         self.k_at = K.mark_densities_at
         self.l_at = L.mark_densities_at
         self.alpha = alpha
@@ -50,9 +52,19 @@ class _MarkDivergence:
     def __call__(self, t) -> float:
         key = t if isinstance(t, (str, int, float, tuple)) else repr(t)
         if key not in self._cache:
-            pair = DensityPair(self.reference, self.k_at(t), self.l_at(t))
-            self._cache[key] = tsallis(pair, self.alpha).value
+            self._cache[key] = math.fsum(
+                wi * renyi_poisson(ki, li, self.alpha)
+                for wi, ki, li in zip(self.masses.tolist(), self.k_at(t).tolist(),
+                                      self.l_at(t).tolist())
+                if wi != 0.0)
         return self._cache[key]
+
+    def over(self, locations) -> list[float]:
+        """Divergences at every location of ``locations``."""
+        shape = (len(locations), len(self.masses))
+        k = np.array([self.k_at(t) for t in locations]).reshape(shape)
+        l = np.array([self.l_at(t) for t in locations]).reshape(shape)
+        return _kernel_sums(self.masses, k, l, self.alpha)
 
 
 def tsallis_product(base_pair: DensityPair, K: MarkedModel, L: MarkedModel,
@@ -78,18 +90,17 @@ def tsallis_product(base_pair: DensityPair, K: MarkedModel, L: MarkedModel,
     if base_pair.is_exact:
         w, f, g = base_pair.support_terms()
         locs = base_pair.reference.support_locations()
-        terms = []
-        for wi, fi, gi, t in zip(w, f, g, locs):
-            if wi == 0.0:
-                continue
-            weight = _mark_weight(fi, gi, alpha)
-            if weight == 0.0:
-                continue
-            term = ext_mul(inner(t), weight)
-            if term == INF:
-                return DivergenceReport(alpha, INF, 0.0,
-                                        ["mark term infinite on positive mass"])
-            terms.append(wi * term)
+        cells = []
+        for wi, fi, gi, t in zip(w.tolist(), f.tolist(), g.tolist(), locs):
+            weight = _mark_weight(fi, gi, alpha) if wi != 0.0 else 0.0
+            if weight != 0.0:
+                cells.append((wi, weight, t))
+        marks = inner.over([t for _, _, t in cells])
+        terms = [wi * ext_mul(m, weight)
+                 for (wi, weight, _), m in zip(cells, marks)]
+        if INF in terms:
+            return DivergenceReport(alpha, INF, 0.0,
+                                    ["mark term infinite on positive mass"])
         extra = math.fsum(terms)
         err = base.quadrature_error_estimate
         return DivergenceReport(alpha, base.value + extra, err,

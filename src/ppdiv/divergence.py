@@ -1,9 +1,10 @@
 """Divergences of intensity measures and of the Poisson point-pattern laws
 they induce, plus absolute-continuity diagnostics.
 
-Every computation reduces to integrating the scalar Poisson kernel of the
-two densities pointwise against the shared reference: an exact weighted
-sum for discrete and grid pairs, adaptive quadrature for smooth pairs.
+Every computation reduces to integrating the Poisson kernel of the two
+densities pointwise against the shared reference: an exact weighted sum
+of the array kernel for discrete and grid pairs, adaptive quadrature of
+the scalar kernel for smooth pairs.
 Outputs live in [0, inf].  For smooth pairs an integrand that is infinite
 on a probe set of positive reference mass yields inf directly; a divergent
 but pointwise-finite integral surfaces as :class:`QuadratureFailure` with
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import (InfiniteHellinger, NotAbsolutelyContinuous,
                      QuadratureFailure)
 from .extended import INF
-from .kernel import renyi_poisson
+from .kernel import _renyi_poisson_array, renyi_poisson
 from .measure import DensityPair, IntensityModel, intensity_from_density
 from .quadrature import integrate_box, probe_points
 
@@ -73,18 +74,25 @@ def tsallis(pair: DensityPair, alpha: float) -> DivergenceReport:
     """
     if pair.is_exact:
         w, f, g = pair.support_terms()
-        terms = []
-        for wi, fi, gi in zip(w, f, g):
-            if wi == 0.0:
-                continue
-            r = renyi_poisson(fi, gi, alpha)
-            if r == INF:
-                return DivergenceReport(alpha, INF, 0.0,
-                                        ["integrand infinite on positive mass"])
-            terms.append(wi * r)
-        return DivergenceReport(alpha, math.fsum(terms), 0.0)
+        value = _kernel_sums(w, f[None, :], g[None, :], alpha)[0]
+        if value == INF:
+            return DivergenceReport(alpha, INF, 0.0,
+                                    ["integrand infinite on positive mass"])
+        return DivergenceReport(alpha, value, 0.0)
     return _smooth_report(pair, alpha,
                           lambda fv, gv: renyi_poisson(fv, gv, alpha))
+
+
+def _kernel_sums(w: np.ndarray, f: np.ndarray, g: np.ndarray,
+                 alpha: float) -> list[float]:
+    """Per row of the ``(rows, cells)`` density arrays, the ``math.fsum``
+    of ``w * renyi_poisson(f, g, alpha)`` over the cells with ``w > 0``;
+    a row with an infinite such term sums to inf."""
+    pos = w > 0.0
+    if not pos.all():
+        w, f, g = w[pos], f[:, pos], g[:, pos]
+    terms = w * _renyi_poisson_array(f, g, alpha)
+    return [math.fsum(row) for row in terms.tolist()]
 
 
 def _smooth_report(pair, alpha, kernel) -> DivergenceReport:

@@ -278,9 +278,18 @@ def _exact_loglr_batch(pair, base, size, rng, sample_from_first):
     # batches reduce to one Poisson draw per support element.
     w, f, g = pair.support_terms()
     means = w * (f if sample_from_first else g)
-    logphi = np.array([_log_ratio(fi, gi) for fi, gi in zip(f, g)])
+    logphi = _log_ratios(f, g)
     counts = rng.poisson(means, size=(size, len(means)))
     return base + _sum_stat(counts, logphi)
+
+
+def _log_ratios(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Elementwise ``log(f / g)``: ``-inf`` where ``f = 0`` and ``+inf``
+    where only ``g`` vanishes, as :func:`_log_ratio` does per point."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(f / g)
+    out[f == 0.0] = -INF
+    return out
 
 
 def _sum_stat(counts: np.ndarray, logratio: np.ndarray) -> np.ndarray:

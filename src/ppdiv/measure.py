@@ -23,7 +23,7 @@ threads; every operation here is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Sequence
@@ -55,6 +55,25 @@ class IntensityModel:
     @property
     def domain_class(self) -> str:
         raise NotImplementedError
+
+
+def _frozen_densities(values, what: str) -> np.ndarray:
+    """Flat read-only float64 copy of finite nonnegative densities."""
+    arr = np.array(values, dtype=float).reshape(-1)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    if (arr < 0.0).any():
+        raise ValueError(f"{what} must be nonnegative")
+    arr.flags.writeable = False
+    return arr
+
+
+def _array_key(values):
+    """Hashable stand-in for a density array (``0.0`` and ``-0.0`` alike)
+    or for a density callable."""
+    if isinstance(values, np.ndarray):
+        return (values + 0.0).tobytes()
+    return values
 
 
 def _check_bounds(bounds):
@@ -105,17 +124,17 @@ class DiscreteIntensity(IntensityModel):
         return float(math.fsum(w for _, w in self.atoms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridIntensity(IntensityModel):
     """Regular grid over a finite box with a constant density per cell.
 
-    ``values`` is the flattened (row-major) sequence of nonnegative cell
-    densities, interpreted against the Lebesgue measure.
+    ``values`` is a flat (row-major), read-only float64 array of the finite
+    nonnegative cell densities, interpreted against the Lebesgue measure.
     """
 
     bounds: tuple[tuple[float, float], ...]
     shape: tuple[int, ...]
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __init__(self, bounds, shape, values):
         bounds = _check_bounds(bounds)
@@ -125,13 +144,9 @@ class GridIntensity(IntensityModel):
         shape = tuple(int(n) for n in (shape if isinstance(shape, Sequence) else (shape,)))
         if any(n < 1 for n in shape) or len(shape) != len(bounds):
             raise ValueError("shape must give a positive cell count per axis")
-        flat = tuple(float(v) for v in np.asarray(values, dtype=float).reshape(-1))
+        flat = _frozen_densities(values, "cell densities")
         if len(flat) != math.prod(shape):
             raise ValueError("values length must equal the number of cells")
-        for v in flat:
-            ensure_extended(v, "cell density")
-            if math.isinf(v):
-                raise ValueError("cell densities must be finite")
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "values", flat)
@@ -154,7 +169,7 @@ class GridIntensity(IntensityModel):
 
     @cached_property
     def values_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float).reshape(self.shape)
+        return self.values.reshape(self.shape)
 
     def cell_index(self, location) -> tuple[int, ...]:
         """Multi-index of the cell containing ``location``.
@@ -190,7 +205,16 @@ class GridIntensity(IntensityModel):
         return tuple(tuple(float(x) for x in c) for c in centers)
 
     def total_mass(self) -> float:
-        return float(math.fsum(self.values) * self.cell_volume)
+        return float(math.fsum(self.values.tolist()) * self.cell_volume)
+
+    def __eq__(self, other):
+        if not isinstance(other, GridIntensity):
+            return NotImplemented
+        return (self.bounds == other.bounds and self.shape == other.shape
+                and np.array_equal(self.values, other.values))
+
+    def __hash__(self):
+        return hash((self.bounds, self.shape, _array_key(self.values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,8 +366,7 @@ def _scale_concrete(model, c):
     if isinstance(model, DiscreteIntensity):
         return DiscreteIntensity(tuple((pid, c * w) for pid, w in model.atoms))
     if isinstance(model, GridIntensity):
-        return GridIntensity(model.bounds, model.shape,
-                             tuple(c * v for v in model.values))
+        return GridIntensity(model.bounds, model.shape, c * model.values)
     if isinstance(model, SmoothIntensity):
         inner = model.density
         expr = None
@@ -363,7 +386,7 @@ def _add_concrete(a, b):
         return DiscreteIntensity(tuple(merged.items()))
     if isinstance(a, GridIntensity) and isinstance(b, GridIntensity):
         grid, fa, fb = _refine_pair(a, b)
-        return GridIntensity(grid.bounds, grid.shape, tuple(fa + fb))
+        return GridIntensity(grid.bounds, grid.shape, fa + fb)
     if isinstance(a, SmoothIntensity) and isinstance(b, SmoothIntensity):
         if a.bounds != b.bounds:
             raise DomainMismatch("smooth summands must share a domain")
@@ -420,16 +443,20 @@ def _refine_axis(a_lo, a_hi, n_a, b_lo, b_hi, n_b):
 
 
 def _axis_map(lo_u: Fraction, h: Fraction, n_cells: int, m_lo, m_hi, m_n):
-    """Refined-axis index -> original cell index (or -1 outside the box)."""
+    """Refined-axis index -> original cell index (or -1 outside the box).
+
+    ``h`` divides both the model's step and its offset from ``lo_u``, so
+    the model box starts at refined index ``k0`` and each model cell spans
+    ``q`` refined cells, both integers: refined cell ``r`` (centre
+    ``lo_u + h (r + 1/2)``) lies in model cell ``(r - k0) // q``.
+    """
     f_lo, f_hi = _snap(m_lo), _snap(m_hi)
-    step = (f_hi - f_lo) / m_n
-    out = np.full(n_cells, -1, dtype=int)
-    for r in range(n_cells):
-        center = lo_u + h * r + h / 2
-        if f_lo < center < f_hi:
-            idx = int((center - f_lo) / step)
-            out[r] = min(idx, m_n - 1)
-    return out
+    k0 = (f_lo - lo_u) / h
+    q = (f_hi - f_lo) / m_n / h
+    assert k0.denominator == 1 and q.denominator == 1
+    k0, q = int(k0), int(q)
+    r = np.arange(n_cells)
+    return np.where((r >= k0) & (r < k0 + m_n * q), (r - k0) // q, -1)
 
 
 def _refine_pair(a: GridIntensity, b: GridIntensity):
@@ -460,7 +487,7 @@ def _refine_pair(a: GridIntensity, b: GridIntensity):
         return np.where(mask, out, 0.0).reshape(-1)
 
     reference = GridIntensity(tuple(bounds), tuple(shape),
-                              tuple(np.ones(math.prod(shape))))
+                              np.ones(math.prod(shape)))
     return reference, gather(a), gather(b)
 
 
@@ -477,14 +504,15 @@ def _phi(f: float, g: float) -> float:
     return f / g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityPair:
     """Two intensities expressed as densities against one shared reference.
 
-    For discrete and grid references the densities are flat arrays aligned
-    with the reference atoms/cells (exact summation); for smooth references
-    they are callables (quadrature).  Infinite density values are not
-    allowed; the measures themselves may still be infinite.
+    For discrete and grid references ``f`` and ``g`` are flat read-only
+    float64 arrays aligned with the reference atoms/cells (exact
+    summation); for smooth references they are callables (quadrature).
+    Infinite density values are not allowed; the measures themselves may
+    still be infinite.
     """
 
     reference: IntensityModel
@@ -495,21 +523,30 @@ class DensityPair:
         ref = self.reference
         if isinstance(ref, (DiscreteIntensity, GridIntensity)):
             n = len(ref.atoms) if isinstance(ref, DiscreteIntensity) else len(ref.values)
-            fa = np.asarray(self.f, dtype=float).reshape(-1)
-            ga = np.asarray(self.g, dtype=float).reshape(-1)
+            fa = _frozen_densities(self.f, "densities")
+            ga = _frozen_densities(self.g, "densities")
             if fa.shape != (n,) or ga.shape != (n,):
                 raise ValueError("densities must align with the reference support")
-            if not (np.all(np.isfinite(fa)) and np.all(np.isfinite(ga))):
-                raise ValueError("densities must be finite")
-            if (fa < 0).any() or (ga < 0).any():
-                raise ValueError("densities must be nonnegative")
-            object.__setattr__(self, "f", tuple(float(v) for v in fa))
-            object.__setattr__(self, "g", tuple(float(v) for v in ga))
+            object.__setattr__(self, "f", fa)
+            object.__setattr__(self, "g", ga)
         elif isinstance(ref, SmoothIntensity):
             if not (callable(self.f) and callable(self.g)):
                 raise ValueError("smooth pairs need callable densities")
         else:
             raise TypeError("reference must be a concrete intensity model")
+
+    def __eq__(self, other):
+        if not isinstance(other, DensityPair):
+            return NotImplemented
+        if self.reference != other.reference:
+            return False
+        if self.is_exact:
+            return (np.array_equal(self.f, other.f)
+                    and np.array_equal(self.g, other.g))
+        return self.f == other.f and self.g == other.g
+
+    def __hash__(self):
+        return hash((self.reference, _array_key(self.f), _array_key(self.g)))
 
     @property
     def is_exact(self) -> bool:
@@ -525,7 +562,7 @@ class DensityPair:
             w = ref.values_array.reshape(-1) * ref.cell_volume
         else:
             raise TypeError("smooth pairs have no finite support enumeration")
-        return w, np.asarray(self.f), np.asarray(self.g)
+        return w, self.f, self.g
 
     def reference_density_at(self, location) -> float:
         ref = self.reference
@@ -546,10 +583,10 @@ class DensityPair:
         ref = self.reference
         if isinstance(ref, DiscreteIntensity):
             idx = ref.index.get(location)
-            return 0.0 if idx is None else density[idx]
+            return 0.0 if idx is None else float(density[idx])
         if isinstance(ref, GridIntensity):
             flat = np.ravel_multi_index(ref.cell_index(location), ref.shape)
-            return density[flat]
+            return float(density[flat])
         loc = _as_coords(location, ref.ndim)
         for x, (lo, hi) in zip(loc, ref.bounds):
             if x < lo or x > hi:
@@ -568,7 +605,7 @@ class DensityPair:
     def _mass(self, density) -> float:
         if self.is_exact:
             w, _, _ = self.support_terms()
-            return float(math.fsum(w * np.asarray(density)))
+            return float(math.fsum((w * density).tolist()))
         ref = self.reference
         refdens = ref.density
         try:
@@ -589,8 +626,8 @@ def intensity_from_density(reference: IntensityModel, density) -> IntensityModel
             (pid, w * d[i]) for i, (pid, w) in enumerate(reference.atoms)))
     if isinstance(reference, GridIntensity):
         d = np.asarray(density, dtype=float).reshape(-1)
-        vals = np.asarray(reference.values) * d
-        return GridIntensity(reference.bounds, reference.shape, tuple(vals))
+        return GridIntensity(reference.bounds, reference.shape,
+                             reference.values * d)
     if isinstance(reference, SmoothIntensity):
         refdens = reference.density
         return SmoothIntensity(reference.bounds,

@@ -109,7 +109,7 @@ def model_to_dict(model) -> dict:
         return {"type": "discrete", "atoms": [[pid, w] for pid, w in model.atoms]}
     if isinstance(model, GridIntensity):
         return {"type": "grid", "bounds": [list(b) for b in model.bounds],
-                "shape": list(model.shape), "values": list(model.values)}
+                "shape": list(model.shape), "values": model.values.tolist()}
     if isinstance(model, SmoothIntensity):
         if model.expression is None:
             raise ParseError("smooth models built from raw callables have no "

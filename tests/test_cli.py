@@ -88,6 +88,16 @@ class TestDivergence:
         write, _ = files
         assert main(["divergence", str(bad), write("b.json", GRID_1)]) == 1
 
+    def test_bad_order_is_a_parse_error(self, files, capsys):
+        write, _ = files
+        code = main(["divergence", write("a.json", GRID_2),
+                     write("b.json", GRID_1), "--alphas", "abc"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_domain_mismatch_exit_code(self, files):
         write, _ = files
         assert main(["divergence", write("a.json", POISSON_1),
@@ -227,6 +237,17 @@ class TestChernoffCommand:
         code = main(["chernoff", write("a.json", GRID_2),
                      write("b.json", GRID_1),
                      "--simulate", "5", "1000", "7"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_bad_simulation_count_is_a_parse_error(self, files, capsys):
+        write, _ = files
+        code = main(["chernoff", write("a.json", POISSON_1),
+                     write("b.json", POISSON_4),
+                     "--simulate", "x", "1000", "7"])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""

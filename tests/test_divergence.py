@@ -297,7 +297,7 @@ class TestDominatingIntensity:
         pair = common_reference(UNIT_2, UNIT_2)
         xi = dominating_intensity(pair)
         assert total_mass(xi) == pytest.approx(2.0, abs=1e-12)
-        assert xi.values == (2.0,)
+        np.testing.assert_array_equal(xi.values, [2.0])
 
     def test_disjoint_atoms(self):
         pair = common_reference(DiscreteIntensity([("a", 4.0)]),

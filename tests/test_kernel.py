@@ -3,12 +3,14 @@ plus its structural properties."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppdiv import (InvalidAlpha, NonConvergent, renyi_poisson,
                    renyi_poisson_oracle)
+from ppdiv.kernel import _BLOCK, _renyi_poisson_array
 
 INF = math.inf
 KL_2_1 = 2.0 * math.log(2.0) - 1.0  # frozen from the oracle below
@@ -44,6 +46,14 @@ class TestClosedForm:
     def test_subnormal_mean(self):
         # s/t underflows to zero; the log ratio must not
         assert renyi_poisson(5e-324, 2.0, 1.0) == pytest.approx(2.0, rel=1e-12)
+
+    def test_overflowing_intermediates(self):
+        # alpha * s or the cross term overflows; the value must not
+        # collapse to 0 through inf - inf
+        assert renyi_poisson(1e308, 1e-300, 2.0) == INF
+        assert renyi_poisson(1e308, 1e300, 3.0) == INF
+        assert renyi_poisson(1.5e308, 0.5e308, 1.5) == pytest.approx(
+            1.5e308 * renyi_poisson(1.0, 1.0 / 3.0, 1.5), rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0, 2.0, 7.5])
     @pytest.mark.parametrize("s", [0.0, 0.2, 1.0, 9.0])
@@ -97,6 +107,9 @@ class TestProperties:
            t=st.floats(min_value=0.0, max_value=50.0), alpha=_orders)
     @example(s=5e-324, t=2.0, alpha=1.0)
     @example(s=1.0, t=0.0, alpha=1.0 - 1e-10)
+    @example(s=1e308, t=1e-300, alpha=2.0)
+    @example(s=1e308, t=1e300, alpha=3.0)
+    @example(s=1.5e308, t=0.5e308, alpha=1.5)
     def test_nonnegative_never_nan(self, s, t, alpha):
         value = renyi_poisson(s, t, alpha)
         assert value >= 0.0
@@ -139,3 +152,69 @@ class TestProperties:
         assert nearby == pytest.approx(at_one, abs=2e-6 * (1.0 + slope))
         if 1.0 / 3.0 <= s / t <= 3.0:
             assert nearby == pytest.approx(at_one, abs=1e-5)
+
+
+_mean = st.floats(min_value=0.0, max_value=50.0)
+_cell = st.one_of(
+    st.tuples(_mean, _mean),
+    _mean.map(lambda v: (v, v)),
+    _mean.map(lambda v: (v, 0.0)),
+    _mean.map(lambda v: (0.0, v)),
+    st.tuples(_mean, st.floats(min_value=0.5, max_value=2.0)).map(
+        lambda p: (p[0], p[0] * p[1])))
+# orders below 1e-3 are left out: there the far form loses about
+# -log10(alpha) digits to cancellation in both forms alike, so the
+# last-bit differences of the libm functions no longer stay below 1e-9
+_array_orders = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    st.floats(min_value=1e-3, max_value=6.0),
+    st.floats(min_value=0.7, max_value=1.3),
+    st.floats(min_value=-1e-6, max_value=1e-6).map(lambda d: 1.0 + d))
+
+
+class TestArrayForm:
+    @settings(max_examples=300)
+    @given(cells=st.lists(_cell, min_size=1, max_size=40), alpha=_array_orders)
+    @example(cells=[(1e308, 1e-300), (1e308, 1e300), (1.5e308, 0.5e308)],
+             alpha=1.5)
+    @example(cells=[(5e-324, 2.0), (1.0, 0.0), (0.0, 0.0), (3.0, 3.0)],
+             alpha=1.0 - 1e-10)
+    def test_matches_scalar(self, cells, alpha):
+        s = np.array([c[0] for c in cells])
+        t = np.array([c[1] for c in cells])
+        got = _renyi_poisson_array(s, t, alpha)
+        want = np.array([renyi_poisson(a, b, alpha) for a, b in cells])
+        assert not np.isnan(got).any()
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0 - 1e-9, 2.0])
+    def test_many_blocks_match_scalar(self, alpha):
+        rng = np.random.default_rng(17)
+        n = 3 * _BLOCK + 5
+        s = rng.uniform(0.0, 5.0, n)
+        t = s * rng.uniform(0.3, 3.0, n)
+        s[rng.uniform(size=n) < 0.1] = 0.0
+        t[rng.uniform(size=n) < 0.1] = 0.0
+        s[-3:], t[-3:] = (1e308, 1e308, 1.5e308), (1e-300, 1e300, 0.5e308)
+        got = _renyi_poisson_array(s.reshape(-1, 1), t.reshape(-1, 1), alpha)
+        want = np.array([renyi_poisson(a, b, alpha) for a, b in zip(s, t)])
+        assert got.shape == (n, 1)
+        np.testing.assert_array_equal(np.isinf(got[:, 0]), np.isinf(want))
+        np.testing.assert_allclose(got[:, 0], want, rtol=1e-9, atol=0)
+
+    def test_shape_and_broadcast(self):
+        s = np.array([[1.0, 2.0, 0.0], [4.0, 0.0, 3.0]])
+        got = _renyi_poisson_array(s, 2.0, 0.5)
+        assert got.shape == (2, 3)
+        assert got[1, 1] == renyi_poisson(0.0, 2.0, 0.5)
+
+    def test_validation(self):
+        with pytest.raises(InvalidAlpha):
+            _renyi_poisson_array([1.0], [1.0], -0.5)
+        with pytest.raises(ValueError):
+            _renyi_poisson_array([1.0, -1.0], [1.0, 1.0], 0.5)
+        with pytest.raises(ValueError):
+            _renyi_poisson_array([1.0], [np.nan], 0.5)

@@ -2,6 +2,7 @@
 mark kernels."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ppdiv import (DensityPair, DiscreteIntensity, DomainMismatch,
                    GridIntensity, MarkedModel, OutOfWindow, PointPattern,
                    ScaledIntensity, SmoothIntensity, SummedIntensity,
                    common_reference, count, total_mass)
+from ppdiv.measure import _axis_map, _refine_axis, _snap
 
 INF = math.inf
 
@@ -22,21 +24,21 @@ class TestCommonReference:
         b = DiscreteIntensity([("y", 3.0)])
         pair = common_reference(a, b)
         assert pair.reference.support_locations() == ("x", "y")
-        assert pair.f == (2.0, 0.0)
-        assert pair.g == (0.0, 3.0)
+        np.testing.assert_array_equal(pair.f, [2.0, 0.0])
+        np.testing.assert_array_equal(pair.g, [0.0, 3.0])
 
     def test_grid_refinement_of_constant_density(self):
         a = GridIntensity([(0, 2)], [2], [1.0, 1.0])
         b = GridIntensity([(0, 2)], [1], [2.0])
         pair = common_reference(a, b)
         assert pair.reference.shape == (2,)
-        assert pair.f == (1.0, 1.0)
-        assert pair.g == (2.0, 2.0)
+        np.testing.assert_array_equal(pair.f, [1.0, 1.0])
+        np.testing.assert_array_equal(pair.g, [2.0, 2.0])
 
     def test_identity_pair(self):
         a = GridIntensity([(0, 1)], [4], [1.0, 2.0, 3.0, 4.0])
         pair = common_reference(a, a)
-        assert pair.f == pair.g
+        np.testing.assert_array_equal(pair.f, pair.g)
 
     def test_overlapping_grids_extend_with_zeros(self):
         a = GridIntensity([(0, 2)], [2], [1.0, 2.0])
@@ -44,8 +46,8 @@ class TestCommonReference:
         pair = common_reference(a, b)
         assert pair.reference.bounds == ((0.0, 3.0),)
         assert pair.reference.shape == (3,)
-        assert pair.f == (1.0, 2.0, 0.0)
-        assert pair.g == (0.0, 3.0, 4.0)
+        np.testing.assert_array_equal(pair.f, [1.0, 2.0, 0.0])
+        np.testing.assert_array_equal(pair.g, [0.0, 3.0, 4.0])
 
     def test_disjoint_grid_boxes_rejected(self):
         a = GridIntensity([(0, 1)], [1], [1.0])
@@ -86,6 +88,113 @@ class TestCommonReference:
         b = SmoothIntensity([(0, 2)], lambda x: 1.0)
         with pytest.raises(DomainMismatch):
             common_reference(a, b)
+
+
+def _fraction_axis_map(lo_u, h, n_cells, m_lo, m_hi, m_n):
+    """Cell-by-cell reference for ``_axis_map``: each refined cell's centre,
+    in exact rational arithmetic, located in the model grid."""
+    f_lo, f_hi = _snap(m_lo), _snap(m_hi)
+    step = (f_hi - f_lo) / m_n
+    out = np.full(n_cells, -1, dtype=int)
+    for r in range(n_cells):
+        center = lo_u + h * r + h / 2
+        if f_lo < center < f_hi:
+            out[r] = min(int((center - f_lo) / step), m_n - 1)
+    return out
+
+
+def _random_axis_pair(rng):
+    """Two commensurate, overlapping axis grids ``(lo, hi, n)`` with
+    rational ends on small denominators, offsets and partial overlap
+    included."""
+    while True:
+        axes = []
+        for _ in range(2):
+            den = int(rng.integers(1, 13))
+            lo = Fraction(int(rng.integers(-6, 7)), den)
+            n = int(rng.integers(1, 9))
+            step = Fraction(int(rng.integers(1, 7)), den)
+            axes.append((lo, lo + n * step, n))
+        (a_lo, a_hi, _), (b_lo, b_hi, _) = axes
+        if min(a_hi, b_hi) > max(a_lo, b_lo):
+            return [(float(lo), float(hi), n) for lo, hi, n in axes]
+
+
+class TestIntegerRefinement:
+    def test_axis_map_matches_fraction_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            a, b = _random_axis_pair(rng)
+            lo, hi, n_cells, lo_u, h = _refine_axis(*a, *b)
+            for m_lo, m_hi, m_n in (a, b):
+                got = _axis_map(lo_u, h, n_cells, m_lo, m_hi, m_n)
+                want = _fraction_axis_map(lo_u, h, n_cells, m_lo, m_hi, m_n)
+                np.testing.assert_array_equal(got, want)
+
+    def test_two_dimensional_refinement_matches_fraction_loop(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            axes_a, axes_b = zip(*(_random_axis_pair(rng) for _ in range(2)))
+            grids = []
+            for axes in (axes_a, axes_b):
+                shape = [n for _, _, n in axes]
+                grids.append(GridIntensity([(lo, hi) for lo, hi, _ in axes],
+                                           shape,
+                                           rng.uniform(0, 3, math.prod(shape))))
+            pair = common_reference(*grids)
+            refined = [_refine_axis(*a, *b) for a, b in zip(axes_a, axes_b)]
+            for model, axes, dens in ((grids[0], axes_a, pair.f),
+                                      (grids[1], axes_b, pair.g)):
+                maps = [_fraction_axis_map(lo_u, h, n_cells, *axis)
+                        for (_, _, n_cells, lo_u, h), axis in zip(refined, axes)]
+                inside = np.logical_and.outer(maps[0] >= 0, maps[1] >= 0)
+                want = np.where(inside, model.values_array[np.ix_(*maps)], 0.0)
+                np.testing.assert_array_equal(dens, want.reshape(-1))
+
+
+class TestArrayModels:
+    def test_values_are_read_only_float_arrays(self):
+        source = np.array([1.0, 2.0])
+        grid = GridIntensity([(0, 1)], [2], source)
+        source[0] = 9.0
+        assert grid.values.dtype == np.float64
+        np.testing.assert_array_equal(grid.values, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            grid.values[0] = 3.0
+        pair = common_reference(grid, grid)
+        for dens in (pair.f, pair.g):
+            assert dens.dtype == np.float64 and not dens.flags.writeable
+
+    def test_equality_and_hash_by_value(self):
+        a = GridIntensity([(0, 1)], [2], [0.0, 2.0])
+        b = GridIntensity([(0, 1)], [2], (-0.0, 2.0))
+        assert a == b and hash(a) == hash(b)
+        assert a != GridIntensity([(0, 1)], [2], [1.0, 2.0])
+        assert a != GridIntensity([(0, 2)], [2], [0.0, 2.0])
+        pa, pb = common_reference(a, a), common_reference(b, b)
+        assert pa == pb and hash(pa) == hash(pb)
+        assert pa.swapped() == pa
+        assert pa != common_reference(a, GridIntensity([(0, 1)], [2], [1.0, 2.0]))
+        sa = SmoothIntensity([(0, 1)], lambda x: 1.0 + x)
+        sb = SmoothIntensity([(0, 1)], lambda x: 2.0)
+        assert common_reference(sa, sb) == common_reference(sa, sb)
+        assert common_reference(sa, sb) != common_reference(sb, sa)
+
+    def test_marked_models_compare_mark_references(self):
+        base = DiscreteIntensity([("a", 1.0)])
+        marks = GridIntensity([(0, 1)], [2], [1.0, 1.0])
+        k = MarkedModel(base, marks, lambda t, x: 1.0)
+        same = GridIntensity([(0, 1)], [2], np.ones(2))
+        assert k.mark_reference == same
+        assert hash(k.mark_reference) == hash(same)
+
+    def test_bulk_validation(self):
+        for bad in ([1.0, -1.0], [1.0, INF], [np.nan, 1.0]):
+            with pytest.raises(ValueError):
+                GridIntensity([(0, 1)], [2], bad)
+            with pytest.raises(ValueError):
+                DensityPair(DiscreteIntensity([("a", 1.0), ("b", 1.0)]),
+                            bad, [1.0, 1.0])
 
 
 class TestTotalMass:
