@@ -4,7 +4,8 @@ Subcommands: ``divergence`` (tables over orders), ``loglr`` (likelihood
 ratio at a pattern), ``sample`` (pattern CSV batches), ``chernoff``
 (information and optional risk simulation).  JSON output serialises
 infinities as the strings ``"inf"`` / ``"-inf"``.  Exit codes: 0 success,
-1 input error, 2 numeric failure.
+1 input error, 2 numeric failure (failed quadrature, or a density
+that overflows).
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ def cmd_sample(args) -> int:
     window = _parse_window(args.window) if args.window else None
     if isinstance(model, MarkedModel) != args.marked:
         raise ParseError("--marked must match the model file kind")
+    if args.seed < 0:
+        raise ParseError(f"--seed must be >= 0, got {args.seed}")
     patterns = []
     for rep in range(args.count):
         root = np.random.SeedSequence(entropy=args.seed, spawn_key=(rep,))
@@ -145,14 +148,20 @@ def _parse_window(text: str):
 
 def cmd_chernoff(args) -> int:
     pair, _, _ = _load_pair(args.model_a, args.model_b)
-    if args.simulate and not isinstance(pair.reference, DiscreteIntensity):
-        raise ParseError("--simulate needs two discrete models")
+    if args.simulate:
+        if not isinstance(pair.reference, DiscreteIntensity):
+            raise ParseError("--simulate needs two discrete models")
+        n, trials, seed = (_parse_number(int, v, "--simulate value")
+                           for v in args.simulate)
+        if n < 1 or trials < 1 or seed < 0:
+            raise ParseError(f"--simulate needs N, TRIALS >= 1 and SEED >= 0, "
+                             f"got {n} {trials} {seed}")
+        if not 0.0 <= args.prior0 <= 1.0:
+            raise ParseError(f"--prior0 must lie in [0, 1], got {args.prior0}")
     result = _chernoff.chernoff_info(pair)
     out = {"C": fmt_extended(result.value),
            "alpha_star": result.argmax_alpha}
     if args.simulate:
-        n, trials, seed = (_parse_number(int, v, "--simulate value")
-                           for v in args.simulate)
         risk, se = _chernoff.bayes_risk_sim(pair, args.prior0, n, trials,
                                             seed)
         out["risk"] = risk
@@ -214,7 +223,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QuadratureFailure as exc:
+    except (QuadratureFailure, OverflowError) as exc:
+        # an OverflowError comes from evaluating a density, e.g. exp(1000)
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except PPDivError as exc:

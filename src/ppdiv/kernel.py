@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import InvalidAlpha, NonConvergent
 from .extended import INF
@@ -179,6 +178,7 @@ def _kernel_block(s: np.ndarray, t: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _log_pmf(k: np.ndarray, mean: float) -> np.ndarray:
+    from scipy.special import gammaln
     return -mean + k * math.log(mean) - gammaln(k + 1.0)
 
 
@@ -236,6 +236,7 @@ def _oracle_kl(s, t, tail_tol, max_terms):
 
 
 def _oracle_power(s, t, alpha, tail_tol, max_terms):
+    from scipy.special import logsumexp
     # The summand is proportional to peak^k / k!, a Poisson-shaped sequence
     # peaking near k = s^alpha t^(1-alpha); for alpha > 1 that peak can sit
     # far beyond both pmf tails and must be summed past explicitly.

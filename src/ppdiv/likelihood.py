@@ -182,9 +182,10 @@ class TruncatedLogLikelihood:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, eta: PointPattern, tol: float = 1e-8) -> LogLikelihoodResult:
-        """Iterate the truncated exponent until successive levels differ by
-        less than ``tol``, the truncation covers the whole domain, or
-        ``n_max`` is hit (then ``converged=False`` with the trace kept)."""
+        """Iterate the truncated exponent until successive levels past the
+        last pattern point differ by less than ``tol``, the truncation
+        covers the whole domain, or ``n_max`` is hit (then
+        ``converged=False`` with the trace kept)."""
         pts = []
         for loc, mult in eta.points:
             phi = self.pair.phi_at(loc)
@@ -206,7 +207,11 @@ class TruncatedLogLikelihood:
             trace.append((n, ell))
             if self.hi <= n:
                 return LogLikelihoodResult(True, ell, trace, True)
-            if prev is not None and abs(ell - prev) < tol:
+            # The step from the previous level is trusted only once that
+            # level held every pattern point: a point's log-ratio can cancel
+            # the compensator increment of the level it falls in.
+            settled = not len(locs) or locs[-1] <= n - 1
+            if prev is not None and settled and abs(ell - prev) < tol:
                 return LogLikelihoodResult(True, ell, trace, True)
             prev = ell
         return LogLikelihoodResult(

@@ -13,6 +13,7 @@ column.
 
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import math
@@ -34,10 +35,19 @@ _EXPR_NAMES = {
 
 
 def compile_density(expression: str, variables: tuple[str, ...]):
-    """Compile an arithmetic expression into a positional callable."""
+    """Compile an arithmetic expression into a positional callable.
+
+    Integer literals become floats, so the expression evaluates in float
+    arithmetic: ``9**9**9`` overflows at once instead of building a
+    370-million-digit integer.
+    """
     try:
-        code = compile(expression, "<density>", "eval")
-    except SyntaxError as exc:
+        tree = ast.parse(expression, mode="eval")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and type(node.value) is int:
+                node.value = float(node.value)
+        code = compile(tree, "<density>", "eval")
+    except (SyntaxError, OverflowError) as exc:
         raise ParseError(f"bad density expression {expression!r}: {exc}") from exc
     for name in code.co_names:
         if name not in _EXPR_NAMES and name not in variables:
@@ -93,7 +103,7 @@ def model_from_dict(spec: dict) -> IntensityModel | MarkedModel:
             )
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad {kind!r} model spec: {exc}") from exc
     raise ParseError(f"unknown model type {kind!r}")
 

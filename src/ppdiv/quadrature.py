@@ -3,7 +3,9 @@
 All smooth-model integrals run through this module so that tolerances and
 error reporting stay consistent.  The backend is the adaptive
 Gauss-Kronrod integrator from QUADPACK (``scipy.integrate.quad``); boxes
-in more than one dimension go through nested calls (``nquad``).  A request
+in more than one dimension go through nested calls (``nquad``).
+``scipy.integrate`` loads on the first integral, so discrete and grid
+models, which need none, never pay its import.  A request
 the integrator cannot satisfy raises :class:`QuadratureFailure` instead of
 returning a silent best effort; divergent-looking integrals carry
 ``possibly_infinite=True``.
@@ -14,8 +16,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-
-from scipy import integrate as _integrate
 
 from .errors import QuadratureFailure
 
@@ -50,6 +50,7 @@ def integrate_1d(func, lo: float, hi: float, spec: QuadratureSpec):
     """
     if hi <= lo:
         return 0.0, 0.0
+    from scipy import integrate as _integrate
     result = _integrate.quad(
         func, lo, hi,
         epsabs=spec.abs_tol, epsrel=_EPSREL,
@@ -76,6 +77,7 @@ def integrate_box(func, bounds, spec: QuadratureSpec):
     if len(bounds) == 1:
         lo, hi = bounds[0]
         return integrate_1d(func, lo, hi, spec)
+    from scipy import integrate as _integrate
     opts = {"epsabs": spec.abs_tol, "epsrel": _EPSREL,
             "limit": spec.max_subdivisions}
     with warnings.catch_warnings(record=True) as caught:

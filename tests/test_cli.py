@@ -3,15 +3,21 @@ model/pattern file round-trips."""
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
+import ppdiv
 from ppdiv import DiscreteIntensity, GridIntensity, PointPattern
 from ppdiv.cli import main
-from ppdiv.model_io import (load_model, load_pattern, model_from_dict,
-                            model_to_dict, patterns_to_csv, save_model)
+from ppdiv.model_io import (_EXPR_NAMES, compile_density, load_model,
+                            load_pattern, model_from_dict, model_to_dict,
+                            patterns_to_csv, save_model)
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).parent.parent / "docs" / "schema.json").read_text())
@@ -191,6 +197,15 @@ class TestSample:
         reps = {line.split(",")[0] for line in lines[1:]}
         assert reps == {"0", "1", "2"}
 
+    def test_negative_seed_is_a_parse_error(self, files, capsys):
+        write, _ = files
+        code = main(["sample", write("m.json", GRID_2), "--seed", "-1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_marked_sampling(self, files, capsys):
         write, _ = files
         model = {"type": "marked", "base": GRID_2,
@@ -254,6 +269,24 @@ class TestChernoffCommand:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("extra", [
+        ["--prior0", "2", "--simulate", "5", "1000", "7"],
+        ["--prior0", "nan", "--simulate", "5", "1000", "7"],
+        ["--simulate", "0", "1000", "7"],
+        ["--simulate", "5", "0", "7"],
+        ["--simulate", "5", "1000", "-1"],
+    ])
+    def test_bad_simulation_setting_is_a_parse_error(self, files, capsys,
+                                                     extra):
+        write, _ = files
+        code = main(["chernoff", write("a.json", POISSON_1),
+                     write("b.json", POISSON_4)] + extra)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_simulation_ignores_thread_variable(self, files, capsys,
                                                 monkeypatch):
         write, _ = files
@@ -303,6 +336,14 @@ class TestModelFiles:
             model_from_dict({"type": "smooth", "bounds": [[0, 1]],
                              "density": "__import__('os').system('true')"})
 
+    @pytest.mark.parametrize("spec", [
+        {"type": "smooth", "bounds": [[0, 1]], "density": "1" + "0" * 400},
+        {"type": "discrete", "atoms": [["a", 10 ** 400]]},
+    ])
+    def test_integer_beyond_float_range_is_a_parse_error(self, spec):
+        with pytest.raises(ppdiv.ParseError):
+            model_from_dict(spec)
+
     def test_pattern_roundtrip(self, tmp_path):
         eta = PointPattern([(0.25, 1), (0.75, 2)])
         path = tmp_path / "eta.csv"
@@ -310,3 +351,109 @@ class TestModelFiles:
             patterns_to_csv([eta], fh)
         again = load_pattern(path)
         assert again.points == eta.points
+
+
+def _density_families(rng):
+    """The expression families of the benchmark workloads, with the
+    parameters drawn from ``rng``, and their variables."""
+    a, b, c, d = (repr(float(v)) for v in rng.uniform(0.2, 3.0, size=4))
+    return [
+        ("x**2 + 3*x - 7//2", ("x",)),
+        ("1 + exp(-x)", ("x",)),
+        ("1", ("x",)),
+        (f"{a} + {b}*exp(-{c}*(x - {d})**2)", ("x",)),
+        (f"{a} + {b}*sin({c}*x + {d})", ("x",)),
+        (f"{a} + {b}*x + {c}*x**2", ("x",)),
+        (f"{a} + {b}*log1p({c}*x)", ("x",)),
+        (f"{a} + {b}*exp(-{c}*x0*x1)", ("x0", "x1")),
+        (f"{a} + {b}*cos({c}*x0 + {d}*x1)", ("x0", "x1")),
+        (f"(1 + {a}*sin({c}*t)*(x - 2))/3", ("t", "x")),
+        (f"(1 + {a}*exp(-t)*(x - 2))/3", ("t", "x")),
+        (f"(1 + {a}*(x - 2))/3", ("t", "x")),
+    ]
+
+
+class TestFloatLiterals:
+    """``compile_density`` turns integer literals into floats; on float
+    arguments, and on the integer marks of mark kernels, every value stays
+    what the expression gave with its integers as written."""
+
+    @staticmethod
+    def as_written(expression, variables):
+        code = compile(expression, "<density>", "eval")
+        return lambda *args: eval(code, {"__builtins__": {}, **_EXPR_NAMES},
+                                  dict(zip(variables, args)))
+
+    def test_values_bit_identical(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            for expression, variables in _density_families(rng):
+                new = compile_density(expression, variables)
+                old = self.as_written(expression, variables)
+                for _ in range(25):
+                    args = [float(v) for v in rng.uniform(0.0, 6.0,
+                                                          len(variables))]
+                    if variables == ("t", "x"):
+                        args[1] = int(rng.integers(1, 4))
+                    value = new(*args)
+                    assert isinstance(value, float)
+                    assert value.hex() == float(old(*args)).hex(), expression
+
+
+def _run_child(args, cwd, timeout):
+    env = dict(os.environ)
+    src = str(pathlib.Path(ppdiv.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable] + args, cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+class TestFreshProcess:
+    @pytest.mark.parametrize("density", ["9**9**9", "exp(1000)"])
+    def test_overflowing_density_is_a_numeric_failure(self, files, density):
+        write, tmp_path = files
+        bad = {"type": "smooth", "bounds": [[0, 1]], "density": density}
+        good = {"type": "smooth", "bounds": [[0, 1]], "density": "1 + x"}
+        proc = _run_child(["-m", "ppdiv.cli", "divergence",
+                           write("a.json", bad), write("b.json", good)],
+                          tmp_path, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("numeric failure: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_exact_commands_do_not_load_scipy(self, files):
+        # Discrete and grid models need no quadrature, and a smooth model
+        # with a density bound samples without any: none of these loads
+        # SciPy.  A smooth divergence then loads scipy.integrate.
+        write, tmp_path = files
+        (tmp_path / "eta.csv").write_text("loc_1,multiplicity\n0.5,1\n")
+        smooth = {"type": "smooth", "bounds": [[0, 1]], "density": "1 + x"}
+        write("s.json", dict(smooth, density_bound=2.0))
+        write("t.json", dict(smooth, density="2 - x"))
+        write("g2.json", GRID_2)
+        write("g1.json", GRID_1)
+        write("p1.json", POISSON_1)
+        write("p4.json", POISSON_4)
+        script = """
+import sys
+import ppdiv.cli
+
+def run(*argv):
+    assert ppdiv.cli.main(list(argv) + ["--output", "out.txt"]) == 0, argv
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+run("divergence", "g2.json", "g1.json", "--alphas", "0,0.5,1,2")
+run("loglr", "g2.json", "g1.json", "eta.csv")
+run("sample", "s.json", "--seed", "3", "--count", "2")
+run("chernoff", "p1.json", "p4.json", "--simulate", "5", "1000", "7")
+print(scipy_modules())
+run("divergence", "s.json", "t.json", "--kind", "kl")
+print("scipy.integrate" in scipy_modules())
+"""
+        proc = _run_child(["-c", script], tmp_path, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "True"]

@@ -141,6 +141,18 @@ class TestSigmaFinite:
         with pytest.raises(InfiniteHellinger):
             log_lr_sigma_finite(pair.swapped(), PointPattern([(1.0, 1)]))
 
+    def test_point_cancelling_an_increment_does_not_stop_early(self):
+        # The point's log-ratio, log(1 + e^-x0) ~ e^-12 (1 - e^-1), cancels
+        # the compensator increment of level 13 to within 1e-11, which
+        # once ended the iteration there, 2.3e-6 short of the value.
+        x0 = 12.0 - math.log(1.0 - math.exp(-1.0))
+        result = log_lr_sigma_finite(self.lebesgue_pair(),
+                                     PointPattern([(x0, 1)]), tol=1e-8)
+        assert result.converged
+        assert len(result.truncation_trace) > 13
+        truth = math.log1p(math.exp(-x0)) - 1.0
+        assert result.log_lr == pytest.approx(truth, abs=1e-7)
+
     def test_reports_nonconvergence(self):
         pair = self.lebesgue_pair()
         result = log_lr_sigma_finite(pair, PointPattern([(0.5, 1)]),
