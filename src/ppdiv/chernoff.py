@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergence import tsallis
-from .extended import INF
-from .likelihood import _log_ratios, _sum_stat
+from .extended import INF, log_ratios
+from .likelihood import _sum_stat
 from .measure import DensityPair, DiscreteIntensity
 from . import sampler as _sampler
 
@@ -125,7 +125,7 @@ def bayes_risk_sim(pair: DensityPair, prior0: float, n: int, trials: int,
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
 
-    logratio = _log_ratios(f, g)
+    logratio = log_ratios(f, g)
     threshold = _log_prior_ratio(prior0)
     const = -float(n * (lam.sum() - mu.sum()))
 

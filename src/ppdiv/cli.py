@@ -223,8 +223,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (QuadratureFailure, OverflowError) as exc:
-        # an OverflowError comes from evaluating a density, e.g. exp(1000)
+    except (QuadratureFailure, ArithmeticError) as exc:
+        # an ArithmeticError comes from evaluating a density, e.g. exp(1000)
+        # or sqrt(x - 2)
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except PPDivError as exc:

@@ -24,15 +24,6 @@ from .measure import (DensityPair, DiscreteIntensity, MarkedModel,
 from .quadrature import integrate_box, probe_points
 
 
-def _cross(f: float, g: float, alpha: float) -> float:
-    """f^alpha g^(1-alpha) with the 0/0 = 0 and t/0 = inf conventions."""
-    if f == 0.0:
-        return 0.0
-    if g == 0.0:
-        return 0.0 if alpha < 1.0 else INF
-    return math.exp(alpha * math.log(f) + (1.0 - alpha) * math.log(g))
-
-
 class _MarkDivergence:
     """Per-location divergence of two mark kernels: memoised scalar-kernel
     sums at single locations (quadrature nodes), one array-kernel call
@@ -126,11 +117,18 @@ def tsallis_product(base_pair: DensityPair, K: MarkedModel, L: MarkedModel,
 
 
 def _mark_weight(f: float, g: float, alpha: float) -> float:
+    """Weight of the mark term at one location: 0 where ``f = 0``; else
+    ``g`` at order 0, ``f`` at order 1 and ``f^alpha g^(1-alpha)`` at other
+    orders, which where ``g = 0`` is 0 below order 1 and inf above."""
+    if f == 0.0:
+        return 0.0
     if alpha == 0.0:
-        return g if f != 0.0 else 0.0
+        return g
     if alpha == 1.0:
         return f
-    return _cross(f, g, alpha)
+    if g == 0.0:
+        return 0.0 if alpha < 1.0 else INF
+    return math.exp(alpha * math.log(f) + (1.0 - alpha) * math.log(g))
 
 
 def flatten_product(base_pair: DensityPair, K: MarkedModel,

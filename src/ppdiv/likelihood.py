@@ -20,7 +20,7 @@ import numpy as np
 from .divergence import _require_ac, hellinger_measures
 from .errors import (InfiniteHellinger, InfiniteMass, InvalidAlpha,
                      NotAbsolutelyContinuous, QuadratureFailure)
-from .extended import INF
+from .extended import INF, log_ratio, log_ratios
 from .measure import (DensityPair, DiscreteIntensity, GridIntensity,
                       PointPattern, SmoothIntensity, intensity_from_density)
 from .quadrature import integrate_1d
@@ -41,19 +41,17 @@ class LogLikelihoodResult:
     notes: list[str] = field(default_factory=list)
 
 
-def _point_log_ratio_sum(pair: DensityPair, eta: PointPattern):
-    """(in_support, sum of mult * log phi(point)); -inf handled via flag."""
-    total = []
-    for loc, mult in eta.points:
-        phi = pair.phi_at(loc)
-        if phi == 0.0:
-            return False, -INF
-        if phi == INF:
-            raise NotAbsolutelyContinuous(
-                f"density ratio infinite at {loc!r}; the first intensity is "
-                "not dominated there")
-        total.append(mult * math.log(phi))
-    return True, math.fsum(total)
+def _point_terms(pair: DensityPair, eta: PointPattern) -> np.ndarray:
+    """``mult * log phi`` at each point of ``eta``; ``-inf`` marks a point
+    in the zero set of the ratio, and a point where it is infinite raises."""
+    locs = [loc for loc, _ in eta.points]
+    mult = np.array([m for _, m in eta.points], dtype=float)
+    terms = mult * pair.log_ratio_at(locs)
+    if INF in terms:
+        raise NotAbsolutelyContinuous(
+            f"density ratio infinite at {locs[terms.tolist().index(INF)]!r}; "
+            "the first intensity is not dominated there")
+    return terms
 
 
 def log_lr_finite(pair: DensityPair, eta: PointPattern) -> LogLikelihoodResult:
@@ -69,10 +67,10 @@ def log_lr_finite(pair: DensityPair, eta: PointPattern) -> LogLikelihoodResult:
         raise InfiniteMass("intensity masses must be finite; "
                            "use the sigma-finite evaluator")
     _require_ac(pair)
-    in_support, pts = _point_log_ratio_sum(pair, eta)
-    if not in_support:
+    terms = _point_terms(pair, eta)
+    if -INF in terms:
         return LogLikelihoodResult(False, -INF)
-    return LogLikelihoodResult(True, (mu - lam) + pts)
+    return LogLikelihoodResult(True, (mu - lam) + math.fsum(terms.tolist()))
 
 
 class TruncatedLogLikelihood:
@@ -132,51 +130,37 @@ class TruncatedLogLikelihood:
     def _segment(self, lo: float, hi: float):
         pair = self.pair
         ref = pair.reference
+        # On the band |log phi| <= 1 the ratio f/g lies in [1/e, e]; off
+        # it the tail term (1 - f/g) g is written (g - f), which stays
+        # finite where f/g leaves the float range.
         if isinstance(ref, GridIntensity):
-            comp = band = tail = 0.0
-            glo, _ = ref.bounds[0]
-            step = ref.steps[0]
-            f, g = np.asarray(pair.f), np.asarray(pair.g)
-            refv = ref.values_array.reshape(-1)
-            for i in range(ref.shape[0]):
-                clo, chi = glo + i * step, glo + (i + 1) * step
-                olo, ohi = max(clo, lo), min(chi, hi)
-                if ohi <= olo:
-                    continue
-                mu_mass = g[i] * refv[i] * (ohi - olo)
-                if mu_mass == 0.0:
-                    continue
-                logphi = _log_ratio(f[i], g[i])
-                if abs(logphi) <= _LOG_BAND:
-                    comp += logphi * mu_mass
-                    band += (logphi + 1.0 - _ratio(f[i], g[i])) * mu_mass
-                else:
-                    tail += (1.0 - _ratio(f[i], g[i])) * mu_mass
-            return comp, band, tail
+            (glo, _), step = ref.bounds[0], ref.steps[0]
+            edges = glo + np.arange(ref.shape[0] + 1) * step
+            refmass = ref.values * np.maximum(
+                np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0)
+            f, g = pair.f, pair.g
+            logphi = log_ratios(f, g)
+            on = np.abs(logphi) <= _LOG_BAND
+            lr, mu_mass = logphi[on], g[on] * refmass[on]
+            return (math.fsum((lr * mu_mass).tolist()),
+                    math.fsum(((lr + 1.0 - f[on] / g[on]) * mu_mass).tolist()),
+                    math.fsum(((g - f)[~on] * refmass[~on]).tolist()))
 
         f, g, refdens = pair.f, pair.g, ref.density
         spec = ref.quadrature
 
-        def mu_dens(x):
-            return g(x) * refdens(x)
-
-        def in_band(x):
+        def split(x):
+            """Compensator, band and tail integrands at ``x``."""
             fv, gv = f(x), g(x)
-            if fv == 0.0 and gv == 0.0:
-                return False
-            return abs(_log_ratio(fv, gv)) <= _LOG_BAND
+            lr = log_ratio(fv, gv)
+            if abs(lr) <= _LOG_BAND:
+                mu_dens = gv * refdens(x)
+                return lr * mu_dens, (lr + 1.0 - fv / gv) * mu_dens, 0.0
+            return 0.0, 0.0, (gv - fv) * refdens(x)
 
-        comp, _ = integrate_1d(
-            lambda x: _log_ratio(f(x), g(x)) * mu_dens(x) if in_band(x) else 0.0,
-            lo, hi, spec)
-        band, _ = integrate_1d(
-            lambda x: ((_log_ratio(f(x), g(x)) + 1.0 - _ratio(f(x), g(x)))
-                       * mu_dens(x) if in_band(x) else 0.0),
-            lo, hi, spec)
-        tail, _ = integrate_1d(
-            lambda x: (0.0 if in_band(x)
-                       else (1.0 - _ratio(f(x), g(x))) * mu_dens(x)),
-            lo, hi, spec)
+        comp, _ = integrate_1d(lambda x: split(x)[0], lo, hi, spec)
+        band, _ = integrate_1d(lambda x: split(x)[1], lo, hi, spec)
+        tail, _ = integrate_1d(lambda x: split(x)[2], lo, hi, spec)
         return comp, band, tail
 
     # -- evaluation --------------------------------------------------------
@@ -186,16 +170,13 @@ class TruncatedLogLikelihood:
         last pattern point differ by less than ``tol``, the truncation
         covers the whole domain, or ``n_max`` is hit (then
         ``converged=False`` with the trace kept)."""
-        pts = []
-        for loc, mult in eta.points:
-            phi = self.pair.phi_at(loc)
-            if phi == 0.0:
-                return LogLikelihoodResult(False, -INF, truncation_trace=[],
-                                           converged=True)
-            pts.append((float(loc), mult * math.log(phi)))
-        pts.sort()
-        locs = np.array([p[0] for p in pts])
-        contribs = np.array([p[1] for p in pts])
+        terms = _point_terms(self.pair, eta)
+        if -INF in terms:
+            return LogLikelihoodResult(False, -INF, truncation_trace=[],
+                                       converged=True)
+        locs = np.array([float(loc) for loc, _ in eta.points])
+        order = np.lexsort((terms, locs))
+        locs, contribs = locs[order], terms[order]
 
         trace: list[tuple[int, float]] = []
         prev = None
@@ -217,20 +198,6 @@ class TruncatedLogLikelihood:
         return LogLikelihoodResult(
             True, trace[-1][1], trace, False,
             notes=[f"no convergence within n_max={self.n_max}"])
-
-
-def _ratio(f: float, g: float) -> float:
-    if f == 0.0:
-        return 0.0
-    return f / g
-
-
-def _log_ratio(f: float, g: float) -> float:
-    if f == 0.0:
-        return -INF
-    if g == 0.0:
-        return INF
-    return math.log(f / g)
 
 
 def log_lr_sigma_finite(pair: DensityPair, eta: PointPattern,
@@ -283,18 +250,9 @@ def _exact_loglr_batch(pair, base, size, rng, sample_from_first):
     # batches reduce to one Poisson draw per support element.
     w, f, g = pair.support_terms()
     means = w * (f if sample_from_first else g)
-    logphi = _log_ratios(f, g)
+    logphi = log_ratios(f, g)
     counts = rng.poisson(means, size=(size, len(means)))
     return base + _sum_stat(counts, logphi)
-
-
-def _log_ratios(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Elementwise ``log(f / g)``: ``-inf`` where ``f = 0`` and ``+inf``
-    where only ``g`` vanishes, as :func:`_log_ratio` does per point."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(f / g)
-    out[f == 0.0] = -INF
-    return out
 
 
 def _sum_stat(counts: np.ndarray, logratio: np.ndarray) -> np.ndarray:
@@ -319,12 +277,5 @@ def _smooth_loglr_batch(pair, base, size, rng, sample_from_first):
     out = np.empty(size)
     for i in range(size):
         eta = _sampler.sample_pp(model, window=None, seed=rng)
-        total = base
-        for loc, mult in eta.points:
-            phi = pair.phi_at(loc)
-            if phi == 0.0:
-                total = -INF
-                break
-            total += mult * math.log(phi)
-        out[i] = total
+        out[i] = base + math.fsum(_point_terms(pair, eta).tolist())
     return out

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (DomainMismatch, InfiniteWindowMass, OutOfWindow,
                      PointOutsideDomain, QuadratureFailure)
-from .extended import INF, ensure_extended
+from .extended import INF, ensure_extended, log_ratios
 from .quadrature import QuadratureSpec, integrate_box
 
 # Total cell budget for grid refinements; beyond this the two grids are
@@ -177,11 +177,9 @@ class GridIntensity(IntensityModel):
         Points exactly on an interior cell boundary belong to the
         lower-index cell; the upper box edge belongs to the last cell.
         """
-        loc = _as_coords(location, self.ndim)
+        loc = _coords_in(location, self.bounds)
         idx = []
-        for x, (lo, hi), n, step in zip(loc, self.bounds, self.shape, self.steps):
-            if x < lo or x > hi:
-                raise PointOutsideDomain(f"coordinate {x} outside [{lo}, {hi}]")
+        for x, (lo, _), n, step in zip(loc, self.bounds, self.shape, self.steps):
             t = (x - lo) / step
             i = int(math.floor(t))
             if i >= 1 and t == float(i):
@@ -258,10 +256,7 @@ class SmoothIntensity(IntensityModel):
         return any(math.isinf(hi) for _, hi in self.bounds)
 
     def density_at(self, location) -> float:
-        loc = _as_coords(location, self.ndim)
-        for x, (lo, hi) in zip(loc, self.bounds):
-            if x < lo or x > hi:
-                raise PointOutsideDomain(f"coordinate {x} outside [{lo}, {hi}]")
+        loc = _coords_in(location, self.bounds)
         return ensure_extended(self.density(*loc), "smooth density value")
 
     def truncated(self, n: float) -> "SmoothIntensity":
@@ -495,15 +490,6 @@ def _refine_pair(a: GridIntensity, b: GridIntensity):
 # Density pairs
 # ---------------------------------------------------------------------------
 
-def _phi(f: float, g: float) -> float:
-    """Density ratio with the conventions 0/0 = 0 and t/0 = inf for t > 0."""
-    if f == 0.0:
-        return 0.0
-    if g == 0.0:
-        return INF
-    return f / g
-
-
 @dataclass(frozen=True, eq=False)
 class DensityPair:
     """Two intensities expressed as densities against one shared reference.
@@ -564,34 +550,23 @@ class DensityPair:
             raise TypeError("smooth pairs have no finite support enumeration")
         return w, self.f, self.g
 
-    def reference_density_at(self, location) -> float:
-        ref = self.reference
-        if isinstance(ref, SmoothIntensity):
-            return ref.density_at(location)
-        raise TypeError("pointwise reference density is a smooth-pair notion")
-
-    def f_at(self, location) -> float:
-        return self._value_at(self.f, location)
-
-    def g_at(self, location) -> float:
-        return self._value_at(self.g, location)
-
-    def phi_at(self, location) -> float:
-        return _phi(self.f_at(location), self.g_at(location))
-
-    def _value_at(self, density, location) -> float:
+    def log_ratio_at(self, locations) -> np.ndarray:
+        """``log(f/g)`` at each of ``locations`` by :func:`log_ratios`; an
+        id off a discrete support has ``f = g = 0``."""
         ref = self.reference
         if isinstance(ref, DiscreteIntensity):
-            idx = ref.index.get(location)
-            return 0.0 if idx is None else float(density[idx])
+            # index -1 picks the zero appended to each density
+            idx = [ref.index.get(loc, -1) for loc in locations]
+            return log_ratios(np.append(self.f, 0.0)[idx],
+                              np.append(self.g, 0.0)[idx])
         if isinstance(ref, GridIntensity):
-            flat = np.ravel_multi_index(ref.cell_index(location), ref.shape)
-            return float(density[flat])
-        loc = _as_coords(location, ref.ndim)
-        for x, (lo, hi) in zip(loc, ref.bounds):
-            if x < lo or x > hi:
-                raise PointOutsideDomain(f"coordinate {x} outside [{lo}, {hi}]")
-        return ensure_extended(density(*loc), "density value")
+            idx = [np.ravel_multi_index(ref.cell_index(loc), ref.shape)
+                   for loc in locations]
+            return log_ratios(self.f[idx], self.g[idx])
+        pts = [_coords_in(loc, ref.bounds) for loc in locations]
+        return log_ratios(
+            [ensure_extended(self.f(*x), "density value") for x in pts],
+            [ensure_extended(self.g(*x), "density value") for x in pts])
 
     def swapped(self) -> "DensityPair":
         return DensityPair(self.reference, self.g, self.f)
@@ -687,6 +662,15 @@ def _as_coords(location, ndim: int) -> tuple[float, ...]:
     if len(loc) != ndim:
         raise PointOutsideDomain(
             f"location {location!r} has dimension {len(loc)}, expected {ndim}")
+    return loc
+
+
+def _coords_in(location, bounds) -> tuple[float, ...]:
+    """Coordinates of ``location``, which must lie in the box ``bounds``."""
+    loc = _as_coords(location, len(bounds))
+    for x, (lo, hi) in zip(loc, bounds):
+        if x < lo or x > hi:
+            raise PointOutsideDomain(f"coordinate {x} outside [{lo}, {hi}]")
     return loc
 
 

@@ -39,7 +39,8 @@ def compile_density(expression: str, variables: tuple[str, ...]):
 
     Integer literals become floats, so the expression evaluates in float
     arithmetic: ``9**9**9`` overflows at once instead of building a
-    370-million-digit integer.
+    370-million-digit integer.  A domain error (``sqrt(-1)``, ``1/0``)
+    raises ``FloatingPointError`` naming the expression and the point.
     """
     try:
         tree = ast.parse(expression, mode="eval")
@@ -58,7 +59,12 @@ def compile_density(expression: str, variables: tuple[str, ...]):
         scope = dict(zip(variables, args))
         if len(variables) == 1 and len(args) == 1:
             scope.setdefault("x0", args[0])
-        return eval(code, {"__builtins__": {}, **_EXPR_NAMES}, scope)
+        try:
+            return eval(code, {"__builtins__": {}, **_EXPR_NAMES}, scope)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FloatingPointError(
+                f"density {expression!r} at ({', '.join(map(str, args))}): "
+                f"{exc}") from exc
 
     return density
 

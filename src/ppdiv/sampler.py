@@ -140,7 +140,8 @@ def _sample_grid(m: GridIntensity, window, rng) -> PointPattern:
 def _density_bound(m: SmoothIntensity, box) -> float:
     if m.density_bound is not None:
         return m.density_bound
-    probes = np.linspace(0.0, 1.0, _BOUND_PROBE)
+    # Python floats, so a density's domain error raises as in quadrature
+    probes = np.linspace(0.0, 1.0, _BOUND_PROBE).tolist()
     if len(box) == 1:
         lo, hi = box[0]
         top = max(m.density(lo + (hi - lo) * u) for u in probes)
@@ -148,7 +149,8 @@ def _density_bound(m: SmoothIntensity, box) -> float:
         per_axis = max(2, int(_BOUND_PROBE ** (1.0 / len(box))))
         grids = [np.linspace(lo, hi, per_axis) for lo, hi in box]
         mesh = np.meshgrid(*grids, indexing="ij")
-        top = max(m.density(*xs) for xs in zip(*[g.reshape(-1) for g in mesh]))
+        top = max(m.density(*xs)
+                  for xs in zip(*[g.reshape(-1).tolist() for g in mesh]))
     if top <= 0.0:
         return 0.0
     return top * _BOUND_SAFETY

@@ -206,6 +206,16 @@ class TestSample:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("density", ["sqrt(x - 2)", "1/(x-x)"])
+    def test_domain_error_is_a_numeric_failure(self, files, capsys, density):
+        write, _ = files
+        bad = {"type": "smooth", "bounds": [[0, 1]], "density": density}
+        assert main(["sample", write("m.json", bad), "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"numeric failure: density {density!r}")
+        assert captured.err.count("\n") == 1
+
     def test_marked_sampling(self, files, capsys):
         write, _ = files
         model = {"type": "marked", "base": GRID_2,
@@ -410,7 +420,8 @@ def _run_child(args, cwd, timeout):
 
 
 class TestFreshProcess:
-    @pytest.mark.parametrize("density", ["9**9**9", "exp(1000)"])
+    @pytest.mark.parametrize("density", ["9**9**9", "exp(1000)",
+                                         "sqrt(x - 2)", "1/(x-x)"])
     def test_overflowing_density_is_a_numeric_failure(self, files, density):
         write, tmp_path = files
         bad = {"type": "smooth", "bounds": [[0, 1]], "density": density}

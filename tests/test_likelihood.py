@@ -2,16 +2,21 @@
 evaluation, and the Monte Carlo bridge to divergences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import random_discrete_pair
+from helpers import random_discrete_pair, random_pair
 from ppdiv import (DiscreteIntensity, GridIntensity, InfiniteHellinger,
                    InfiniteMass, InvalidAlpha, NotAbsolutelyContinuous,
                    PointPattern, SmoothIntensity, TruncatedLogLikelihood,
                    common_reference, log_lr_finite, log_lr_sigma_finite,
                    mc_divergence_estimate, sample_pp, tsallis)
+from ppdiv.extended import log_ratio, log_ratios
+from ppdiv.likelihood import _sum_stat
 
 INF = math.inf
 UNIT_2 = GridIntensity([(0, 1)], [1], [2.0])
@@ -215,3 +220,129 @@ class TestMonteCarlo:
         a = mc_divergence_estimate(pair, 1.0, 5_000, seed=3)
         b = mc_divergence_estimate(pair, 1.0, 5_000, seed=3)
         assert a == b
+
+
+# (first densities, second densities, box, point, sigma-finite?): pairs
+# whose density ratio at the point leaves the float range although both
+# densities are positive there.
+_RATIO_EDGES = {
+    "grid-underflow": ([1e-200, 1.0], [1e200, 1.0], (0, 1), 0.25, False),
+    "discrete-underflow": ([1e-200, 1.0], [1e200, 1.0], None, 0, False),
+    "grid-overflow": ([1e200, 1.0], [1e-200, 1.0], (0, 1), 0.25, False),
+    "sigma-overflow": ([1e200, 1.0], [1e-200, 1.0], (0, 1), 0.25, True),
+    "sigma-underflow-off-point": ([1e-200, 1.0, 1.0, 1.0],
+                                  [1e200, 1.0, 1.0, 1.0], (0, 4), 2.5, True),
+}
+
+
+class TestRatioEdges:
+    @pytest.mark.parametrize("case", sorted(_RATIO_EDGES))
+    def test_finite_true_value(self, case):
+        f, g, box, point, sigma = _RATIO_EDGES[case]
+        if box is None:
+            lam = DiscreteIntensity(list(enumerate(f)))
+            mu = DiscreteIntensity(list(enumerate(g)))
+            width = 1.0
+        else:
+            lam = GridIntensity([box], [len(f)], f)
+            mu = GridIntensity([box], [len(g)], g)
+            width = (box[1] - box[0]) / len(f)
+        i = int(point / width) if box else point
+        want = (math.fsum(g) - math.fsum(f)) * width \
+            + math.log(f[i]) - math.log(g[i])
+        pair = common_reference(lam, mu)
+        eta = PointPattern([(point, 1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = (log_lr_sigma_finite if sigma else log_lr_finite)(pair, eta)
+        assert result.in_support
+        assert math.isfinite(result.log_lr)
+        assert result.log_lr == pytest.approx(want, rel=1e-12)
+
+
+# Zeros, subnormals, the normal-range edges and values near 1e+-300.
+_density = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0,
+                     1e300, 1.7976931348623157e308]),
+    st.floats(min_value=0.0, max_value=1e-290),
+    st.floats(min_value=1e290, max_value=1.7976931348623157e308),
+    st.floats(min_value=0.0, max_value=1e6))
+
+
+class TestRatioConventions:
+    def test_conventions(self):
+        assert log_ratio(0.0, 0.0) == -INF
+        assert log_ratio(0.0, 2.0) == -INF
+        assert log_ratio(2.0, 0.0) == INF
+        assert log_ratio(2.0, 1.0) == math.log(2.0)
+        assert log_ratio(1e-200, 1e200) == math.log(1e-200) - math.log(1e200)
+        got = log_ratios([0.0, 0.0, 2.0, 2.0], [0.0, 2.0, 0.0, 1.0])
+        np.testing.assert_array_equal(got, [-INF, -INF, INF, math.log(2.0)])
+
+    @settings(max_examples=300)
+    @given(cells=st.lists(st.tuples(_density, _density, st.booleans()),
+                          min_size=1, max_size=30))
+    @example(cells=[(5e-324, 5e-324, False), (1e300, 1e-300, False),
+                    (1e-300, 1e300, False), (0.0, 0.0, False),
+                    (7.0, 0.0, False), (0.0, 1e-300, False)])
+    def test_array_matches_scalar(self, cells):
+        f = np.array([c[0] for c in cells])
+        g = np.array([c[0] if c[2] else c[1] for c in cells])  # equal pairs
+        got = log_ratios(f, g)
+        want = np.array([log_ratio(a, b) for a, b in zip(f.tolist(), g.tolist())])
+        assert not np.isnan(got).any() and not np.isnan(want).any()
+        np.testing.assert_array_equal(got == INF, want == INF)
+        np.testing.assert_array_equal(got == -INF, want == -INF)
+        finite = np.isfinite(want)
+        gap = np.abs(got[finite] - want[finite])
+        assert (gap <= np.spacing(np.abs(want[finite]))).all()
+
+
+class TestCrossPath:
+    def test_pattern_sum_matches_count_statistic(self):
+        # log_lr_finite at a sampled pattern is the Monte Carlo and
+        # Bayes-risk statistic on the pattern's counts per atom or cell.
+        rng = np.random.default_rng(29)
+        checked = 0
+        for trial in range(60):
+            a, b, pair = random_pair(rng, allow_zeros=True)
+            if ((pair.f > 0.0) & (pair.g == 0.0)).any():
+                continue  # not dominated: no likelihood ratio
+            checked += 1
+            ref = pair.reference
+            for model in (a, b):
+                eta = sample_pp(model, seed=rng)
+                counts = np.zeros(len(pair.f), dtype=np.int64)
+                for loc, mult in eta.points:
+                    counts[ref.index[loc] if isinstance(ref, DiscreteIntensity)
+                           else ref.cell_index(loc)[0]] += mult
+                _, f, g = pair.support_terms()
+                want = (pair.mu_mass() - pair.lambda_mass()
+                        + _sum_stat(counts[None, :], log_ratios(f, g))[0])
+                got = log_lr_finite(pair, eta)
+                assert got.in_support == (want != -INF)
+                if want == -INF:
+                    assert got.log_lr == -INF
+                else:
+                    assert got.log_lr == pytest.approx(want, rel=1e-12,
+                                                       abs=1e-12)
+        assert checked >= 20
+
+    def test_sigma_finite_grid_matches_finite(self):
+        # Cells that straddle the unit truncation levels exercise the
+        # overlap weights of the grid segment integrals.
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            n = int(rng.integers(2, 12))
+            width = float(rng.uniform(0.5, 6.0))
+            f = rng.uniform(0.05, 4.0, n) * (rng.uniform(size=n) > 0.2)
+            g = rng.uniform(0.05, 4.0, n)
+            pair = common_reference(GridIntensity([(0.0, width)], [n], f),
+                                    GridIntensity([(0.0, width)], [n], g))
+            eta = PointPattern([(float(x), 1)
+                                for x in rng.uniform(0.0, width, 4)])
+            finite = log_lr_finite(pair, eta)
+            sigma = log_lr_sigma_finite(pair, eta, tol=0.0)
+            assert sigma.in_support == finite.in_support
+            assert sigma.log_lr == pytest.approx(finite.log_lr, rel=1e-12,
+                                                 abs=1e-12)
