@@ -177,15 +177,15 @@ class GridIntensity(IntensityModel):
         Points exactly on an interior cell boundary belong to the
         lower-index cell; the upper box edge belongs to the last cell.
         """
-        loc = _coords_in(location, self.bounds)
-        idx = []
-        for x, (lo, _), n, step in zip(loc, self.bounds, self.shape, self.steps):
-            t = (x - lo) / step
-            i = int(math.floor(t))
-            if i >= 1 and t == float(i):
-                i -= 1
-            idx.append(min(max(i, 0), n - 1))
-        return tuple(idx)
+        return tuple(self.cell_indices([location])[0].tolist())
+
+    def cell_indices(self, locations) -> np.ndarray:
+        """``(n, d)`` array of the :meth:`cell_index` of each location."""
+        pts = _coords_array(locations, self.bounds)
+        t = (pts - np.array(self.bounds)[:, 0]) / self.steps
+        i = np.floor(t)
+        i = np.where((i >= 1) & (t == i), i - 1, i)
+        return np.clip(i, 0, np.array(self.shape) - 1).astype(np.intp)
 
     def density_at(self, location) -> float:
         return float(self.values_array[self.cell_index(location)])
@@ -219,10 +219,10 @@ class GridIntensity(IntensityModel):
 class SmoothIntensity(IntensityModel):
     """Nonnegative density on a box, or on ``[lo, inf)`` in one dimension.
 
-    ``density`` takes one positional float per axis.  Models on an
-    unbounded domain may have infinite total mass (the sigma-finite case)
-    and expose finite-mass truncations ``S_n = domain ∩ (coordinates <= n)``
-    via :meth:`truncated`.
+    ``density`` takes one positional float (or float64 array, see
+    :func:`density_values`) per axis.  Models on an unbounded domain may
+    have infinite total mass (the sigma-finite case) and expose finite-mass
+    truncations ``S_n = domain ∩ (coordinates <= n)`` via :meth:`truncated`.
     """
 
     bounds: tuple[tuple[float, float], ...]
@@ -256,7 +256,7 @@ class SmoothIntensity(IntensityModel):
         return any(math.isinf(hi) for _, hi in self.bounds)
 
     def density_at(self, location) -> float:
-        loc = _coords_in(location, self.bounds)
+        loc = _coords_array([location], self.bounds)[0].tolist()
         return ensure_extended(self.density(*loc), "smooth density value")
 
     def truncated(self, n: float) -> "SmoothIntensity":
@@ -560,13 +560,11 @@ class DensityPair:
             return log_ratios(np.append(self.f, 0.0)[idx],
                               np.append(self.g, 0.0)[idx])
         if isinstance(ref, GridIntensity):
-            idx = [np.ravel_multi_index(ref.cell_index(loc), ref.shape)
-                   for loc in locations]
+            idx = np.ravel_multi_index(tuple(ref.cell_indices(locations).T), ref.shape)
             return log_ratios(self.f[idx], self.g[idx])
-        pts = [_coords_in(loc, ref.bounds) for loc in locations]
-        return log_ratios(
-            [ensure_extended(self.f(*x), "density value") for x in pts],
-            [ensure_extended(self.g(*x), "density value") for x in pts])
+        cols = _coords_array(locations, ref.bounds).T
+        return log_ratios(density_values(self.f, cols),
+                          density_values(self.g, cols))
 
     def swapped(self) -> "DensityPair":
         return DensityPair(self.reference, self.g, self.f)
@@ -591,6 +589,25 @@ class DensityPair:
                 return INF
             raise
         return ensure_extended(value, "mass")
+
+
+def density_values(density, cols) -> np.ndarray:
+    """``density`` at the points with coordinate arrays ``cols``, checked
+    as :func:`ensure_extended` does.  One call on the arrays; a callable
+    that cannot take arrays (a ``TypeError`` or ``ValueError``, as from
+    ``math`` functions or ``if`` branches) is called once per point."""
+    cols = [np.asarray(c, dtype=float) for c in cols]
+    try:
+        values = np.asarray(density(*cols), dtype=float)
+        if values.shape not in ((), cols[0].shape):
+            raise ValueError(f"density returned shape {values.shape}")
+    except (TypeError, ValueError):
+        values = np.array([density(*x) for x in zip(*(c.tolist() for c in cols))])
+    values = np.broadcast_to(values, cols[0].shape)
+    bad = ~(values >= 0.0)
+    if bad.any():
+        ensure_extended(values[bad][0], "density value")
+    return values
 
 
 def intensity_from_density(reference: IntensityModel, density) -> IntensityModel:
@@ -665,21 +682,25 @@ def _as_coords(location, ndim: int) -> tuple[float, ...]:
     return loc
 
 
-def _coords_in(location, bounds) -> tuple[float, ...]:
-    """Coordinates of ``location``, which must lie in the box ``bounds``."""
-    loc = _as_coords(location, len(bounds))
-    for x, (lo, hi) in zip(loc, bounds):
-        if x < lo or x > hi:
-            raise PointOutsideDomain(f"coordinate {x} outside [{lo}, {hi}]")
-    return loc
+def _coords_array(locations, bounds) -> np.ndarray:
+    """``(n, d)`` coordinates of ``locations``, which must lie in ``bounds``."""
+    pts = np.array([_as_coords(loc, len(bounds)) for loc in locations],
+                   dtype=float).reshape(-1, len(bounds))
+    lo, hi = np.array(bounds).T
+    outside = np.argwhere(~((pts >= lo) & (pts <= hi)))  # NaN is outside too
+    if len(outside):
+        i, d = outside[0]
+        raise PointOutsideDomain(f"coordinate {pts[i, d]} outside [{lo[d]}, {hi[d]}]")
+    return pts
 
 
-def _in_region(location, region) -> bool:
+def _membership(region):
+    """Test for locations in a set of ids or a box (normalised only once)."""
     if isinstance(region, (set, frozenset)):
-        return location in region
+        return region.__contains__
     box = _normalize_box(region)
-    loc = _as_coords(location, len(box))
-    return all(lo <= x <= hi for x, (lo, hi) in zip(loc, box))
+    return lambda loc: all(lo <= x <= hi for x, (lo, hi)
+                           in zip(_as_coords(loc, len(box)), box))
 
 
 def _normalize_box(region):
@@ -725,8 +746,9 @@ class PointPattern:
             window = _normalize_box(window)
         elif isinstance(window, set):
             window = frozenset(window)
+        inside = _membership(window) if window is not None else None
         for loc, _ in pts:
-            if window is not None and not _in_region(loc, window):
+            if inside is not None and not inside(loc):
                 raise ValueError(f"point {loc!r} lies outside the window")
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "window", window)
@@ -742,7 +764,8 @@ def count(pattern: PointPattern, region) -> int:
     """Number of pattern points (with multiplicity) inside ``region``."""
     if pattern.window is not None and not _region_inside(region, pattern.window):
         raise OutOfWindow("region exceeds the pattern's observation window")
-    return sum(m for loc, m in pattern.points if _in_region(loc, region))
+    inside = _membership(region)
+    return sum(m for loc, m in pattern.points if inside(loc))
 
 
 # ---------------------------------------------------------------------------

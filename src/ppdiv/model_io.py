@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import ast
 import csv
+import functools
 import json
 import math
 from typing import Any
+
+import numpy as np
 
 from .errors import ParseError
 from .measure import (DiscreteIntensity, GridIntensity, IntensityModel,
@@ -32,15 +35,27 @@ _EXPR_NAMES = {
     "abs": abs, "min": min, "max": max, "pow": pow,
     "pi": math.pi, "e": math.e, "inf": math.inf,
 }
+_SCALAR_NS = {"__builtins__": {}, **_EXPR_NAMES}
+# ufunc twins; min and max reduce, as a bare ufunc takes a third argument as ``out``
+_ARRAY_NS = {
+    **_SCALAR_NS,
+    "exp": np.exp, "log": np.log, "log1p": np.log1p, "expm1": np.expm1,
+    "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "tan": np.tan,
+    "atan": np.arctan, "floor": np.floor, "ceil": np.ceil, "abs": np.abs,
+    "min": lambda *a: functools.reduce(np.minimum, a),
+    "max": lambda *a: functools.reduce(np.maximum, a), "pow": np.power,
+}
 
 
 def compile_density(expression: str, variables: tuple[str, ...]):
-    """Compile an arithmetic expression into a positional callable.
+    """Compile an arithmetic expression into a positional callable of one
+    float, or one float64 array (evaluated with numpy ufuncs), per variable.
 
     Integer literals become floats, so the expression evaluates in float
     arithmetic: ``9**9**9`` overflows at once instead of building a
-    370-million-digit integer.  A domain error (``sqrt(-1)``, ``1/0``)
-    raises ``FloatingPointError`` naming the expression and the point.
+    370-million-digit integer.  A domain error (``sqrt(-1)``, ``1/0``) or a
+    negative, NaN or complex value raises ``FloatingPointError`` naming the
+    expression.
     """
     try:
         tree = ast.parse(expression, mode="eval")
@@ -55,16 +70,37 @@ def compile_density(expression: str, variables: tuple[str, ...]):
             raise ParseError(
                 f"density expression uses unknown name {name!r}")
 
+    def fail(args, reason):
+        return FloatingPointError(
+            f"density {expression!r} at ({', '.join(map(str, args))}): {reason}")
+
     def density(*args):
         scope = dict(zip(variables, args))
-        if len(variables) == 1 and len(args) == 1:
-            scope.setdefault("x0", args[0])
+        for a in args:
+            if isinstance(a, np.ndarray):
+                return density_array(scope, args)
         try:
-            return eval(code, {"__builtins__": {}, **_EXPR_NAMES}, scope)
+            value = eval(code, _SCALAR_NS, scope)
         except (ValueError, ZeroDivisionError) as exc:
+            raise fail(args, exc) from exc
+        if isinstance(value, complex) or not value >= 0.0:
+            raise fail(args, f"value {value!r} is not a nonnegative real")
+        return value
+
+    def density_array(scope, args):
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                value = eval(code, _ARRAY_NS, scope)
+        except (FloatingPointError, ZeroDivisionError) as exc:
             raise FloatingPointError(
-                f"density {expression!r} at ({', '.join(map(str, args))}): "
-                f"{exc}") from exc
+                f"density {expression!r} on an array of points: {exc}") from exc
+        args = np.broadcast_arrays(*args)
+        out = np.broadcast_to(np.asarray(value, dtype=float), args[0].shape)
+        bad = np.flatnonzero(~(out >= 0.0))
+        if len(bad):
+            raise fail([a.flat[bad[0]] for a in args],
+                       f"value {float(out.flat[bad[0]])!r} is not a nonnegative real")
+        return out
 
     return density
 

@@ -6,20 +6,26 @@ a prebuilt ``numpy.random.Generator`` / ``SeedSequence``) and is
 deterministic given ``(model, window, seed)``.  Parallel Monte Carlo
 should give each worker its own child stream via :func:`spawn_streams`;
 streams are never shared across workers.
+
+The grid and smooth samplers draw whole arrays: a grid pattern takes one
+``choice`` of cells and one uniform array per axis, and smooth thinning
+(Lewis and Shedler, 1979) draws all proposals and their uniforms at once
+and calls the density once on them.  These streams replaced per-point
+draws, so a seed now gives another pattern than under the per-point code.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (InfiniteWindowMass, OutOfWindow, ThinningBoundMissing)
-from .extended import INF
 from .measure import (DiscreteIntensity, GridIntensity, IntensityModel,
                       MarkedModel, PointPattern, SmoothIntensity,
-                      _normalize_box)
+                      _normalize_box, density_values)
 
 _BOUND_PROBE = 512
 _BOUND_SAFETY = 1.2
@@ -93,64 +99,38 @@ def _sample_discrete(m: DiscreteIntensity, window, rng) -> PointPattern:
     return PointPattern(points, window=win)
 
 
-def _cell_overlaps(m: GridIntensity, box):
-    """Per-cell overlap volumes with ``box`` and the overlap sub-boxes."""
-    axes = []
-    for (lo, hi), n, step, (blo, bhi) in zip(m.bounds, m.shape, m.steps, box):
-        spans = []
-        for i in range(n):
-            clo, chi = lo + i * step, lo + (i + 1) * step
-            olo, ohi = max(clo, blo), min(chi, bhi)
-            spans.append((olo, ohi) if ohi > olo else None)
-        axes.append(spans)
-    return axes
-
-
 def _sample_grid(m: GridIntensity, window, rng) -> PointPattern:
     box = _window_box(m, window)
-    axes = _cell_overlaps(m, box)
-    cells, masses, spans = [], [], []
-    vals = m.values_array
-    for idx in np.ndindex(*m.shape):
-        span = [axes[d][i] for d, i in enumerate(idx)]
-        if any(s is None for s in span):
-            continue
-        vol = math.prod(hi - lo for lo, hi in span)
-        mass = vals[idx] * vol
-        if mass > 0.0:
-            cells.append(idx)
-            masses.append(mass)
-            spans.append(span)
-    total = math.fsum(masses)
-    if total == 0.0:
-        return PointPattern((), window=box)
-    n = int(rng.poisson(total))
+    lows, highs = [], []
+    for (lo, _), n, step, (blo, bhi) in zip(m.bounds, m.shape, m.steps, box):
+        edges = lo + np.arange(n + 1) * step
+        lows.append(np.maximum(edges[:-1], blo))
+        highs.append(np.maximum(np.minimum(edges[1:], bhi), lows[-1]))
+    volumes = functools.reduce(np.multiply.outer, [h - l for l, h in zip(lows, highs)])
+    masses = (m.values_array * volumes).reshape(-1)
+    total = math.fsum(masses.tolist())
+    n = int(rng.poisson(total)) if total > 0.0 else 0
     if n == 0:
         return PointPattern((), window=box)
-    probs = np.asarray(masses) / total
-    chosen = rng.choice(len(cells), size=n, p=probs)
-    points = []
-    for c in chosen:
-        span = spans[c]
-        coords = tuple(rng.uniform(lo, hi) for lo, hi in span)
-        points.append((coords[0] if m.ndim == 1 else coords, 1))
-    return PointPattern(tuple(points), window=box)
+    cells = np.unravel_index(rng.choice(masses.size, size=n, p=masses / total),
+                             m.shape)
+    cols = [rng.uniform(lo[i], hi[i]) for lo, hi, i in zip(lows, highs, cells)]
+    return PointPattern(_points(np.stack(cols, axis=-1)), window=box)
+
+
+def _points(coords: np.ndarray) -> list:
+    """Points of multiplicity one at the rows of ``coords`` (floats in 1-d)."""
+    locs = coords[:, 0] if coords.shape[1] == 1 else coords
+    return [(loc, 1) for loc in locs.tolist()]
 
 
 def _density_bound(m: SmoothIntensity, box) -> float:
     if m.density_bound is not None:
         return m.density_bound
-    # Python floats, so a density's domain error raises as in quadrature
-    probes = np.linspace(0.0, 1.0, _BOUND_PROBE).tolist()
-    if len(box) == 1:
-        lo, hi = box[0]
-        top = max(m.density(lo + (hi - lo) * u) for u in probes)
-    else:
-        per_axis = max(2, int(_BOUND_PROBE ** (1.0 / len(box))))
-        grids = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        top = max(m.density(*xs)
-                  for xs in zip(*[g.reshape(-1).tolist() for g in mesh]))
+    per_axis = max(2, int(_BOUND_PROBE ** (1.0 / len(box))))
+    mesh = np.meshgrid(*[np.linspace(lo, hi, per_axis) for lo, hi in box],
+                       indexing="ij")
+    top = float(density_values(m.density, [g.reshape(-1) for g in mesh]).max())
     if top <= 0.0:
         return 0.0
     return top * _BOUND_SAFETY
@@ -168,17 +148,16 @@ def _sample_smooth(m: SmoothIntensity, window, rng) -> PointPattern:
     if not math.isfinite(bound * volume):
         raise InfiniteWindowMass("window mass is not finite")
     n = int(rng.poisson(bound * volume))
-    points = []
-    for _ in range(n):
-        coords = tuple(rng.uniform(lo, hi) for lo, hi in box)
-        dens = m.density(*coords)
-        if dens > bound:
-            raise ThinningBoundMissing(
-                f"density {dens!r} exceeds the thinning bound {bound!r}; "
-                "supply density_bound")
-        if rng.uniform(0.0, bound) < dens:
-            points.append((coords[0] if m.ndim == 1 else coords, 1))
-    return PointPattern(tuple(points), window=box)
+    lo, hi = np.array(box).T
+    proposals = rng.uniform(lo, hi, size=(n, len(box)))
+    u = rng.uniform(0.0, bound, size=n)
+    dens = density_values(m.density, proposals.T)
+    over = dens > bound
+    if over.any():
+        raise ThinningBoundMissing(
+            f"density {float(dens[over][0])!r} exceeds the thinning bound "
+            f"{bound!r}; supply density_bound")
+    return PointPattern(_points(proposals[u < dens]), window=box)
 
 
 def sample_marked(marked: MarkedModel, window=None, seed=0) -> PointPattern:

@@ -169,6 +169,35 @@ class TestLogLr:
         assert len(out["trace"]) >= 2
 
 
+    @pytest.mark.parametrize("density", ["x - 0.5", "-1", "(x - 2)**0.5"])
+    def test_invalid_density_is_a_numeric_failure(self, files, capsys,
+                                                  tmp_path, density):
+        write, _ = files
+        bad = {"type": "smooth", "bounds": [[0, 1]], "density": density}
+        good = {"type": "smooth", "bounds": [[0, 1]], "density": "1 + x"}
+        pattern = tmp_path / "eta.csv"
+        pattern.write_text("loc_1,multiplicity\n0.5,1\n")
+        assert main(["loglr", write("a.json", bad), write("b.json", good),
+                     str(pattern)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"numeric failure: density {density!r}")
+        assert captured.err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("model", [
+        GRID_2, {"type": "smooth", "bounds": [[0, 1]], "density": "1 + x"}])
+    def test_nan_location_is_an_input_error(self, files, capsys, tmp_path,
+                                            model):
+        write, _ = files
+        pattern = tmp_path / "eta.csv"
+        pattern.write_text("loc_1,multiplicity\n0.5,1\nnan,1\n")
+        assert main(["loglr", write("a.json", model), write("b.json", model),
+                     str(pattern)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: coordinate nan outside [0.0, 1.0]\n"
+
+
 class TestSample:
     def test_zero_model_empty_body(self, files, capsys):
         write, _ = files
@@ -206,7 +235,8 @@ class TestSample:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("density", ["sqrt(x - 2)", "1/(x-x)"])
+    @pytest.mark.parametrize("density", ["sqrt(x - 2)", "1/(x-x)", "x - 0.5",
+                                         "-1", "(x - 2)**0.5"])
     def test_domain_error_is_a_numeric_failure(self, files, capsys, density):
         write, _ = files
         bad = {"type": "smooth", "bounds": [[0, 1]], "density": density}
@@ -386,7 +416,8 @@ def _density_families(rng):
 class TestFloatLiterals:
     """``compile_density`` turns integer literals into floats; on float
     arguments, and on the integer marks of mark kernels, every value stays
-    what the expression gave with its integers as written."""
+    what the expression gave with its integers as written, and a value
+    below zero raises ``FloatingPointError`` instead of being returned."""
 
     @staticmethod
     def as_written(expression, variables):
@@ -405,9 +436,14 @@ class TestFloatLiterals:
                                                           len(variables))]
                     if variables == ("t", "x"):
                         args[1] = int(rng.integers(1, 4))
+                    want = float(old(*args))
+                    if want < 0.0:
+                        with pytest.raises(FloatingPointError):
+                            new(*args)
+                        continue
                     value = new(*args)
                     assert isinstance(value, float)
-                    assert value.hex() == float(old(*args)).hex(), expression
+                    assert value.hex() == want.hex(), expression
 
 
 def _run_child(args, cwd, timeout):
@@ -421,7 +457,8 @@ def _run_child(args, cwd, timeout):
 
 class TestFreshProcess:
     @pytest.mark.parametrize("density", ["9**9**9", "exp(1000)",
-                                         "sqrt(x - 2)", "1/(x-x)"])
+                                         "sqrt(x - 2)", "1/(x-x)", "x - 0.5",
+                                         "-1", "(x - 2)**0.5"])
     def test_overflowing_density_is_a_numeric_failure(self, files, density):
         write, tmp_path = files
         bad = {"type": "smooth", "bounds": [[0, 1]], "density": density}

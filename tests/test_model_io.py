@@ -1,0 +1,149 @@
+"""Compiled densities on arrays, and the smooth paths that call a density
+once per array of points: thinning, its bound probe and pattern
+log-ratios."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ppdiv import (PointPattern, SmoothIntensity, ThinningBoundMissing,
+                   common_reference, log_lr_finite, sample_pp)
+from ppdiv.measure import density_values
+from ppdiv.model_io import _EXPR_NAMES, compile_density
+
+# One expression per allowed name, nonnegative and finite on [0, 1.5].
+NAME_CASES = {
+    "exp": "exp(-x)", "log": "log(2 + x)", "log1p": "log1p(x)",
+    "expm1": "expm1(x)", "sqrt": "sqrt(x)", "sin": "2 + sin(3*x)",
+    "cos": "2 + cos(3*x)", "tan": "tan(x)", "atan": "atan(x)",
+    "floor": "floor(4*x)", "ceil": "ceil(4*x)", "abs": "abs(x - 1)",
+    "min": "min(x, 1, 0.5 + 0.25*x)", "max": "max(x, 1, 0.5 + 0.25*x)",
+    "pow": "pow(x, 1.5)", "pi": "pi*x", "e": "e**x", "inf": "min(x, inf)",
+}
+
+
+class _Counted:
+    """Density wrapper counting its calls on arrays and on floats."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.array_calls = self.scalar_calls = 0
+
+    def __call__(self, *args):
+        if isinstance(args[0], np.ndarray):
+            self.array_calls += 1
+        else:
+            self.scalar_calls += 1
+        return self.fn(*args)
+
+
+class TestArrayDensity:
+    def test_every_name_has_a_case(self):
+        assert set(NAME_CASES) == set(_EXPR_NAMES)
+
+    @pytest.mark.parametrize("name", sorted(NAME_CASES))
+    @settings(max_examples=25, deadline=None)
+    @given(xs=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=16))
+    def test_array_values_match_scalar_values(self, name, xs):
+        density = compile_density(NAME_CASES[name], ("x",))
+        values = density(np.array(xs))
+        assert values.shape == (len(xs),)
+        want = np.array([density(x) for x in xs], dtype=float)
+        np.testing.assert_array_max_ulp(values, want, maxulp=4)
+
+    def test_two_variables_and_constants_broadcast(self):
+        x0, x1 = np.array([0.0, 0.5, 2.0]), np.array([1.0, 3.0, 0.25])
+        density = compile_density("min(x0, x1) + x0*x1", ("x0", "x1"))
+        want = [density(a, b) for a, b in zip(x0.tolist(), x1.tolist())]
+        np.testing.assert_array_max_ulp(density(x0, x1), want, maxulp=4)
+        np.testing.assert_array_equal(
+            compile_density("2", ("x0", "x1"))(x0, x1), [2.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("expression", ["sqrt(x - 2)", "1/(x-x)", "x - 0.5",
+                                            "-1", "(x - 2)**0.5", "inf*0"])
+    def test_invalid_values_raise_on_both_paths(self, expression):
+        density = compile_density(expression, ("x",))
+        named = re.escape(f"density {expression!r}")
+        with pytest.raises(FloatingPointError, match=named):
+            density(0.25)
+        with pytest.raises(FloatingPointError, match=named):
+            density(np.linspace(0.0, 1.0, 5))
+
+    def test_raw_callables_fall_back_to_points(self):
+        xs = np.linspace(0.0, 1.0, 7)
+        for fn in (lambda x: 2.0 + math.sin(x),
+                   lambda x: 1.0 if x < 0.5 else 2.0,
+                   compile_density("1 if x < 0.5 else 2", ("x",))):
+            np.testing.assert_array_equal(density_values(fn, [xs]),
+                                          [fn(x) for x in xs.tolist()])
+
+    def test_raw_callables_keep_their_value_error(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            density_values(lambda x: x - 0.5, [np.linspace(0.0, 1.0, 5)])
+        with pytest.raises(ValueError, match="NaN"):
+            density_values(lambda x: np.nan * x, [np.linspace(0.0, 1.0, 5)])
+
+
+class TestBatchedThinning:
+    @pytest.mark.parametrize("bound", [3.0, None])
+    def test_math_callable_and_compiled_density_agree(self, bound):
+        raw = SmoothIntensity([(0, 3)], lambda x: 2.0 + math.sin(x),
+                              density_bound=bound)
+        compiled = SmoothIntensity(
+            [(0, 3)], compile_density("2 + sin(x)", ("x",)),
+            density_bound=bound)
+        for seed in range(5):
+            eta = sample_pp(compiled, seed=seed)
+            assert len(eta) > 0
+            assert sample_pp(raw, seed=seed) == eta
+
+    def test_bound_missing_is_detected(self):
+        model = SmoothIntensity([(0, 1)], compile_density("10*(x > 0.9)", ("x",)),
+                                density_bound=1.0)
+        with pytest.raises(ThinningBoundMissing):
+            sample_pp(model, seed=1)
+
+    def test_two_dimensional_samples_stay_in_the_window(self):
+        model = SmoothIntensity([(0, 2), (0, 1)],
+                                compile_density("100*(1 + x0*x1)", ("x0", "x1")))
+        window = ((0.5, 1.5), (0.25, 1.0))
+        mass = 100 * (0.75 + 1.0 * (1.0 - 0.0625) / 2)
+        reps = 200
+        counts = []
+        for seed in range(reps):
+            eta = sample_pp(model, window=window, seed=seed)
+            pts = np.array([loc for loc, _ in eta.points])
+            assert pts.shape == (len(eta), 2)
+            assert (pts >= [0.5, 0.25]).all() and (pts <= [1.5, 1.0]).all()
+            counts.append(len(eta))
+        assert abs(np.mean(counts) - mass) <= 4.0 * math.sqrt(mass / reps)
+
+
+class TestNoPerPointCalls:
+    """Guards against a return to one density call per point."""
+
+    def test_sampling_probes_and_thins_in_two_calls(self):
+        density = _Counted(compile_density("100*(2 + sin(3*x))", ("x",)))
+        eta = sample_pp(SmoothIntensity([(0, 2)], density), seed=4)
+        assert len(eta) > 100
+        assert density.array_calls + density.scalar_calls <= 2
+
+    def test_log_lr_finite_calls_each_density_at_most_twice_per_pattern(self):
+        f = _Counted(compile_density("100*(2 + sin(3*x))", ("x",)))
+        g = _Counted(compile_density("150 + 20*x", ("x",)))
+        lam = SmoothIntensity([(0, 2)], f, density_bound=300.0)
+        pair = common_reference(lam, SmoothIntensity([(0, 2)], g))
+        big = sample_pp(lam, seed=5)
+        assert len(big) > 100
+        scalar_calls = []
+        for eta in (PointPattern(()), big):
+            f.array_calls = f.scalar_calls = g.array_calls = g.scalar_calls = 0
+            log_lr_finite(pair, eta)
+            assert f.array_calls <= 2 and g.array_calls <= 2
+            scalar_calls.append((f.scalar_calls, g.scalar_calls))
+        # the mass integrals and the domination probes do not see the pattern
+        assert scalar_calls[0] == scalar_calls[1]
