@@ -10,6 +10,7 @@ the event times and the kernel the jump sizes.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -19,8 +20,7 @@ from .errors import (InvalidAlpha, KernelMismatch, NonDiffuseBase,
                      ZeroMarkAtom)
 from .extended import INF, ext_mul
 from .kernel import renyi_poisson
-from .measure import (DensityPair, DiscreteIntensity, MarkedModel,
-                      SmoothIntensity, common_reference)
+from .measure import DensityPair, DiscreteIntensity, MarkedModel
 from .quadrature import integrate_box, probe_points
 
 
@@ -34,7 +34,7 @@ class _MarkDivergence:
             raise KernelMismatch("mark kernels must share a mark reference")
         if K.base.domain_class != L.base.domain_class:
             raise KernelMismatch("mark kernels must share a base domain class")
-        self.masses = np.array([w for _, w in K._mark_support()], dtype=float)
+        self.masses = K.mark_reference.masses
         self.k_at = K.mark_densities_at
         self.l_at = L.mark_densities_at
         self.alpha = alpha
@@ -71,6 +71,9 @@ def tsallis_product(base_pair: DensityPair, K: MarkedModel, L: MarkedModel,
       the first base measure;
     * otherwise: per-location kernel divergence weighted by
       ``f^alpha g^(1-alpha)`` and integrated against the reference.
+
+    When both parts are finite the report notes the split into the base
+    part and the added mark information.
     """
     inner = _MarkDivergence(K, L, alpha)
     base = tsallis(base_pair, alpha)
@@ -92,28 +95,26 @@ def tsallis_product(base_pair: DensityPair, K: MarkedModel, L: MarkedModel,
         if INF in terms:
             return DivergenceReport(alpha, INF, 0.0,
                                     ["mark term infinite on positive mass"])
-        extra = math.fsum(terms)
-        err = base.quadrature_error_estimate
-        return DivergenceReport(alpha, base.value + extra, err,
-                                list(base.notes))
+        extra, abserr = math.fsum(terms), 0.0
+    else:
+        ref = base_pair.reference
+        f, g, refdens = base_pair.f, base_pair.g, ref.density
 
-    ref = base_pair.reference
-    f, g, refdens = base_pair.f, base_pair.g, ref.density
+        def integrand(*x):
+            weight = _mark_weight(f(*x), g(*x), alpha)
+            if weight == 0.0:
+                return 0.0
+            return ext_mul(inner(x[0] if len(x) == 1 else x), weight) * refdens(*x)
 
-    def integrand(*x):
-        weight = _mark_weight(f(*x), g(*x), alpha)
-        if weight == 0.0:
-            return 0.0
-        return ext_mul(inner(x[0] if len(x) == 1 else x), weight) * refdens(*x)
-
-    for p in probe_points(ref.bounds):
-        if integrand(*p) == INF:
-            return DivergenceReport(alpha, INF, 0.0,
-                                    ["mark integrand infinite at probe points"])
-    extra, abserr = integrate_box(integrand, ref.bounds, ref.quadrature)
-    return DivergenceReport(alpha, base.value + max(extra, 0.0),
-                            base.quadrature_error_estimate + abserr,
-                            list(base.notes))
+        for p in probe_points(ref.bounds):
+            if integrand(*p) == INF:
+                return DivergenceReport(alpha, INF, 0.0,
+                                        ["mark integrand infinite at probe points"])
+        extra, abserr = integrate_box(integrand, ref.bounds, ref.quadrature)
+        extra = max(extra, 0.0)
+    return DivergenceReport(
+        alpha, base.value + extra, base.quadrature_error_estimate + abserr,
+        base.notes + [f"base part {base.value!r}; mark information {extra!r}"])
 
 
 def _mark_weight(f: float, g: float, alpha: float) -> float:
@@ -147,16 +148,13 @@ def flatten_product(base_pair: DensityPair, K: MarkedModel,
         raise KernelMismatch("mark kernels must share a mark reference")
     w, f, g = base_pair.support_terms()
     locs = base_pair.reference.support_locations()
-    atoms, fw, gw = [], [], []
-    for wi, fi, gi, t in zip(w, f, g, locs):
-        kd = K.mark_densities_at(t)
-        ld = L.mark_densities_at(t)
-        for (x, mw), kv, lv in zip(K.mark_reference.atoms, kd, ld):
-            atoms.append(((t, x), wi * mw))
-            fw.append(kv * fi)
-            gw.append(lv * gi)
-    reference = DiscreteIntensity(tuple(atoms))
-    return DensityPair(reference, fw, gw)
+    marks = K.mark_reference
+    shape = (len(locs), len(marks.ids))
+    kd = np.array([K.mark_densities_at(t) for t in locs]).reshape(shape)
+    ld = np.array([L.mark_densities_at(t) for t in locs]).reshape(shape)
+    reference = DiscreteIntensity._of(itertools.product(locs, marks.ids),
+                                      np.multiply.outer(w, marks.weights))
+    return DensityPair(reference, kd * f[:, None], ld * g[:, None])
 
 
 def compound_renyi(event_pair: DensityPair, K: MarkedModel, L: MarkedModel,
@@ -166,7 +164,8 @@ def compound_renyi(event_pair: DensityPair, K: MarkedModel, L: MarkedModel,
 
     Requires diffuse event intensities (grid or smooth bases, no atoms)
     and increment kernels that never produce zero jumps.  The report notes
-    the split into the jump-times part and the added mark information.
+    the split into the jump-times (base) part and the added mark
+    information, as :func:`tsallis_product` does.
     """
     if not (isinstance(alpha, (int, float)) and alpha > 0.0
             and math.isfinite(alpha)):
@@ -178,26 +177,18 @@ def compound_renyi(event_pair: DensityPair, K: MarkedModel, L: MarkedModel,
             raise NonDiffuseBase(f"{name} event intensity must be diffuse")
         _check_no_zero_marks(marked, name)
 
-    report = tsallis_product(event_pair, K, L, alpha)
-    base = tsallis(event_pair, alpha)
-    if report.value != INF and base.value != INF:
-        report.notes.append(
-            f"jump-times part {base.value!r}; "
-            f"mark information {report.value - base.value!r}")
-    return report
+    return tsallis_product(event_pair, K, L, alpha)
 
 
 def _check_no_zero_marks(marked: MarkedModel, name: str):
     ref = marked.mark_reference
     if not isinstance(ref, DiscreteIntensity):
         return
-    zero_ids = [pid for pid, _ in ref.atoms
-                if isinstance(pid, (int, float)) and float(pid) == 0.0]
-    if not zero_ids:
+    zeros = [i for i, pid in enumerate(ref.ids)
+             if isinstance(pid, (int, float)) and float(pid) == 0.0]
+    if not zeros:
         return
     for t in marked._probe_locations():
-        dens = marked.mark_densities_at(t)
-        for pid in zero_ids:
-            if dens[ref.index[pid]] > 0.0:
-                raise ZeroMarkAtom(
-                    f"{name} increment kernel puts mass at zero (t={t!r})")
+        if (marked.mark_densities_at(t)[zeros] > 0.0).any():
+            raise ZeroMarkAtom(
+                f"{name} increment kernel puts mass at zero (t={t!r})")

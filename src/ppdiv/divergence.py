@@ -79,8 +79,18 @@ def tsallis(pair: DensityPair, alpha: float) -> DivergenceReport:
             return DivergenceReport(alpha, INF, 0.0,
                                     ["integrand infinite on positive mass"])
         return DivergenceReport(alpha, value, 0.0)
-    return _smooth_report(pair, alpha,
-                          lambda fv, gv: renyi_poisson(fv, gv, alpha))
+    ref = pair.reference
+    f, g, refdens = pair.f, pair.g, ref.density
+
+    def integrand(*x):
+        return renyi_poisson(f(*x), g(*x), alpha) * refdens(*x)
+
+    for p in probe_points(ref.bounds):
+        if renyi_poisson(f(*p), g(*p), alpha) == INF and refdens(*p) > 0.0:
+            return DivergenceReport(alpha, INF, 0.0,
+                                    ["integrand infinite at probe points"])
+    value, abserr = integrate_box(integrand, ref.bounds, ref.quadrature)
+    return DivergenceReport(alpha, max(value, 0.0), abserr)
 
 
 def _kernel_sums(w: np.ndarray, f: np.ndarray, g: np.ndarray,
@@ -93,21 +103,6 @@ def _kernel_sums(w: np.ndarray, f: np.ndarray, g: np.ndarray,
         w, f, g = w[pos], f[:, pos], g[:, pos]
     terms = w * _renyi_poisson_array(f, g, alpha)
     return [math.fsum(row) for row in terms.tolist()]
-
-
-def _smooth_report(pair, alpha, kernel) -> DivergenceReport:
-    ref = pair.reference
-    f, g, refdens = pair.f, pair.g, ref.density
-
-    def integrand(*x):
-        return kernel(f(*x), g(*x)) * refdens(*x)
-
-    for p in probe_points(ref.bounds):
-        if kernel(f(*p), g(*p)) == INF and refdens(*p) > 0.0:
-            return DivergenceReport(alpha, INF, 0.0,
-                                    ["integrand infinite at probe points"])
-    value, abserr = integrate_box(integrand, ref.bounds, ref.quadrature)
-    return DivergenceReport(alpha, max(value, 0.0), abserr)
 
 
 def kl_pp(pair: DensityPair) -> DivergenceReport:

@@ -45,9 +45,9 @@ def log_ratio(f: float, g: float) -> float:
     """``log(f/g)`` under the ratio conventions of the module docstring.
 
     Takes ``log(f/g)`` when the quotient is a normal finite float and
-    ``log f - log g`` otherwise.  Scalar form for quadrature integrands,
-    which call it one point at a time; arrays go through
-    :func:`log_ratios`.
+    ``log f - log g`` otherwise.  The library itself calls the array form
+    :func:`log_ratios`; this scalar form is the reference it is tested
+    against, one point at a time.
     """
     if f == 0.0:
         return -INF

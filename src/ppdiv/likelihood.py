@@ -4,10 +4,14 @@ For finite intensities the log ratio of the two pattern laws at a pattern
 is the mass difference plus the summed log density ratio over the points;
 a pattern with a point where the ratio vanishes is outside the support
 and gets ``-inf``.  For infinite-mass (sigma-finite) intensities the
-exponent is evaluated as a compensated four-term split over the region
-where ``|log phi| <= 1`` and its complement, iterated over growing
-truncations until the value stabilises.  A Monte Carlo estimator closes
-the loop between likelihood ratios and divergences.
+exponent is evaluated on growing truncations ``S_n`` until the value
+stabilises.  At each level it is exactly the finite formula on ``S_n``,
+``sum log phi + mu(S_n) - lambda(S_n)``: the paper's compensated split
+over the band ``|log phi| <= 1`` and its complement has the same value
+at every finite level (on the band the compensator and the band term sum
+to ``g - f``, off it the tail term is ``g - f``), and matters only for
+the existence of the limit.  A Monte Carlo estimator closes the loop
+between likelihood ratios and divergences.
 """
 
 from __future__ import annotations
@@ -20,14 +24,11 @@ import numpy as np
 from .divergence import _require_ac, hellinger_measures
 from .errors import (InfiniteHellinger, InfiniteMass, InvalidAlpha,
                      NotAbsolutelyContinuous, QuadratureFailure)
-from .extended import INF, log_ratio, log_ratios
-from .measure import (DensityPair, DiscreteIntensity, GridIntensity,
-                      PointPattern, SmoothIntensity, intensity_from_density)
+from .extended import INF, log_ratios
+from .measure import (DensityPair, GridIntensity, PointPattern,
+                      SmoothIntensity, intensity_from_density)
 from .quadrature import integrate_1d
 from . import sampler as _sampler
-
-# Points with |log phi| exactly 1 belong to the compensated region.
-_LOG_BAND = 1.0
 
 
 @dataclass
@@ -76,11 +77,12 @@ def log_lr_finite(pair: DensityPair, eta: PointPattern) -> LogLikelihoodResult:
 class TruncatedLogLikelihood:
     """Evaluator of the sigma-finite log-likelihood exponent.
 
-    Precomputes, per truncation level ``n``, the three deterministic
-    integrals of the split (the compensator of the band term, the band
-    correction, and the tail mass term), so that many patterns can be
-    evaluated against one pair cheaply.  Works on one-dimensional grid or
-    smooth references whose domain starts at a finite left end.
+    Keeps, per truncation level ``n``, the one deterministic term
+    ``mu(S_n) - lambda(S_n)`` (one integral of ``g - f`` per unit
+    segment), so that many patterns can be evaluated against one pair
+    cheaply.  Finite Hellinger distance is required: it is what makes the
+    levels converge.  Works on one-dimensional grid or smooth references
+    whose domain starts at a finite left end.
     """
 
     def __init__(self, pair: DensityPair, n_max: int = 100):
@@ -105,63 +107,31 @@ class TruncatedLogLikelihood:
         self.pair = pair
         self.n_max = int(n_max)
         self.lo, self.hi = ref.bounds[0]
-        # cumulative deterministic terms, index n-1
-        self._comp: list[float] = []
-        self._band: list[float] = []
-        self._tail: list[float] = []
+        # mu(S_n) - lambda(S_n) at index n, from the empty S_0
+        self._gap: list[float] = [0.0]
 
     # -- deterministic integrals ------------------------------------------
 
     def _extend_to(self, n: int):
-        while len(self._comp) < n:
-            level = len(self._comp) + 1
-            seg_lo = max(self.lo, float(level - 1))
-            seg_hi = min(self.hi, float(level))
-            prev = (self._comp[-1], self._band[-1], self._tail[-1]) \
-                if self._comp else (0.0, 0.0, 0.0)
-            if seg_hi <= seg_lo:
-                comp_inc = band_inc = tail_inc = 0.0
-            else:
-                comp_inc, band_inc, tail_inc = self._segment(seg_lo, seg_hi)
-            self._comp.append(prev[0] + comp_inc)
-            self._band.append(prev[1] + band_inc)
-            self._tail.append(prev[2] + tail_inc)
+        while len(self._gap) <= n:
+            level = len(self._gap)
+            inc = self._segment(max(self.lo, level - 1.0), min(self.hi, float(level)))
+            self._gap.append(self._gap[-1] + inc)
 
-    def _segment(self, lo: float, hi: float):
+    def _segment(self, lo: float, hi: float) -> float:
+        """``mu - lambda`` of the segment ``[lo, hi]``; zero if it is empty."""
         pair = self.pair
         ref = pair.reference
-        # On the band |log phi| <= 1 the ratio f/g lies in [1/e, e]; off
-        # it the tail term (1 - f/g) g is written (g - f), which stays
-        # finite where f/g leaves the float range.
         if isinstance(ref, GridIntensity):
             (glo, _), step = ref.bounds[0], ref.steps[0]
             edges = glo + np.arange(ref.shape[0] + 1) * step
             refmass = ref.values * np.maximum(
                 np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0)
-            f, g = pair.f, pair.g
-            logphi = log_ratios(f, g)
-            on = np.abs(logphi) <= _LOG_BAND
-            lr, mu_mass = logphi[on], g[on] * refmass[on]
-            return (math.fsum((lr * mu_mass).tolist()),
-                    math.fsum(((lr + 1.0 - f[on] / g[on]) * mu_mass).tolist()),
-                    math.fsum(((g - f)[~on] * refmass[~on]).tolist()))
-
+            return math.fsum(((pair.g - pair.f) * refmass).tolist())
         f, g, refdens = pair.f, pair.g, ref.density
-        spec = ref.quadrature
-
-        def split(x):
-            """Compensator, band and tail integrands at ``x``."""
-            fv, gv = f(x), g(x)
-            lr = log_ratio(fv, gv)
-            if abs(lr) <= _LOG_BAND:
-                mu_dens = gv * refdens(x)
-                return lr * mu_dens, (lr + 1.0 - fv / gv) * mu_dens, 0.0
-            return 0.0, 0.0, (gv - fv) * refdens(x)
-
-        comp, _ = integrate_1d(lambda x: split(x)[0], lo, hi, spec)
-        band, _ = integrate_1d(lambda x: split(x)[1], lo, hi, spec)
-        tail, _ = integrate_1d(lambda x: split(x)[2], lo, hi, spec)
-        return comp, band, tail
+        value, _ = integrate_1d(lambda x: (g(x) - f(x)) * refdens(x),
+                                lo, hi, ref.quadrature)
+        return value
 
     # -- evaluation --------------------------------------------------------
 
@@ -183,8 +153,7 @@ class TruncatedLogLikelihood:
         for n in range(1, self.n_max + 1):
             self._extend_to(n)
             pat = float(contribs[locs <= n].sum()) if len(locs) else 0.0
-            ell = (pat - self._comp[n - 1] + self._band[n - 1]
-                   + self._tail[n - 1])
+            ell = pat + self._gap[n]
             trace.append((n, ell))
             if self.hi <= n:
                 return LogLikelihoodResult(True, ell, trace, True)

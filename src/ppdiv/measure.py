@@ -30,10 +30,10 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import (DomainMismatch, InfiniteWindowMass, OutOfWindow,
-                     PointOutsideDomain, QuadratureFailure)
+from .errors import (DomainMismatch, OutOfWindow, PointOutsideDomain,
+                     QuadratureFailure)
 from .extended import INF, ensure_extended, log_ratios
-from .quadrature import QuadratureSpec, integrate_box
+from .quadrature import QuadratureSpec, integrate_box, probe_points
 
 # Total cell budget for grid refinements; beyond this the two grids are
 # treated as incommensurate.
@@ -88,40 +88,70 @@ def _check_bounds(bounds):
     return bounds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteIntensity(IntensityModel):
-    """Weighted atoms ``(point_id, weight)`` under the counting measure."""
+    """Weighted atoms under the counting measure.
 
-    atoms: tuple[tuple[Any, float], ...]
+    ``ids`` holds the opaque hashable atom ids and ``weights`` a read-only
+    float64 array of their finite nonnegative weights, in the same order.
+    The constructor takes a dict or ``(id, weight)`` pairs.
+    """
+
+    ids: tuple
+    weights: np.ndarray
 
     def __init__(self, atoms):
-        items = tuple((pid, ensure_extended(w, f"weight of atom {pid!r}"))
-                      for pid, w in (atoms.items() if isinstance(atoms, dict) else atoms))
-        for pid, w in items:
-            if math.isinf(w):
-                raise ValueError("atom weights must be finite")
-        ids = [pid for pid, _ in items]
+        pairs = list(atoms.items() if isinstance(atoms, dict) else atoms)
+        self._fill([pid for pid, _ in pairs], [w for _, w in pairs])
+
+    @classmethod
+    def _of(cls, ids, weights) -> "DiscreteIntensity":
+        """Model with ``ids`` and ``weights`` given as aligned sequences."""
+        out = cls.__new__(cls)
+        out._fill(ids, weights)
+        return out
+
+    def _fill(self, ids, weights):
+        ids = tuple(ids)
         if len(set(ids)) != len(ids):
             raise ValueError("atom ids must be unique")
-        object.__setattr__(self, "atoms", items)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "weights",
+                           _frozen_densities(weights, "atom weights"))
 
     @property
     def domain_class(self) -> str:
         return "discrete"
 
+    @property
+    def atoms(self) -> tuple:
+        """``(id, weight)`` pairs, for callers of the pair form."""
+        return tuple(zip(self.ids, self.weights.tolist()))
+
+    @property
+    def masses(self) -> np.ndarray:
+        return self.weights
+
     @cached_property
     def index(self) -> dict:
-        return {pid: i for i, (pid, _) in enumerate(self.atoms)}
-
-    @cached_property
-    def weight_array(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms], dtype=float)
+        return {pid: i for i, pid in enumerate(self.ids)}
 
     def support_locations(self) -> tuple:
-        return tuple(pid for pid, _ in self.atoms)
+        return self.ids
 
     def total_mass(self) -> float:
-        return float(math.fsum(w for _, w in self.atoms))
+        return float(math.fsum(self.weights.tolist()))
+
+    def _reweighted(self, factors) -> "DiscreteIntensity":
+        return DiscreteIntensity._of(self.ids, self.weights * factors)
+
+    def __eq__(self, other):
+        if not isinstance(other, DiscreteIntensity):
+            return NotImplemented
+        return self.ids == other.ids and np.array_equal(self.weights, other.weights)
+
+    def __hash__(self):
+        return hash((self.ids, _array_key(self.weights)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,14 +226,27 @@ class GridIntensity(IntensityModel):
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
+    @cached_property
+    def masses(self) -> np.ndarray:
+        """Reference mass of each cell (density times cell volume)."""
+        out = self.values * self.cell_volume
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _centres(self) -> tuple:
+        centres = self.cell_centers()
+        return tuple(centres[:, 0].tolist() if self.ndim == 1
+                     else map(tuple, centres.tolist()))
+
     def support_locations(self) -> tuple:
-        centers = self.cell_centers()
-        if self.ndim == 1:
-            return tuple(float(c[0]) for c in centers)
-        return tuple(tuple(float(x) for x in c) for c in centers)
+        return self._centres
 
     def total_mass(self) -> float:
         return float(math.fsum(self.values.tolist()) * self.cell_volume)
+
+    def _reweighted(self, factors) -> "GridIntensity":
+        return GridIntensity(self.bounds, self.shape, self.values * factors)
 
     def __eq__(self, other):
         if not isinstance(other, GridIntensity):
@@ -213,6 +256,10 @@ class GridIntensity(IntensityModel):
 
     def __hash__(self):
         return hash((self.bounds, self.shape, _array_key(self.values)))
+
+
+# The models with a finite support of atoms or cells, summed exactly.
+_EXACT = (DiscreteIntensity, GridIntensity)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,10 +405,6 @@ def total_mass(model: IntensityModel) -> float:
 
 
 def _scale_concrete(model, c):
-    if isinstance(model, DiscreteIntensity):
-        return DiscreteIntensity(tuple((pid, c * w) for pid, w in model.atoms))
-    if isinstance(model, GridIntensity):
-        return GridIntensity(model.bounds, model.shape, c * model.values)
     if isinstance(model, SmoothIntensity):
         inner = model.density
         expr = None
@@ -370,18 +413,10 @@ def _scale_concrete(model, c):
         bound = None if model.density_bound is None else c * model.density_bound
         return SmoothIntensity(model.bounds, lambda *x: c * inner(*x),
                                model.quadrature, bound, expr)
-    raise TypeError(f"cannot scale {type(model).__name__}")
+    return intensity_from_density(model, c)
 
 
 def _add_concrete(a, b):
-    if isinstance(a, DiscreteIntensity) and isinstance(b, DiscreteIntensity):
-        merged: dict = {pid: w for pid, w in a.atoms}
-        for pid, w in b.atoms:
-            merged[pid] = merged.get(pid, 0.0) + w
-        return DiscreteIntensity(tuple(merged.items()))
-    if isinstance(a, GridIntensity) and isinstance(b, GridIntensity):
-        grid, fa, fb = _refine_pair(a, b)
-        return GridIntensity(grid.bounds, grid.shape, fa + fb)
     if isinstance(a, SmoothIntensity) and isinstance(b, SmoothIntensity):
         if a.bounds != b.bounds:
             raise DomainMismatch("smooth summands must share a domain")
@@ -391,8 +426,26 @@ def _add_concrete(a, b):
             bound = a.density_bound + b.density_bound
         return SmoothIntensity(a.bounds, lambda *x: da(*x) + db(*x),
                                a.quadrature.merged(b.quadrature), bound, None)
-    raise DomainMismatch(
-        f"cannot add {type(a).__name__} and {type(b).__name__}")
+    if type(a) is not type(b) or not isinstance(a, _EXACT):
+        raise DomainMismatch(
+            f"cannot add {type(a).__name__} and {type(b).__name__}")
+    reference, fa, fb = _aligned(a, b)
+    return intensity_from_density(reference, fa + fb)
+
+
+def _aligned(a, b):
+    """Unit-weight reference carrying two discrete or two grid models,
+    with each model's weights on it: the union of the atom ids (those of
+    ``a`` first) or the exact common grid refinement."""
+    if isinstance(a, GridIntensity):
+        return _refine_pair(a, b)
+    extra = [pid for pid in b.ids if pid not in a.index]
+    ids = a.ids + tuple(extra)
+    # index -1 picks the zero appended to the weights of ``b``
+    at_b = [b.index.get(pid, -1) for pid in ids]
+    return (DiscreteIntensity._of(ids, np.ones(len(ids))),
+            np.concatenate([a.weights, np.zeros(len(extra))]),
+            np.append(b.weights, 0.0)[at_b])
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +560,10 @@ class DensityPair:
 
     def __post_init__(self):
         ref = self.reference
-        if isinstance(ref, (DiscreteIntensity, GridIntensity)):
-            n = len(ref.atoms) if isinstance(ref, DiscreteIntensity) else len(ref.values)
+        if isinstance(ref, _EXACT):
             fa = _frozen_densities(self.f, "densities")
             ga = _frozen_densities(self.g, "densities")
-            if fa.shape != (n,) or ga.shape != (n,):
+            if not fa.shape == ga.shape == ref.masses.shape:
                 raise ValueError("densities must align with the reference support")
             object.__setattr__(self, "f", fa)
             object.__setattr__(self, "g", ga)
@@ -536,19 +588,14 @@ class DensityPair:
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.reference, (DiscreteIntensity, GridIntensity))
+        return isinstance(self.reference, _EXACT)
 
     def support_terms(self):
         """Arrays ``(weights, f, g)`` with weights the reference masses of
         atoms (discrete) or cells (grid)."""
-        ref = self.reference
-        if isinstance(ref, DiscreteIntensity):
-            w = ref.weight_array
-        elif isinstance(ref, GridIntensity):
-            w = ref.values_array.reshape(-1) * ref.cell_volume
-        else:
+        if not self.is_exact:
             raise TypeError("smooth pairs have no finite support enumeration")
-        return w, self.f, self.g
+        return self.reference.masses, self.f, self.g
 
     def log_ratio_at(self, locations) -> np.ndarray:
         """``log(f/g)`` at each of ``locations`` by :func:`log_ratios`; an
@@ -577,8 +624,7 @@ class DensityPair:
 
     def _mass(self, density) -> float:
         if self.is_exact:
-            w, _, _ = self.support_terms()
-            return float(math.fsum((w * density).tolist()))
+            return float(math.fsum((self.reference.masses * density).tolist()))
         ref = self.reference
         refdens = ref.density
         try:
@@ -612,14 +658,8 @@ def density_values(density, cols) -> np.ndarray:
 
 def intensity_from_density(reference: IntensityModel, density) -> IntensityModel:
     """Model of the measure ``density * reference``."""
-    if isinstance(reference, DiscreteIntensity):
-        d = np.asarray(density, dtype=float).reshape(-1)
-        return DiscreteIntensity(tuple(
-            (pid, w * d[i]) for i, (pid, w) in enumerate(reference.atoms)))
-    if isinstance(reference, GridIntensity):
-        d = np.asarray(density, dtype=float).reshape(-1)
-        return GridIntensity(reference.bounds, reference.shape,
-                             reference.values * d)
+    if isinstance(reference, _EXACT):
+        return reference._reweighted(np.asarray(density, dtype=float).reshape(-1))
     if isinstance(reference, SmoothIntensity):
         refdens = reference.density
         return SmoothIntensity(reference.bounds,
@@ -641,22 +681,8 @@ def common_reference(a: IntensityModel, b: IntensityModel) -> DensityPair:
     if fa.domain_class != fb.domain_class:
         raise DomainMismatch(
             f"cannot pair {fa.domain_class} with {fb.domain_class} models")
-    if isinstance(fa, DiscreteIntensity):
-        ids = list(fa.support_locations())
-        seen = set(ids)
-        for pid in fb.support_locations():
-            if pid not in seen:
-                ids.append(pid)
-                seen.add(pid)
-        wa = {pid: w for pid, w in fa.atoms}
-        wb = {pid: w for pid, w in fb.atoms}
-        reference = DiscreteIntensity(tuple((pid, 1.0) for pid in ids))
-        return DensityPair(reference,
-                           [wa.get(pid, 0.0) for pid in ids],
-                           [wb.get(pid, 0.0) for pid in ids])
-    if isinstance(fa, GridIntensity):
-        reference, da, db = _refine_pair(fa, fb)
-        return DensityPair(reference, da, db)
+    if isinstance(fa, _EXACT):
+        return DensityPair(*_aligned(fa, fb))
     if isinstance(fa, SmoothIntensity):
         if fa.bounds != fb.bounds:
             raise DomainMismatch("smooth models must share a domain exactly")
@@ -792,38 +818,28 @@ class MarkedModel:
 
     def __post_init__(self):
         ref = self.mark_reference.flattened()
-        if not isinstance(ref, (DiscreteIntensity, GridIntensity)):
+        if not isinstance(ref, _EXACT):
             raise TypeError("mark reference must be discrete or a 1-d grid")
         if isinstance(ref, GridIntensity) and ref.ndim != 1:
             raise TypeError("grid mark references must be one-dimensional")
         object.__setattr__(self, "mark_reference", ref)
         for t in self._probe_locations():
-            self._check_normalised(t)
+            total = math.fsum((ref.masses * self.mark_densities_at(t)).tolist())
+            if abs(total - 1.0) > _MARK_NORMALISATION_TOL:
+                raise ValueError(
+                    f"mark kernel is not a probability kernel at t={t!r}: "
+                    f"integral {total!r}")
 
     def _probe_locations(self):
+        """The base's atoms or cell centres, or the quadrature probe points
+        of a smooth base (floats in one dimension, tuples otherwise)."""
         base = self.base.flattened()
-        if isinstance(base, (DiscreteIntensity, GridIntensity)):
+        if isinstance(base, _EXACT):
             return base.support_locations()
-        lo, hi = base.bounds[0]
-        hi = min(hi, lo + 8.0)
-        return tuple(lo + (hi - lo) * (i + 0.5) / 7 for i in range(7))
-
-    def _check_normalised(self, t):
-        total = math.fsum(w * self.mark_density(t, x)
-                          for x, w in self._mark_support())
-        if abs(total - 1.0) > _MARK_NORMALISATION_TOL:
-            raise ValueError(
-                f"mark kernel is not a probability kernel at t={t!r}: "
-                f"integral {total!r}")
-
-    def _mark_support(self):
-        """Pairs ``(mark_location, reference_mass)``."""
-        ref = self.mark_reference
-        if isinstance(ref, DiscreteIntensity):
-            return tuple(ref.atoms)
-        masses = ref.values_array.reshape(-1) * ref.cell_volume
-        return tuple(zip(ref.support_locations(), masses))
+        points = probe_points(base.bounds)
+        return [p[0] for p in points] if base.ndim == 1 else points
 
     def mark_densities_at(self, t) -> np.ndarray:
-        return np.array([self.mark_density(t, x) for x, _ in self._mark_support()],
+        return np.array([self.mark_density(t, x)
+                         for x in self.mark_reference.support_locations()],
                         dtype=float)

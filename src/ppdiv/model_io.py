@@ -158,7 +158,8 @@ def _parse_hi(hi) -> float:
 
 def model_to_dict(model) -> dict:
     if isinstance(model, DiscreteIntensity):
-        return {"type": "discrete", "atoms": [[pid, w] for pid, w in model.atoms]}
+        return {"type": "discrete",
+                "atoms": [[pid, w] for pid, w in zip(model.ids, model.weights.tolist())]}
     if isinstance(model, GridIntensity):
         return {"type": "grid", "bounds": [list(b) for b in model.bounds],
                 "shape": list(model.shape), "values": model.values.tolist()}

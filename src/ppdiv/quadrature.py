@@ -21,6 +21,9 @@ from .errors import QuadratureFailure
 
 _EPSREL = 1e-10
 
+# Midpoint probes per bounded axis, before the golden-ratio offsets.
+_PROBES_PER_AXIS = 17
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -93,7 +96,7 @@ def integrate_box(func, bounds, spec: QuadratureSpec):
     return value, abserr
 
 
-def probe_points(bounds, per_axis: int = 17):
+def probe_points(bounds):
     """Deterministic probe locations inside a box, denser near the origin
     on half-infinite axes.  Used to detect pointwise-infinite integrands
     before quadrature is attempted."""
@@ -104,7 +107,7 @@ def probe_points(bounds, per_axis: int = 17):
             pts = [lo + 1e-3] + pts
         else:
             width = hi - lo
-            n = max(per_axis, 3)
+            n = _PROBES_PER_AXIS
             pts = [lo + width * (i + 0.5) / n for i in range(n)]
             # golden-ratio offsets catch features aligned with the midpoints
             pts += [lo + width * ((i + 0.381966) % 1.0) for i in range(1, n, 3)]

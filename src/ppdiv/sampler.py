@@ -82,15 +82,12 @@ def sample_pp(model: IntensityModel, window=None, seed=0) -> PointPattern:
 
 
 def _sample_discrete(m: DiscreteIntensity, window, rng) -> PointPattern:
-    if window is None:
-        ids = m.support_locations()
-        weights = m.weight_array
-        win = None
-    else:
+    ids, weights, win = m.ids, m.weights, None
+    if window is not None:
         win = frozenset(window)
-        ids = tuple(pid for pid in m.support_locations() if pid in win)
-        weights = m.weight_array[[m.index[pid] for pid in ids]]
-    total = float(weights.sum()) if len(ids) else 0.0
+        keep = [i for i, pid in enumerate(ids) if pid in win]
+        ids, weights = tuple(ids[i] for i in keep), weights[keep]
+    total = float(weights.sum())
     if total == 0.0:
         return PointPattern((), window=win)
     n = int(rng.poisson(total))
@@ -177,16 +174,11 @@ def sample_marked(marked: MarkedModel, window=None, seed=0) -> PointPattern:
 
 
 def _draw_mark(ref, dens, rng):
+    masses = dens * ref.masses
+    idx = int(rng.choice(len(masses), p=masses / masses.sum()))
     if isinstance(ref, DiscreteIntensity):
-        masses = dens * ref.weight_array
-        probs = masses / masses.sum()
-        idx = rng.choice(len(probs), p=probs)
-        return ref.support_locations()[idx]
-    masses = dens * ref.values_array.reshape(-1) * ref.cell_volume
-    probs = masses / masses.sum()
-    idx = int(rng.choice(len(probs), p=probs))
-    lo, _ = ref.bounds[0]
-    step = ref.steps[0]
+        return ref.ids[idx]
+    lo, step = ref.bounds[0][0], ref.steps[0]
     return float(rng.uniform(lo + idx * step, lo + (idx + 1) * step))
 
 

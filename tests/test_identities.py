@@ -1,0 +1,114 @@
+"""The paper's identities between divergences, on random discrete and grid
+pairs with zero densities (exact summation paths)."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ppdiv import (DiscreteIntensity, GridIntensity, MarkedModel,
+                   chernoff_info, common_reference, flatten_product,
+                   hellinger_measures, hellinger_pp, kl_pp, renyi_pp,
+                   tsallis, tsallis_product)
+
+INF = math.inf
+_ORDERS = st.one_of(st.sampled_from([0.25, 0.5, 0.999, 1.0, 1.001, 2.0]),
+                    st.floats(0.01, 3.0))
+_WEIGHT = st.one_of(st.just(0.0), st.floats(0.05, 5.0))
+
+
+def _weights(draw, n):
+    return draw(st.lists(_WEIGHT, min_size=n, max_size=n))
+
+
+@st.composite
+def exact_pairs(draw):
+    """A discrete pair on overlapping id sets, or a grid pair on one box
+    with its own cell count per side (so the reference is a refinement)."""
+    if draw(st.booleans()):
+        ids_a = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1,
+                              max_size=6, unique=True))
+        ids_b = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1,
+                              max_size=6, unique=True))
+        return common_reference(
+            DiscreteIntensity(zip(ids_a, _weights(draw, len(ids_a)))),
+            DiscreteIntensity(zip(ids_b, _weights(draw, len(ids_b)))))
+    width = draw(st.sampled_from([0.5, 1.0, 1.5, 3.0]))
+    n_a, n_b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return common_reference(
+        GridIntensity([(0.0, width)], [n_a], _weights(draw, n_a)),
+        GridIntensity([(0.0, width)], [n_b], _weights(draw, n_b)))
+
+
+def _close(a, b, rel=1e-9, abs_=1e-12):
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= abs_ + rel * max(abs(a), abs(b))
+
+
+class TestPaperIdentities:
+    @settings(max_examples=100, deadline=None)
+    @given(pair=exact_pairs())
+    def test_hellinger_identities(self, pair):
+        h = hellinger_measures(pair)
+        assert _close(2.0 * h * h, tsallis(pair, 0.5).value)
+        assert hellinger_pp(pair) == pytest.approx(
+            math.sqrt(-math.expm1(-h * h)), rel=1e-12, abs=1e-15)
+        assert kl_pp(pair).value == tsallis(pair, 1.0).value
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=exact_pairs(), alpha=_ORDERS)
+    def test_renyi_of_pattern_laws_is_tsallis(self, pair, alpha):
+        assert renyi_pp(pair, alpha).value == tsallis(pair, alpha).value
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=exact_pairs())
+    def test_chernoff_against_dense_order_grid(self, pair):
+        # (1 - a) T_a = sum w (a f + (1 - a) g - f^a g^(1-a)) is concave in
+        # a; the grid spans the orders chernoff_info searches, whose ends
+        # hold the supremum of a singular pair.
+        w, f, g = pair.support_terms()
+        a = np.linspace(1e-6, 1.0 - 1e-6, 20001)[:, None]
+        grid = (w * (a * f + (1.0 - a) * g
+                     - np.power(f, a) * np.power(g, 1.0 - a))).sum(axis=1)
+        top = float(grid.max())
+        got = chernoff_info(pair).value
+        assert top - 1e-10 * (1.0 + top) <= got <= top + 1e-6
+
+
+@st.composite
+def marked_discrete_pairs(draw):
+    """Two discrete bases on shared ids with discrete marks; kernel rows
+    may put zero mass on some marks."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    ids = [f"t{i}" for i in range(n)]
+    mark_masses = draw(st.lists(st.floats(0.25, 2.0), min_size=m, max_size=m))
+    marks = DiscreteIntensity(zip(range(m), mark_masses))
+
+    def kernel():
+        table = {}
+        for t in ids:
+            row = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 1.0)),
+                                min_size=m, max_size=m).filter(any))
+            total = sum(r * mw for r, mw in zip(row, mark_masses))
+            table[t] = [r / total for r in row]
+        return lambda t, x: table[t][x]
+
+    K = MarkedModel(DiscreteIntensity(zip(ids, _weights(draw, n))), marks,
+                    kernel())
+    L = MarkedModel(DiscreteIntensity(zip(ids, _weights(draw, n))), marks,
+                    kernel())
+    return common_reference(K.base, L.base), K, L
+
+
+class TestProductSplit:
+    @settings(max_examples=60, deadline=None)
+    @given(setup=marked_discrete_pairs(),
+           alpha=st.one_of(st.just(0.0), _ORDERS))
+    def test_split_matches_flattened_product(self, setup, alpha):
+        pair, K, L = setup
+        split = tsallis_product(pair, K, L, alpha).value
+        flat = tsallis(flatten_product(pair, K, L), alpha).value
+        assert _close(split, flat)

@@ -15,6 +15,7 @@ from ppdiv import (DiscreteIntensity, GridIntensity, InfiniteHellinger,
                    PointPattern, SmoothIntensity, TruncatedLogLikelihood,
                    common_reference, log_lr_finite, log_lr_sigma_finite,
                    mc_divergence_estimate, sample_pp, tsallis)
+from ppdiv import likelihood
 from ppdiv.extended import log_ratio, log_ratios
 from ppdiv.likelihood import _sum_stat
 
@@ -164,6 +165,114 @@ class TestSigmaFinite:
                                      n_max=3, tol=0.0)
         assert not result.converged
         assert len(result.truncation_trace) == 3
+
+
+def _pattern_sums(pair, eta, levels):
+    """Sum of ``log phi`` over the points of ``eta`` up to each level."""
+    locs = np.array([float(loc) for loc, _ in eta.points])
+    terms = pair.log_ratio_at([loc for loc, _ in eta.points])
+    return [math.fsum(terms[locs <= n].tolist()) for n in levels]
+
+
+def _split_grid_levels(pair, eta, levels):
+    """The paper's compensated split of the exponent at each level: the
+    pattern sum, minus the compensator ``log phi * g`` of the band
+    ``|log phi| <= 1``, plus the band term ``(log phi + 1 - f/g) g`` and
+    the tail term ``(g - f)`` off the band, each summed on its own."""
+    ref, f, g = pair.reference, pair.f, pair.g
+    (lo, _), step = ref.bounds[0], ref.steps[0]
+    edges = lo + np.arange(ref.shape[0] + 1) * step
+    out = []
+    for n, pat in zip(levels, _pattern_sums(pair, eta, levels)):
+        m = ref.values * np.maximum(np.minimum(edges[1:], n) - edges[:-1], 0.0)
+        lr = log_ratios(f, g)
+        on = np.abs(lr) <= 1.0
+        lr, fo, go, mo = lr[on], f[on], g[on], m[on]
+        comp = math.fsum((lr * go * mo).tolist())
+        band = math.fsum(((lr + 1.0 - fo / go) * go * mo).tolist())
+        tail = math.fsum(((g - f) * m)[~on].tolist())
+        out.append(pat - comp + band + tail)
+    return out
+
+
+def _split_smooth_levels(pair, eta, levels, edge):
+    """The same split for a smooth pair on ``[0, inf)`` whose band edge
+    ``|log phi| = 1`` is at ``edge``, by QUADPACK on each unit segment."""
+    from scipy import integrate
+    f, g = pair.f, pair.g
+
+    def parts(x):
+        lr = math.log(f(x) / g(x))
+        if abs(lr) <= 1.0:
+            return lr * g(x), (lr + 1.0 - f(x) / g(x)) * g(x), 0.0
+        return 0.0, 0.0, g(x) - f(x)
+
+    out, total = [], 0.0
+    for n, pat in zip(levels, _pattern_sums(pair, eta, levels)):
+        pts = [edge] if n - 1 < edge < n else None
+        comp, band, tail = (
+            integrate.quad(lambda x, k=k: parts(x)[k], n - 1.0, n, points=pts,
+                           epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+            for k in range(3))
+        total += -comp + band + tail
+        out.append(pat + total)
+    return out
+
+
+class TestOneIntegralPerLevel:
+    """Each truncation level adds ``mu(S_n) - lambda(S_n)``: one quadrature
+    of ``g - f``, equal at every level to the paper's compensated split."""
+
+    def test_one_quadrature_per_level(self, monkeypatch):
+        lam = SmoothIntensity([(0.0, INF)], lambda x: 1.0 + math.exp(-x))
+        mu = SmoothIntensity([(0.0, INF)], lambda x: 1.0)
+        evaluator = TruncatedLogLikelihood(common_reference(lam, mu), n_max=7)
+        segments = []
+        real = likelihood.integrate_1d
+
+        def counted(func, lo, hi, spec):
+            segments.append((lo, hi))
+            return real(func, lo, hi, spec)
+
+        monkeypatch.setattr(likelihood, "integrate_1d", counted)
+        result = evaluator.evaluate(PointPattern([(0.5, 1)]), tol=0.0)
+        assert len(result.truncation_trace) == 7
+        assert segments == [(n - 1.0, float(n)) for n in range(1, 8)]
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_smooth_levels_match_compensated_split(self, scale, swap):
+        lam = SmoothIntensity([(0.0, INF)], lambda x: 1.0 + scale * math.exp(-x))
+        mu = SmoothIntensity([(0.0, INF)], lambda x: 1.0)
+        pair = common_reference(mu, lam) if swap else common_reference(lam, mu)
+        # |log phi| = log(1 + scale e^-x) reaches 1 only for scale > e - 1
+        edge = math.log(scale / (math.e - 1.0)) if scale > math.e - 1.0 else -1.0
+        evaluator = TruncatedLogLikelihood(pair, n_max=30)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            eta = PointPattern([(float(x), 1) for x in rng.uniform(0.0, 6.0, 4)])
+            trace = evaluator.evaluate(eta, tol=0.0).truncation_trace
+            levels = [n for n, _ in trace]
+            want = _split_smooth_levels(pair, eta, levels, edge)
+            np.testing.assert_allclose([v for _, v in trace], want,
+                                       rtol=0.0, atol=1e-12)
+
+    def test_grid_levels_match_compensated_split(self):
+        rng = np.random.default_rng(37)
+        for _ in range(30):
+            n = int(rng.integers(2, 12))
+            width = float(rng.uniform(0.5, 6.0))
+            f = rng.uniform(0.05, 8.0, n) * (rng.uniform(size=n) > 0.2)
+            g = rng.uniform(0.05, 4.0, n)
+            lam = GridIntensity([(0.0, width)], [n], f)
+            pair = common_reference(lam, GridIntensity([(0.0, width)], [n], g))
+            eta = sample_pp(lam, seed=rng)
+            trace = log_lr_sigma_finite(pair, eta, tol=0.0).truncation_trace
+            levels = [k for k, _ in trace]
+            assert levels == list(range(1, math.ceil(width) + 1))
+            want = _split_grid_levels(pair, eta, levels)
+            np.testing.assert_allclose([v for _, v in trace], want,
+                                       rtol=0.0, atol=1e-12)
 
 
 class TestMonteCarlo:

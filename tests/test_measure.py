@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppdiv import (DensityPair, DiscreteIntensity, DomainMismatch,
@@ -197,6 +197,91 @@ class TestArrayModels:
                             bad, [1.0, 1.0])
 
 
+def _dict_union(a, b):
+    """The per-id-dict union of two discrete models: ``a``'s ids, then
+    ``b``'s new ones, with each model's weights (zero where absent)."""
+    ids = [pid for pid, _ in a.atoms]
+    seen = set(ids)
+    for pid, _ in b.atoms:
+        if pid not in seen:
+            ids.append(pid)
+            seen.add(pid)
+    wa, wb = dict(a.atoms), dict(b.atoms)
+    return ids, [wa.get(pid, 0.0) for pid in ids], [wb.get(pid, 0.0) for pid in ids]
+
+
+def _dict_sum(parts):
+    merged: dict = {}
+    for part in parts:
+        for pid, w in part.atoms:
+            merged[pid] = merged[pid] + w if pid in merged else w
+    return merged
+
+
+_ATOMS = st.dictionaries(st.one_of(st.sampled_from("abcdef"), st.integers(0, 5)),
+                         st.one_of(st.just(0.0), st.floats(0.01, 9.0)),
+                         max_size=7)
+
+
+class TestAlignedSupports:
+    @settings(max_examples=60, deadline=None)
+    @given(a=_ATOMS.filter(bool), b=_ATOMS.filter(bool))
+    def test_discrete_reference_matches_dict_union(self, a, b):
+        a, b = DiscreteIntensity(a), DiscreteIntensity(b)
+        ids, fa, fb = _dict_union(a, b)
+        pair = common_reference(a, b)
+        assert list(pair.reference.support_locations()) == ids
+        np.testing.assert_array_equal(pair.reference.weights, np.ones(len(ids)))
+        np.testing.assert_array_equal(pair.f, fa)
+        np.testing.assert_array_equal(pair.g, fb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(parts=st.lists(_ATOMS, min_size=1, max_size=4))
+    def test_discrete_sum_matches_dict_merge(self, parts):
+        models = [DiscreteIntensity(p) for p in parts]
+        flat = SummedIntensity(models).flattened()
+        want = _dict_sum(models)
+        assert flat.ids == tuple(want)
+        np.testing.assert_array_equal(flat.weights, list(want.values()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(parts=st.lists(
+        st.tuples(st.sampled_from([0.0, 0.5]), st.sampled_from([1.5, 2.0, 3.0]),
+                  st.lists(st.one_of(st.just(0.0), st.floats(0.01, 9.0)),
+                           min_size=1, max_size=5)),
+        min_size=1, max_size=3))
+    def test_grid_sum_matches_parts_cell_by_cell(self, parts):
+        models = [GridIntensity([(lo, hi)], [len(v)], v) for lo, hi, v in parts]
+        flat = SummedIntensity(models).flattened()
+        want = []
+        for c in flat.support_locations():
+            total = 0.0
+            for m in models:
+                lo, hi = m.bounds[0]
+                total += m.density_at(c) if lo <= c <= hi else 0.0
+            want.append(total)
+        np.testing.assert_array_equal(flat.values, want)
+
+    def test_exact_models_expose_masses(self):
+        grid = GridIntensity([(0, 1), (0, 2)], [2, 4], np.arange(8.0))
+        np.testing.assert_array_equal(grid.masses, np.arange(8.0) * 0.25)
+        assert not grid.masses.flags.writeable
+        assert grid.support_locations() is grid.support_locations()
+        assert grid.support_locations()[1] == (0.25, 0.75)
+        atoms = DiscreteIntensity([("a", 2.0), ("b", 0.0)])
+        assert atoms.masses is atoms.weights
+        assert atoms == DiscreteIntensity({"a": 2.0, "b": -0.0})
+        assert hash(atoms) == hash(DiscreteIntensity({"a": 2.0, "b": -0.0}))
+        assert atoms != DiscreteIntensity({"b": 0.0, "a": 2.0})
+
+    @pytest.mark.parametrize("bad", [-1.0, INF, math.nan])
+    def test_bad_atom_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="atom weights"):
+            DiscreteIntensity([("a", 1.0), ("b", bad)])
+        with pytest.raises(ValueError, match="unique"):
+            DiscreteIntensity([("a", 1.0), ("a", 2.0)])
+
+
 class TestTotalMass:
     def test_discrete(self):
         assert total_mass(DiscreteIntensity([("x", 2.0), ("y", 3.0)])) == 5.0
@@ -312,6 +397,25 @@ class TestMarkKernel:
         base = GridIntensity([(0, 1)], [2], [1.0, 1.0])
         marks = GridIntensity([(0, 1)], [4], [1.0] * 4)
         MarkedModel(base, marks, lambda t, x: 1.0)
+
+    def test_planar_smooth_base_probed_at_coordinate_tuples(self):
+        base = SmoothIntensity([(0, 1), (0, 1)], lambda x0, x1: 1.0)
+        marks = DiscreteIntensity([("u", 1.0), ("v", 1.0)])
+        model = MarkedModel(base, marks,
+                            lambda t, x: 0.5 + (0.25 if x == "u" else -0.25) * t[0])
+        assert all(len(t) == 2 for t in model._probe_locations())
+        with pytest.raises(ValueError, match="probability kernel"):
+            MarkedModel(base, marks,
+                        lambda t, x: 0.5 if t[1] < 0.5 else 0.7)
+
+    def test_line_smooth_base_probed_at_floats(self):
+        base = SmoothIntensity([(0, INF)], lambda x: 1.0)
+        marks = DiscreteIntensity([("u", 1.0), ("v", 1.0)])
+        model = MarkedModel(base, marks, lambda t, x: 0.5)
+        assert all(isinstance(t, float) for t in model._probe_locations())
+        # a kernel off only beyond the old [0, 8] probe range is caught
+        with pytest.raises(ValueError, match="probability kernel"):
+            MarkedModel(base, marks, lambda t, x: 0.5 if t < 20.0 else 0.7)
 
 
 class TestDensityPair:
