@@ -25,9 +25,9 @@ from .quadrature import integrate_box, probe_points
 
 
 class _MarkDivergence:
-    """Per-location divergence of two mark kernels: memoised scalar-kernel
-    sums at single locations (quadrature nodes), one array-kernel call
-    over a whole finite support."""
+    """Per-location divergence of two mark kernels: scalar-kernel sums at
+    single locations (quadrature nodes), one array-kernel call over a
+    whole finite support."""
 
     def __init__(self, K: MarkedModel, L: MarkedModel, alpha: float):
         if K.mark_reference != L.mark_reference:
@@ -38,17 +38,13 @@ class _MarkDivergence:
         self.k_at = K.mark_densities_at
         self.l_at = L.mark_densities_at
         self.alpha = alpha
-        self._cache: dict = {}
 
     def __call__(self, t) -> float:
-        key = t if isinstance(t, (str, int, float, tuple)) else repr(t)
-        if key not in self._cache:
-            self._cache[key] = math.fsum(
-                wi * renyi_poisson(ki, li, self.alpha)
-                for wi, ki, li in zip(self.masses.tolist(), self.k_at(t).tolist(),
-                                      self.l_at(t).tolist())
-                if wi != 0.0)
-        return self._cache[key]
+        return math.fsum(
+            wi * renyi_poisson(ki, li, self.alpha)
+            for wi, ki, li in zip(self.masses.tolist(), self.k_at(t).tolist(),
+                                  self.l_at(t).tolist())
+            if wi != 0.0)
 
     def over(self, locations) -> list[float]:
         """Divergences at every location of ``locations``."""

@@ -825,7 +825,7 @@ class MarkedModel:
         object.__setattr__(self, "mark_reference", ref)
         for t in self._probe_locations():
             total = math.fsum((ref.masses * self.mark_densities_at(t)).tolist())
-            if abs(total - 1.0) > _MARK_NORMALISATION_TOL:
+            if not abs(total - 1.0) <= _MARK_NORMALISATION_TOL:
                 raise ValueError(
                     f"mark kernel is not a probability kernel at t={t!r}: "
                     f"integral {total!r}")

@@ -13,6 +13,7 @@ returning a silent best effort; divergent-looking integrals carry
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,8 +22,10 @@ from .errors import QuadratureFailure
 
 _EPSREL = 1e-10
 
-# Midpoint probes per bounded axis, before the golden-ratio offsets.
+# Midpoint probes of a bounded 1-d domain, before the golden-ratio offsets,
+# and per axis of a box in two or more dimensions.
 _PROBES_PER_AXIS = 17
+_BOX_PROBES_PER_AXIS = 9
 
 
 @dataclass(frozen=True)
@@ -100,22 +103,21 @@ def probe_points(bounds):
     """Deterministic probe locations inside a box, denser near the origin
     on half-infinite axes.  Used to detect pointwise-infinite integrands
     before quadrature is attempted."""
-    axes = []
-    for lo, hi in bounds:
-        if math.isinf(hi):
-            pts = [lo + 0.1 * (2.0 ** k) for k in range(0, 24)]
-            pts = [lo + 1e-3] + pts
-        else:
-            width = hi - lo
-            n = _PROBES_PER_AXIS
-            pts = [lo + width * (i + 0.5) / n for i in range(n)]
-            # golden-ratio offsets catch features aligned with the midpoints
-            pts += [lo + width * ((i + 0.381966) % 1.0) for i in range(1, n, 3)]
-        axes.append(pts)
-    if len(axes) == 1:
-        return [(x,) for x in axes[0]]
-    # cap the cartesian product for multi-d probes
-    grid = [()]
-    for pts in axes:
-        grid = [g + (x,) for g in grid for x in pts[:9]]
-    return grid
+    if len(bounds) > 1:
+        # only 1-d domains are unbounded; few points per axis keep the
+        # product small
+        return list(itertools.product(
+            *(_midpoints(lo, hi, _BOX_PROBES_PER_AXIS) for lo, hi in bounds)))
+    lo, hi = bounds[0]
+    if math.isinf(hi):
+        pts = [lo + 1e-3] + [lo + 0.1 * (2.0 ** k) for k in range(0, 24)]
+    else:
+        pts = _midpoints(lo, hi, _PROBES_PER_AXIS)
+        # golden-ratio offsets catch features aligned with the midpoints
+        pts += [lo + (hi - lo) * ((i + 0.381966) % 1.0)
+                for i in range(1, _PROBES_PER_AXIS, 3)]
+    return [(x,) for x in pts]
+
+
+def _midpoints(lo: float, hi: float, n: int) -> list[float]:
+    return [lo + (hi - lo) * (i + 0.5) / n for i in range(n)]

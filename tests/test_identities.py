@@ -1,5 +1,6 @@
 """The paper's identities between divergences, on random discrete and grid
-pairs with zero densities (exact summation paths)."""
+pairs with zero densities (exact summation paths), and the exact paths
+against quadrature of the same pairs written as step densities."""
 
 import math
 
@@ -9,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppdiv import (DiscreteIntensity, GridIntensity, MarkedModel,
-                   chernoff_info, common_reference, flatten_product,
-                   hellinger_measures, hellinger_pp, kl_pp, renyi_pp,
-                   tsallis, tsallis_product)
+                   SmoothIntensity, chernoff_info, common_reference,
+                   flatten_product, hellinger_measures, hellinger_pp, kl_pp,
+                   renyi_pp, tsallis, tsallis_product)
 
 INF = math.inf
 _ORDERS = st.one_of(st.sampled_from([0.25, 0.5, 0.999, 1.0, 1.001, 2.0]),
@@ -77,6 +78,13 @@ class TestPaperIdentities:
         got = chernoff_info(pair).value
         assert top - 1e-10 * (1.0 + top) <= got <= top + 1e-6
 
+    @settings(max_examples=100, deadline=None)
+    @given(pair=exact_pairs())
+    def test_chernoff_objective_concave(self, pair):
+        a = np.linspace(1e-6, 1.0 - 1e-6, 101)
+        h = np.array([(1.0 - x) * tsallis(pair, x).value for x in a])
+        assert np.all(np.diff(h, 2) <= 1e-12 * (1.0 + np.abs(h).max()))
+
 
 @st.composite
 def marked_discrete_pairs(draw):
@@ -112,3 +120,39 @@ class TestProductSplit:
         split = tsallis_product(pair, K, L, alpha).value
         flat = tsallis(flatten_product(pair, K, L), alpha).value
         assert _close(split, flat)
+
+
+# The accuracy QUADPACK is asked for (``QuadratureSpec.abs_tol`` and the
+# relative tolerance of ``ppdiv.quadrature``).
+_QUAD_TOL = 1e-10
+
+
+def _step_density(width, values):
+    n = len(values)
+    return lambda x: values[min(int(x * n / width), n - 1)]
+
+
+def _within_quadrature(exact, smooth):
+    return _close(exact, smooth, rel=_QUAD_TOL, abs_=_QUAD_TOL)
+
+
+class TestExactAgainstQuadrature:
+    @settings(max_examples=20, deadline=None)
+    @given(width=st.sampled_from([0.5, 1.0, 1.5, 3.0]),
+           a=st.lists(_WEIGHT, min_size=1, max_size=5),
+           b=st.lists(_WEIGHT, min_size=1, max_size=5))
+    def test_grid_pair_as_step_densities(self, width, a, b):
+        # with at most 5 cells a side every refined cell holds a 1-d probe
+        # point, so the smooth path finds each infinite integrand
+        box = [(0.0, width)]
+        exact = common_reference(GridIntensity(box, [len(a)], a),
+                                 GridIntensity(box, [len(b)], b))
+        smooth = common_reference(SmoothIntensity(box, _step_density(width, a)),
+                                  SmoothIntensity(box, _step_density(width, b)))
+        for alpha in (0.0, 0.5, 1.0, 2.0):
+            assert _within_quadrature(tsallis(exact, alpha).value,
+                                      tsallis(smooth, alpha).value)
+        assert _within_quadrature(hellinger_measures(exact) ** 2,
+                                  hellinger_measures(smooth) ** 2)
+        assert _within_quadrature(chernoff_info(exact).value,
+                                  chernoff_info(smooth).value)

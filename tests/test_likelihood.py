@@ -58,6 +58,14 @@ class TestFinite:
         with pytest.raises(NotAbsolutelyContinuous):
             log_lr_finite(pair, PointPattern([("b", 1)]))
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_planar_pair_singular_on_upper_part_rejected(self, axis):
+        lam = SmoothIntensity([(0, 1), (0, 1)], lambda x0, x1: 1.0)
+        mu = SmoothIntensity([(0, 1), (0, 1)],
+                             lambda *x: 1.0 if x[axis] < 0.6 else 0.0)
+        with pytest.raises(NotAbsolutelyContinuous):
+            log_lr_finite(common_reference(lam, mu), PointPattern([]))
+
     def test_discrete_pattern(self):
         lam = DiscreteIntensity([("a", 2.0), ("b", 1.0)])
         mu = DiscreteIntensity([("a", 1.0), ("b", 1.0)])

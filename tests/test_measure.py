@@ -388,6 +388,12 @@ class TestMarkKernel:
         with pytest.raises(ValueError):
             MarkedModel(base, marks, lambda t, x: 0.6)
 
+    def test_nan_kernel_rejected(self):
+        base = DiscreteIntensity([("a", 1.0)])
+        marks = DiscreteIntensity([("u", 1.0), ("v", 1.0)])
+        with pytest.raises(ValueError, match="probability kernel"):
+            MarkedModel(base, marks, lambda t, x: math.nan)
+
     def test_normalisation_tolerance(self):
         base = DiscreteIntensity([("a", 1.0)])
         marks = DiscreteIntensity([("u", 1.0), ("v", 1.0)])
