@@ -18,40 +18,37 @@ import numpy as np
 from .divergence import DivergenceReport, _kernel_sums, tsallis
 from .errors import (InvalidAlpha, KernelMismatch, NonDiffuseBase,
                      ZeroMarkAtom)
-from .extended import INF, ext_mul
-from .kernel import renyi_poisson
-from .measure import DensityPair, DiscreteIntensity, MarkedModel
-from .quadrature import integrate_box, probe_points
+from .extended import INF
+from .kernel import _renyi_poisson_array
+from .measure import DensityPair, DiscreteIntensity, MarkedModel, density_values
+from .quadrature import integrate_box, probe_columns
 
 
 class _MarkDivergence:
-    """Per-location divergence of two mark kernels: scalar-kernel sums at
-    single locations (quadrature nodes), one array-kernel call over a
-    whole finite support."""
+    """Per-location divergence of two mark kernels, by the array kernel:
+    over the coordinate arrays of quadrature nodes with one kernel call
+    per mark id, or over the locations of a finite support."""
 
     def __init__(self, K: MarkedModel, L: MarkedModel, alpha: float):
         if K.mark_reference != L.mark_reference:
             raise KernelMismatch("mark kernels must share a mark reference")
         if K.base.domain_class != L.base.domain_class:
             raise KernelMismatch("mark kernels must share a base domain class")
+        self.K, self.L = K, L
         self.masses = K.mark_reference.masses
-        self.k_at = K.mark_densities_at
-        self.l_at = L.mark_densities_at
         self.alpha = alpha
 
-    def __call__(self, t) -> float:
-        return math.fsum(
-            wi * renyi_poisson(ki, li, self.alpha)
-            for wi, ki, li in zip(self.masses.tolist(), self.k_at(t).tolist(),
-                                  self.l_at(t).tolist())
-            if wi != 0.0)
+    def on(self, cols) -> np.ndarray:
+        """Divergences at the locations with coordinate arrays ``cols``."""
+        pos = self.masses > 0.0
+        k = self.K.mark_densities_on(cols)[:, pos]
+        l = self.L.mark_densities_on(cols)[:, pos]
+        return _renyi_poisson_array(k, l, self.alpha) @ self.masses[pos]
 
     def over(self, locations) -> list[float]:
         """Divergences at every location of ``locations``."""
-        shape = (len(locations), len(self.masses))
-        k = np.array([self.k_at(t) for t in locations]).reshape(shape)
-        l = np.array([self.l_at(t) for t in locations]).reshape(shape)
-        return _kernel_sums(self.masses, k, l, self.alpha)
+        return _kernel_sums(self.masses, self.K.mark_table(locations),
+                            self.L.mark_table(locations), self.alpha)
 
 
 def tsallis_product(base_pair: DensityPair, K: MarkedModel, L: MarkedModel,
@@ -80,32 +77,25 @@ def tsallis_product(base_pair: DensityPair, K: MarkedModel, L: MarkedModel,
     if base_pair.is_exact:
         w, f, g = base_pair.support_terms()
         locs = base_pair.reference.support_locations()
-        cells = []
-        for wi, fi, gi, t in zip(w.tolist(), f.tolist(), g.tolist(), locs):
-            weight = _mark_weight(fi, gi, alpha) if wi != 0.0 else 0.0
-            if weight != 0.0:
-                cells.append((wi, weight, t))
-        marks = inner.over([t for _, _, t in cells])
-        terms = [wi * ext_mul(m, weight)
-                 for (wi, weight, _), m in zip(cells, marks)]
-        if INF in terms:
+        weight = _mark_weight(f, g, alpha)
+        cells = np.flatnonzero((w != 0.0) & (weight != 0.0))
+        marks = np.array(inner.over([locs[i] for i in cells]))
+        terms = w[cells] * _ext_mul(marks, weight[cells])
+        if (terms == INF).any():
             return DivergenceReport(alpha, INF, 0.0,
                                     ["mark term infinite on positive mass"])
-        extra, abserr = math.fsum(terms), 0.0
+        extra, abserr = math.fsum(terms.tolist()), 0.0
     else:
         ref = base_pair.reference
         f, g, refdens = base_pair.f, base_pair.g, ref.density
 
         def integrand(*x):
-            weight = _mark_weight(f(*x), g(*x), alpha)
-            if weight == 0.0:
-                return 0.0
-            return ext_mul(inner(x[0] if len(x) == 1 else x), weight) * refdens(*x)
+            weight = _mark_weight(density_values(f, x), density_values(g, x), alpha)
+            return _ext_mul(inner.on(x), weight) * density_values(refdens, x)
 
-        for p in probe_points(ref.bounds):
-            if integrand(*p) == INF:
-                return DivergenceReport(alpha, INF, 0.0,
-                                        ["mark integrand infinite at probe points"])
+        if (integrand(*probe_columns(ref.bounds)) == INF).any():
+            return DivergenceReport(alpha, INF, 0.0,
+                                    ["mark integrand infinite at probe points"])
         extra, abserr = integrate_box(integrand, ref.bounds, ref.quadrature)
         extra = max(extra, 0.0)
     return DivergenceReport(
@@ -113,19 +103,24 @@ def tsallis_product(base_pair: DensityPair, K: MarkedModel, L: MarkedModel,
         base.notes + [f"base part {base.value!r}; mark information {extra!r}"])
 
 
-def _mark_weight(f: float, g: float, alpha: float) -> float:
-    """Weight of the mark term at one location: 0 where ``f = 0``; else
+def _mark_weight(f: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
+    """Weight of the mark term at each location: 0 where ``f = 0``; else
     ``g`` at order 0, ``f`` at order 1 and ``f^alpha g^(1-alpha)`` at other
     orders, which where ``g = 0`` is 0 below order 1 and inf above."""
-    if f == 0.0:
-        return 0.0
     if alpha == 0.0:
-        return g
-    if alpha == 1.0:
-        return f
-    if g == 0.0:
-        return 0.0 if alpha < 1.0 else INF
-    return math.exp(alpha * math.log(f) + (1.0 - alpha) * math.log(g))
+        weight = g
+    elif alpha == 1.0:
+        weight = f
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            weight = np.exp(alpha * np.log(f) + (1.0 - alpha) * np.log(g))
+    return np.where(f == 0.0, 0.0, weight)
+
+
+def _ext_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise product with the measure-theoretic rule 0 * inf = 0."""
+    with np.errstate(invalid="ignore"):
+        return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
 
 
 def flatten_product(base_pair: DensityPair, K: MarkedModel,
@@ -145,9 +140,7 @@ def flatten_product(base_pair: DensityPair, K: MarkedModel,
     w, f, g = base_pair.support_terms()
     locs = base_pair.reference.support_locations()
     marks = K.mark_reference
-    shape = (len(locs), len(marks.ids))
-    kd = np.array([K.mark_densities_at(t) for t in locs]).reshape(shape)
-    ld = np.array([L.mark_densities_at(t) for t in locs]).reshape(shape)
+    kd, ld = K.mark_table(locs), L.mark_table(locs)
     reference = DiscreteIntensity._of(itertools.product(locs, marks.ids),
                                       np.multiply.outer(w, marks.weights))
     return DensityPair(reference, kd * f[:, None], ld * g[:, None])
@@ -184,7 +177,8 @@ def _check_no_zero_marks(marked: MarkedModel, name: str):
              if isinstance(pid, (int, float)) and float(pid) == 0.0]
     if not zeros:
         return
-    for t in marked._probe_locations():
-        if (marked.mark_densities_at(t)[zeros] > 0.0).any():
-            raise ZeroMarkAtom(
-                f"{name} increment kernel puts mass at zero (t={t!r})")
+    locations = marked._probe_locations()
+    hit = np.flatnonzero((marked.mark_table(locations)[:, zeros] > 0.0).any(axis=1))
+    if len(hit):
+        raise ZeroMarkAtom(f"{name} increment kernel puts mass at zero "
+                           f"(t={locations[hit[0]]!r})")

@@ -121,13 +121,17 @@ def _renyi_poisson_array(s, t, alpha) -> np.ndarray:
     of the libm functions.
     """
     alpha = _validate_alpha(alpha)
-    s, t = np.broadcast_arrays(np.asarray(s, dtype=float),
-                               np.asarray(t, dtype=float))
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if s.shape != t.shape:
+        s, t = np.broadcast_arrays(s, t)
     for name, v in (("s", s), ("t", t)):
-        if not (np.isfinite(v).all() and (v >= 0.0).all()):
+        if not (v >= 0.0).all() or np.isinf(v).any():
             raise ValueError(f"{name} must hold finite nonnegative reals")
     shape = s.shape
     s, t = s.reshape(-1), t.reshape(-1)
+    if len(s) <= _BLOCK:
+        return _kernel_block(s, t, alpha).reshape(shape)
     out = np.empty(s.shape)
     for i in range(0, len(s), _BLOCK):
         out[i:i + _BLOCK] = _kernel_block(s[i:i + _BLOCK], t[i:i + _BLOCK], alpha)
@@ -136,50 +140,102 @@ def _renyi_poisson_array(s, t, alpha) -> np.ndarray:
 
 def _kernel_block(s: np.ndarray, t: np.ndarray, alpha: float) -> np.ndarray:
     """The array kernel on one flat block of validated means."""
-    out = np.where(s == 0.0, t, 0.0)
     if alpha == 0.0:
-        return out
+        return np.where(s == 0.0, t, 0.0)
+    live = (s > 0.0) & (t > 0.0)
+    if live.all():
+        return _live_kernel(s, t, alpha)
+    out = np.where(s == 0.0, t, 0.0)
     one_m = 1.0 - alpha
     t_zero = (t == 0.0) & (s > 0.0)
     if t_zero.any():
         out[t_zero] = alpha / one_m * s[t_zero] if alpha < 1.0 else INF
-    live = (s > 0.0) & (t > 0.0) & (s != t)
-    if not live.any():
-        return out
-    s, t = s[live], t[live]
-    # Both forms of a branch are evaluated everywhere and np.where picks
-    # one per element, which is faster than masked copies of each side.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = s / t
-        in_band = (ratio >= _RATIO_LO) & (ratio <= _RATIO_HI)
-        x = (s - t) / t
-        if abs(one_m) <= _ALPHA_NEAR_ONE:
-            log_ratio = np.where(in_band, np.log1p(x), np.log(s) - np.log(t))
-            kl = np.where(in_band, t * ((1.0 + x) * log_ratio - x),
-                          s * log_ratio + t - s)
-            z = -one_m * log_ratio
-            excess = np.where(
-                np.abs(z) < _SERIES_Z,
-                z * (1.0 / 2.0 + z * (1.0 / 6.0 + z * (1.0 / 24.0 + z / 120.0))),
-                (np.expm1(z) - z) / z)
-            value = kl + s * log_ratio * excess
-        else:
-            band = t * (alpha * x - np.expm1(alpha * np.log1p(x))) / one_m
-            cross = np.exp(alpha * np.log(s) + one_m * np.log(t))
-            far = (alpha * s + one_m * t - cross) / one_m
-            value = np.where(in_band, band, far)
-        m = np.maximum(s, t)
-        bad = ~np.isfinite(value) & (m > 1.0)
-        if bad.any():
-            m = m[bad]
-            value[bad] = m * _kernel_block(s[bad] / m, t[bad] / m, alpha)
-    out[live] = np.where(value < 0.0, 0.0, value)
+    if live.any():
+        out[live] = _live_kernel(s[live], t[live], alpha)
     return out
 
 
+def _live_kernel(s: np.ndarray, t: np.ndarray, alpha: float) -> np.ndarray:
+    """The kernel where both means are positive.  Where the ratio lies
+    partly in the band and partly outside, both forms are evaluated
+    everywhere and ``np.where`` picks one per element, which is faster than
+    masked copies of each side."""
+    one_m = 1.0 - alpha
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = s / t
+        in_band = (ratio >= _RATIO_LO) & (ratio <= _RATIO_HI)
+        band_all = in_band.all()
+        band_any = band_all or in_band.any()
+        x = (s - t) / t
+        if abs(one_m) <= _ALPHA_NEAR_ONE:
+            if band_all:
+                log_ratio = np.log1p(x)
+                kl = t * ((1.0 + x) * log_ratio - x)
+            else:
+                log_ratio = np.log(s) - np.log(t)
+                kl = s * log_ratio + t - s
+                if band_any:
+                    near = np.log1p(x)
+                    log_ratio = np.where(in_band, near, log_ratio)
+                    kl = np.where(in_band, t * ((1.0 + x) * near - x), kl)
+            if one_m == 0.0:
+                value = kl
+            else:
+                z = -one_m * log_ratio
+                small = np.abs(z) < _SERIES_Z
+                series = z * (1.0 / 2.0 + z * (1.0 / 6.0 + z * (1.0 / 24.0
+                                                                + z / 120.0)))
+                if small.all():
+                    excess = series
+                else:
+                    excess = np.where(small, series, (np.expm1(z) - z) / z)
+                value = kl + s * log_ratio * excess
+        else:
+            if band_any:
+                band = t * (alpha * x - np.expm1(alpha * np.log1p(x))) / one_m
+            if not band_all:
+                cross = np.exp(alpha * np.log(s) + one_m * np.log(t))
+                far = (alpha * s + one_m * t - cross) / one_m
+            value = band if band_all else np.where(in_band, band, far) if band_any else far
+        if not np.isfinite(value).all():
+            m = np.maximum(s, t)
+            bad = ~np.isfinite(value) & (m > 1.0)
+            if bad.any():
+                m = m[bad]
+                value[bad] = m * _kernel_block(s[bad] / m, t[bad] / m, alpha)
+    return np.maximum(value, 0.0)
+
+
 def _log_pmf(k: np.ndarray, mean: float) -> np.ndarray:
-    from scipy.special import gammaln
-    return -mean + k * math.log(mean) - gammaln(k + 1.0)
+    return -mean + k * math.log(mean) - _log_factorial(k)
+
+
+# log k! for k below _STIRLING_FROM, from math.lgamma
+_STIRLING_FROM = 30
+_LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(_STIRLING_FROM)])
+
+
+def _log_factorial(k: np.ndarray) -> np.ndarray:
+    """``log k!`` of integer-valued floats: a table below 30 and Stirling's
+    series above, whose first omitted term is under 1e-16 there."""
+    n = np.maximum(k, _STIRLING_FROM) + 1.0
+    inv = 1.0 / n
+    inv2 = inv * inv
+    series = inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (
+        1.0 / 1260.0 - inv2 / 1680.0)))
+    stirling = (n - 0.5) * np.log(n) - n + 0.5 * math.log(2.0 * math.pi) + series
+    small = k < _STIRLING_FROM
+    return np.where(small, _LOG_FACTORIALS[np.where(small, k, 0).astype(int)],
+                    stirling)
+
+
+def _logsumexp(values) -> float:
+    """``log(sum(exp(values)))`` without overflow; -inf for no mass."""
+    values = np.asarray(values, dtype=float)
+    top = float(values.max())
+    if top == -INF:
+        return -INF
+    return top + math.log(float(np.sum(np.exp(values - top))))
 
 
 def renyi_poisson_oracle(s: float, t: float, alpha: float,
@@ -236,7 +292,6 @@ def _oracle_kl(s, t, tail_tol, max_terms):
 
 
 def _oracle_power(s, t, alpha, tail_tol, max_terms):
-    from scipy.special import logsumexp
     # The summand is proportional to peak^k / k!, a Poisson-shaped sequence
     # peaking near k = s^alpha t^(1-alpha); for alpha > 1 that peak can sit
     # far beyond both pmf tails and must be summed past explicitly.
@@ -254,7 +309,7 @@ def _oracle_power(s, t, alpha, tail_tol, max_terms):
         lp_s = _log_pmf(k, s)
         lp_t = _log_pmf(k, t)
         terms = alpha * lp_s + (1.0 - alpha) * lp_t
-        log_z = float(logsumexp([log_z, float(logsumexp(terms))]))
+        log_z = _logsumexp([log_z, _logsumexp(terms)])
         cdf_s += float(np.sum(np.exp(lp_s)))
         cdf_t += float(np.sum(np.exp(lp_t)))
         k0 += len(k)

@@ -26,8 +26,8 @@ from .errors import (InfiniteHellinger, InfiniteMass, InvalidAlpha,
                      NotAbsolutelyContinuous, QuadratureFailure)
 from .extended import INF, log_ratios
 from .measure import (DensityPair, GridIntensity, PointPattern,
-                      SmoothIntensity, intensity_from_density)
-from .quadrature import integrate_1d
+                      SmoothIntensity, density_values, intensity_from_density)
+from .quadrature import integrate_1d, probe_points
 from . import sampler as _sampler
 
 
@@ -42,12 +42,19 @@ class LogLikelihoodResult:
     notes: list[str] = field(default_factory=list)
 
 
-def _point_terms(pair: DensityPair, eta: PointPattern) -> np.ndarray:
+def _point_terms(pair: DensityPair, eta: PointPattern, probes=()) -> np.ndarray:
     """``mult * log phi`` at each point of ``eta``; ``-inf`` marks a point
-    in the zero set of the ratio, and a point where it is infinite raises."""
+    in the zero set of the ratio, and a point where it is infinite raises.
+    The locations ``probes`` (the domination probes of a smooth pair) are
+    read in the same density calls and raise where the ratio is infinite."""
     locs = [loc for loc, _ in eta.points]
+    ratios = pair.log_ratio_at(list(probes) + locs)
+    bad = np.flatnonzero(ratios[:len(probes)] == INF)
+    if len(bad):
+        raise NotAbsolutelyContinuous(
+            f"density ratio infinite near {probes[bad[0]]}")
     mult = np.array([m for _, m in eta.points], dtype=float)
-    terms = mult * pair.log_ratio_at(locs)
+    terms = mult * ratios[len(probes):]
     if INF in terms:
         raise NotAbsolutelyContinuous(
             f"density ratio infinite at {locs[terms.tolist().index(INF)]!r}; "
@@ -67,8 +74,11 @@ def log_lr_finite(pair: DensityPair, eta: PointPattern) -> LogLikelihoodResult:
     if lam == INF or mu == INF:
         raise InfiniteMass("intensity masses must be finite; "
                            "use the sigma-finite evaluator")
-    _require_ac(pair)
-    terms = _point_terms(pair, eta)
+    if pair.is_exact:
+        _require_ac(pair)
+        terms = _point_terms(pair, eta)
+    else:
+        terms = _point_terms(pair, eta, probe_points(pair.reference.bounds))
     if -INF in terms:
         return LogLikelihoodResult(False, -INF)
     return LogLikelihoodResult(True, (mu - lam) + math.fsum(terms.tolist()))
@@ -129,8 +139,13 @@ class TruncatedLogLikelihood:
                 np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0)
             return math.fsum(((pair.g - pair.f) * refmass).tolist())
         f, g, refdens = pair.f, pair.g, ref.density
-        value, _ = integrate_1d(lambda x: (g(x) - f(x)) * refdens(x),
-                                lo, hi, ref.quadrature)
+
+        def gap(x):
+            cols = (x,)
+            return ((density_values(g, cols) - density_values(f, cols))
+                    * density_values(refdens, cols))
+
+        value, _ = integrate_1d(gap, lo, hi, ref.quadrature)
         return value
 
     # -- evaluation --------------------------------------------------------

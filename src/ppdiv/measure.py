@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (DomainMismatch, OutOfWindow, PointOutsideDomain,
                      QuadratureFailure)
 from .extended import INF, ensure_extended, log_ratios
-from .quadrature import QuadratureSpec, integrate_box, probe_points
+from .quadrature import QuadratureSpec, integrate_box, probe_columns, probe_points
 
 # Total cell budget for grid refinements; beyond this the two grids are
 # treated as incommensurate.
@@ -317,7 +317,8 @@ class SmoothIntensity(IntensityModel):
 
     def total_mass(self) -> float:
         try:
-            value, _ = integrate_box(self.density, self.bounds, self.quadrature)
+            value, _ = integrate_box(lambda *x: density_values(self.density, x),
+                                     self.bounds, self.quadrature)
         except QuadratureFailure as exc:
             if self.has_unbounded_domain and exc.possibly_infinite:
                 return INF
@@ -628,8 +629,9 @@ class DensityPair:
         ref = self.reference
         refdens = ref.density
         try:
-            value, _ = integrate_box(lambda *x: density(*x) * refdens(*x),
-                                     ref.bounds, ref.quadrature)
+            value, _ = integrate_box(
+                lambda *x: density_values(density, x) * density_values(refdens, x),
+                ref.bounds, ref.quadrature)
         except QuadratureFailure as exc:
             if exc.possibly_infinite and ref.has_unbounded_domain:
                 return INF
@@ -642,17 +644,25 @@ def density_values(density, cols) -> np.ndarray:
     as :func:`ensure_extended` does.  One call on the arrays; a callable
     that cannot take arrays (a ``TypeError`` or ``ValueError``, as from
     ``math`` functions or ``if`` branches) is called once per point."""
+    values = _on_arrays(density, cols)
+    if np.count_nonzero(values >= 0.0) != values.size:
+        ensure_extended(values[~(values >= 0.0)][0], "density value")
+    return values
+
+
+def _on_arrays(func, cols) -> np.ndarray:
+    """:func:`density_values` without the value check."""
     cols = [np.asarray(c, dtype=float) for c in cols]
+    shape = cols[0].shape
     try:
-        values = np.asarray(density(*cols), dtype=float)
-        if values.shape not in ((), cols[0].shape):
+        values = np.asarray(func(*cols), dtype=float)
+        if values.shape == ():
+            return np.full(shape, values)
+        if values.shape != shape:
             raise ValueError(f"density returned shape {values.shape}")
     except (TypeError, ValueError):
-        values = np.array([density(*x) for x in zip(*(c.tolist() for c in cols))])
-    values = np.broadcast_to(values, cols[0].shape)
-    bad = ~(values >= 0.0)
-    if bad.any():
-        ensure_extended(values[bad][0], "density value")
+        values = np.array([func(*x) for x in zip(*(c.tolist() for c in cols))],
+                          dtype=float).reshape(shape)
     return values
 
 
@@ -708,10 +718,25 @@ def _as_coords(location, ndim: int) -> tuple[float, ...]:
     return loc
 
 
+def _coords(locations, ndim: int) -> np.ndarray:
+    """``(n, ndim)`` coordinates of ``locations`` (floats in one dimension,
+    coordinate sequences otherwise): one array conversion when they are
+    uniform, else one :func:`_as_coords` per location."""
+    try:
+        pts = np.array(locations, dtype=float)
+        if pts.shape == (len(locations), ndim):
+            return pts
+        if ndim == 1 and pts.shape == (len(locations),):
+            return pts[:, None]
+    except (TypeError, ValueError):
+        pass
+    return np.array([_as_coords(loc, ndim) for loc in locations],
+                    dtype=float).reshape(-1, ndim)
+
+
 def _coords_array(locations, bounds) -> np.ndarray:
     """``(n, d)`` coordinates of ``locations``, which must lie in ``bounds``."""
-    pts = np.array([_as_coords(loc, len(bounds)) for loc in locations],
-                   dtype=float).reshape(-1, len(bounds))
+    pts = _coords(locations, len(bounds))
     lo, hi = np.array(bounds).T
     outside = np.argwhere(~((pts >= lo) & (pts <= hi)))  # NaN is outside too
     if len(outside):
@@ -720,13 +745,13 @@ def _coords_array(locations, bounds) -> np.ndarray:
     return pts
 
 
-def _membership(region):
-    """Test for locations in a set of ids or a box (normalised only once)."""
+def _inside(locations, region) -> np.ndarray:
+    """Which of ``locations`` lie in ``region``, a set of ids or a box."""
     if isinstance(region, (set, frozenset)):
-        return region.__contains__
-    box = _normalize_box(region)
-    return lambda loc: all(lo <= x <= hi for x, (lo, hi)
-                           in zip(_as_coords(loc, len(box)), box))
+        return np.array([loc in region for loc in locations], dtype=bool)
+    lo, hi = np.array(_normalize_box(region)).T
+    pts = _coords(locations, len(lo))
+    return ((pts >= lo) & (pts <= hi)).all(axis=1)
 
 
 def _normalize_box(region):
@@ -772,10 +797,11 @@ class PointPattern:
             window = _normalize_box(window)
         elif isinstance(window, set):
             window = frozenset(window)
-        inside = _membership(window) if window is not None else None
-        for loc, _ in pts:
-            if inside is not None and not inside(loc):
-                raise ValueError(f"point {loc!r} lies outside the window")
+        if window is not None:
+            outside = np.flatnonzero(~_inside([loc for loc, _ in pts], window))
+            if len(outside):
+                raise ValueError(
+                    f"point {pts[outside[0]][0]!r} lies outside the window")
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "window", window)
 
@@ -790,8 +816,8 @@ def count(pattern: PointPattern, region) -> int:
     """Number of pattern points (with multiplicity) inside ``region``."""
     if pattern.window is not None and not _region_inside(region, pattern.window):
         raise OutOfWindow("region exceeds the pattern's observation window")
-    inside = _membership(region)
-    return sum(m for loc, m in pattern.points if inside(loc))
+    inside = _inside([loc for loc, _ in pattern.points], region)
+    return sum(m for (_, m), ok in zip(pattern.points, inside.tolist()) if ok)
 
 
 # ---------------------------------------------------------------------------
@@ -823,12 +849,13 @@ class MarkedModel:
         if isinstance(ref, GridIntensity) and ref.ndim != 1:
             raise TypeError("grid mark references must be one-dimensional")
         object.__setattr__(self, "mark_reference", ref)
-        for t in self._probe_locations():
-            total = math.fsum((ref.masses * self.mark_densities_at(t)).tolist())
-            if not abs(total - 1.0) <= _MARK_NORMALISATION_TOL:
-                raise ValueError(
-                    f"mark kernel is not a probability kernel at t={t!r}: "
-                    f"integral {total!r}")
+        locations = self._probe_locations()
+        totals = self.mark_table(locations) @ ref.masses
+        bad = np.flatnonzero(~(np.abs(totals - 1.0) <= _MARK_NORMALISATION_TOL))
+        if len(bad):
+            raise ValueError(
+                f"mark kernel is not a probability kernel at "
+                f"t={locations[bad[0]]!r}: integral {float(totals[bad[0]])!r}")
 
     def _probe_locations(self):
         """The base's atoms or cell centres, or the quadrature probe points
@@ -843,3 +870,24 @@ class MarkedModel:
         return np.array([self.mark_density(t, x)
                          for x in self.mark_reference.support_locations()],
                         dtype=float)
+
+    def mark_table(self, locations) -> np.ndarray:
+        """``(len(locations), marks)`` kernel densities at base locations:
+        one :meth:`mark_densities_at` per atom id of a discrete base, and
+        :meth:`mark_densities_on` the coordinates of a diffuse base."""
+        base = self.base.flattened()
+        if isinstance(base, DiscreteIntensity):
+            return np.array([self.mark_densities_at(t) for t in locations],
+                            dtype=float).reshape(len(locations),
+                                                 len(self.mark_reference.masses))
+        return self.mark_densities_on(_coords(locations, base.ndim).T)
+
+    def mark_densities_on(self, cols) -> np.ndarray:
+        """``(n, marks)`` kernel densities at the diffuse-base locations
+        with coordinate arrays ``cols``: one call per mark id, with the
+        location as one array in 1-d and a tuple of arrays otherwise (one
+        float or tuple per point for a callable that cannot take arrays)."""
+        def at(mark):
+            return lambda *t: self.mark_density(t[0] if len(t) == 1 else t, mark)
+        marks = self.mark_reference.support_locations()
+        return np.stack([_on_arrays(at(x), cols) for x in marks], axis=-1)

@@ -94,12 +94,15 @@ def compile_density(expression: str, variables: tuple[str, ...]):
         except (FloatingPointError, ZeroDivisionError) as exc:
             raise FloatingPointError(
                 f"density {expression!r} on an array of points: {exc}") from exc
-        args = np.broadcast_arrays(*args)
-        out = np.broadcast_to(np.asarray(value, dtype=float), args[0].shape)
-        bad = np.flatnonzero(~(out >= 0.0))
-        if len(bad):
-            raise fail([a.flat[bad[0]] for a in args],
-                       f"value {float(out.flat[bad[0]])!r} is not a nonnegative real")
+        shape = (args[0].shape if len(args) == 1
+                 else np.broadcast_shapes(*(np.shape(a) for a in args)))
+        out = np.asarray(value, dtype=float)
+        if out.shape != shape:
+            out = np.broadcast_to(out, shape)
+        if np.count_nonzero(out >= 0.0) != out.size:
+            bad = np.flatnonzero(~(out >= 0.0))[0]
+            raise fail([a.flat[bad] for a in np.broadcast_arrays(*args)],
+                       f"value {float(out.flat[bad])!r} is not a nonnegative real")
         return out
 
     return density
