@@ -18,7 +18,7 @@ import numpy as np
 from .divergence import DivergenceReport, _kernel_sums, tsallis
 from .errors import (InvalidAlpha, KernelMismatch, NonDiffuseBase,
                      ZeroMarkAtom)
-from .extended import INF
+from .extended import INF, ext_muls
 from .kernel import _renyi_poisson_array
 from .measure import DensityPair, DiscreteIntensity, MarkedModel, density_values
 from .quadrature import integrate_box, probe_columns
@@ -80,7 +80,7 @@ def tsallis_product(base_pair: DensityPair, K: MarkedModel, L: MarkedModel,
         weight = _mark_weight(f, g, alpha)
         cells = np.flatnonzero((w != 0.0) & (weight != 0.0))
         marks = np.array(inner.over([locs[i] for i in cells]))
-        terms = w[cells] * _ext_mul(marks, weight[cells])
+        terms = w[cells] * ext_muls(marks, weight[cells])
         if (terms == INF).any():
             return DivergenceReport(alpha, INF, 0.0,
                                     ["mark term infinite on positive mass"])
@@ -91,7 +91,7 @@ def tsallis_product(base_pair: DensityPair, K: MarkedModel, L: MarkedModel,
 
         def integrand(*x):
             weight = _mark_weight(density_values(f, x), density_values(g, x), alpha)
-            return _ext_mul(inner.on(x), weight) * density_values(refdens, x)
+            return ext_muls(inner.on(x), weight) * density_values(refdens, x)
 
         if (integrand(*probe_columns(ref.bounds)) == INF).any():
             return DivergenceReport(alpha, INF, 0.0,
@@ -115,12 +115,6 @@ def _mark_weight(f: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             weight = np.exp(alpha * np.log(f) + (1.0 - alpha) * np.log(g))
     return np.where(f == 0.0, 0.0, weight)
-
-
-def _ext_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product with the measure-theoretic rule 0 * inf = 0."""
-    with np.errstate(invalid="ignore"):
-        return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
 
 
 def flatten_product(base_pair: DensityPair, K: MarkedModel,

@@ -41,6 +41,14 @@ def ext_mul(a: float, b: float) -> float:
     return a * b
 
 
+def ext_muls(a, b) -> np.ndarray:
+    """Elementwise :func:`ext_mul` of two float arrays."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
+
+
 def log_ratio(f: float, g: float) -> float:
     """``log(f/g)`` under the ratio conventions of the module docstring.
 

@@ -6,10 +6,11 @@ the conventions 0/0 = 0 and t/0 = inf for t > 0; in particular the value
 is inf exactly when alpha >= 1, s > 0 and t = 0.
 
 It comes in two forms with the same branches.  :func:`renyi_poisson` takes
-one pair of means and serves per-point callers: quadrature integrands and
-the per-location mark divergence.  ``_renyi_poisson_array`` takes arrays of
-means and serves whole supports: the exact sums over the atoms or cells of
-discrete and grid pairs, where one numpy call replaces a Python loop.
+one pair of means; it is the public scalar form and the reference the
+array form is tested against.  ``_renyi_poisson_array`` takes arrays of
+means and serves every computation: the exact sums over the atoms or cells
+of discrete and grid pairs, and the quadrature integrands of smooth pairs,
+which evaluate it on all nodes of a round at once.
 """
 
 from __future__ import annotations
@@ -196,7 +197,12 @@ def _live_kernel(s: np.ndarray, t: np.ndarray, alpha: float) -> np.ndarray:
             if not band_all:
                 cross = np.exp(alpha * np.log(s) + one_m * np.log(t))
                 far = (alpha * s + one_m * t - cross) / one_m
-            value = band if band_all else np.where(in_band, band, far) if band_any else far
+            if band_all:
+                value = band
+            elif band_any:
+                value = np.where(in_band, band, far)
+            else:
+                value = far
         if not np.isfinite(value).all():
             m = np.maximum(s, t)
             bad = ~np.isfinite(value) & (m > 1.0)

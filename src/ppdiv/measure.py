@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (DomainMismatch, OutOfWindow, PointOutsideDomain,
                      QuadratureFailure)
 from .extended import INF, ensure_extended, log_ratios
-from .quadrature import QuadratureSpec, integrate_box, probe_columns, probe_points
+from .quadrature import QuadratureSpec, integrate_box, probe_points
 
 # Total cell budget for grid refinements; beyond this the two grids are
 # treated as incommensurate.
@@ -873,8 +873,8 @@ class MarkedModel:
 
     def mark_table(self, locations) -> np.ndarray:
         """``(len(locations), marks)`` kernel densities at base locations:
-        one :meth:`mark_densities_at` per atom id of a discrete base, and
-        :meth:`mark_densities_on` the coordinates of a diffuse base."""
+        one :meth:`mark_densities_at` per atom id of a discrete base, one
+        :meth:`mark_densities_on` on the coordinates of a diffuse base."""
         base = self.base.flattened()
         if isinstance(base, DiscreteIntensity):
             return np.array([self.mark_densities_at(t) for t in locations],

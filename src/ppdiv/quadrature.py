@@ -4,23 +4,25 @@ All smooth-model integrals run through this module so that tolerances and
 error reporting stay consistent.  The integrator is a vectorised adaptive
 Gauss-Kronrod rule (Piessens et al., *QUADPACK*, 1983; Shampine, J.
 Comput. Appl. Math. 211, 2008): the 15-point Kronrod rule with its
-embedded 7-point Gauss rule, as a tensor product on boxes of two or more
-dimensions.  Integrands take **arrays**: ``func(*cols)`` receives one
-float64 array per axis, holding the nodes of every live panel at once,
-and returns the integrand values as one array.  Each round evaluates all
-panels in one call, keeps those whose error estimate is within their
-volume's share of the tolerance, and bisects the rest, each along the
-axis with the larger error.
+embedded 7-point Gauss rule and QUADPACK's error estimate, as a tensor
+product on boxes of two or more dimensions.  Integrands take **arrays**:
+``func(*cols)`` receives one float64 array per axis, holding the nodes of
+every new panel of a round, and returns the integrand values as one
+array.  Each round bisects the panels with the largest errors, as few as
+leave the others within half the tolerance, a box across the axis whose
+Gauss rule disagrees most, and evaluates all the halves in one call.
 
 The half-line ``[lo, inf)`` is mapped onto ``(0, 1]`` by ``x = lo + t/(1-t)``
-with ``s = 1 - t`` carried as the variable (QUADPACK's ``qk15i`` map), so the
-tail panel next to ``s = 0`` can shrink far below the float spacing near 1.
+with ``s = 1 - t`` carried as the variable (QUADPACK's ``qk15i`` map), so
+the tail panel next to ``s = 0`` can shrink far below the float spacing
+near 1.  The tail panel is cut into geometric rings instead of halves;
+rings that stop shrinking outwards mean a divergent integral.
 
 A request the integrator cannot satisfy raises :class:`QuadratureFailure`
 instead of returning a silent best effort, always with
 ``possibly_infinite=True``: the panel budget ran out, a panel could not be
-split further, the integrand was not finite at a node, or the tail panel
-of a half-line stopped shrinking.
+split further, the integrand was not finite at a node, or the tail of a
+half-line stopped shrinking.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ _GOLDEN = 0.381966
 
 # Initial panels of a bounded 1-d interval.  A round costs about the same
 # for 15 or 120 nodes, and the finer start resolves features down to about
-# a hundredth of the interval.  A half-line starts from the one panel of
-# qk15i, so its nodes reach no farther out than QUADPACK's.
+# a hundredth of the interval.  A half-line starts from the one panel
+# (0, 1] of qk15i.
 _INITIAL_PANELS = 8
 
 # The tail of a half-line "stops shrinking" when the value of a ring of it

@@ -15,6 +15,7 @@ from ppdiv import (DiscreteIntensity, MarkedModel, PointPattern,
                    QuadratureFailure, SmoothIntensity, common_reference,
                    count)
 from ppdiv.divergence import _require_ac
+from ppdiv.extended import ext_mul, ext_muls
 from ppdiv.model_io import compile_density
 from ppdiv.quadrature import (QuadratureSpec, integrate_1d, integrate_box,
                               probe_points)
@@ -198,6 +199,13 @@ class TestBatchedProbes:
         marks = DiscreteIntensity([(1.0, 1.0), (2.0, 1.0), (3.0, 1.0)])
         MarkedModel(SmoothIntensity([(0, 2)], lambda t: 1.0), marks, kernel)
         assert (kernel.array_calls, kernel.scalar_calls) == (3, 0)
+
+
+def test_array_product_matches_scalar_convention():
+    a = [0.0, 0.0, INF, 2.0, INF, 3.0]
+    b = [INF, 0.0, 0.0, 0.5, 2.0, INF]
+    want = [ext_mul(x, y) for x, y in zip(a, b)]
+    np.testing.assert_array_equal(ext_muls(a, b), want)
 
 
 class TestWindows:
