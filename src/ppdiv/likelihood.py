@@ -26,8 +26,9 @@ from .errors import (InfiniteHellinger, InfiniteMass, InvalidAlpha,
                      NotAbsolutelyContinuous, QuadratureFailure)
 from .extended import INF, log_ratios
 from .measure import (DensityPair, GridIntensity, PointPattern,
-                      SmoothIntensity, density_values, intensity_from_density)
-from .quadrature import integrate_1d, probe_points
+                      SmoothIntensity, density_values, intensity_from_density,
+                      probe_locations)
+from .quadrature import integrate_1d
 from . import sampler as _sampler
 
 
@@ -78,7 +79,7 @@ def log_lr_finite(pair: DensityPair, eta: PointPattern) -> LogLikelihoodResult:
         _require_ac(pair)
         terms = _point_terms(pair, eta)
     else:
-        terms = _point_terms(pair, eta, probe_points(pair.reference.bounds))
+        terms = _point_terms(pair, eta, probe_locations(pair.reference.bounds))
     if -INF in terms:
         return LogLikelihoodResult(False, -INF)
     return LogLikelihoodResult(True, (mu - lam) + math.fsum(terms.tolist()))

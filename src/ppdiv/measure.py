@@ -745,6 +745,13 @@ def _coords_array(locations, bounds) -> np.ndarray:
     return pts
 
 
+def probe_locations(bounds) -> list:
+    """:func:`~ppdiv.quadrature.probe_points` as pattern locations: floats
+    in one dimension, coordinate tuples otherwise."""
+    points = probe_points(bounds)
+    return [p[0] for p in points] if len(bounds) == 1 else points
+
+
 def _inside(locations, region) -> np.ndarray:
     """Which of ``locations`` lie in ``region``, a set of ids or a box."""
     if isinstance(region, (set, frozenset)):
@@ -863,8 +870,7 @@ class MarkedModel:
         base = self.base.flattened()
         if isinstance(base, _EXACT):
             return base.support_locations()
-        points = probe_points(base.bounds)
-        return [p[0] for p in points] if base.ndim == 1 else points
+        return probe_locations(base.bounds)
 
     def mark_densities_at(self, t) -> np.ndarray:
         return np.array([self.mark_density(t, x)
