@@ -89,11 +89,12 @@ def compile_density(expression: str, variables: tuple[str, ...]):
 
     def density_array(scope, args):
         try:
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
+            with np.errstate(divide="raise", invalid="raise", over="call",
+                             call=_raise_overflow):
                 value = eval(code, _ARRAY_NS, scope)
         except (FloatingPointError, ZeroDivisionError) as exc:
-            raise FloatingPointError(
-                f"density {expression!r} on an array of points: {exc}") from exc
+            kind = _Overflow if isinstance(exc, OverflowError) else FloatingPointError
+            raise kind(f"density {expression!r} on an array of points: {exc}") from exc
         shape = (args[0].shape if len(args) == 1
                  else np.broadcast_shapes(*(np.shape(a) for a in args)))
         out = np.asarray(value, dtype=float)
@@ -106,6 +107,17 @@ def compile_density(expression: str, variables: tuple[str, ...]):
         return out
 
     return density
+
+
+class _Overflow(FloatingPointError, OverflowError):
+    """A density value beyond the float range on an array of points: a
+    ``FloatingPointError`` like every bad density value, and the
+    ``OverflowError`` that the scalar path's ``math`` functions raise,
+    which quadrature reads as an integrand too large to integrate."""
+
+
+def _raise_overflow(kind, flag):
+    raise _Overflow(f"{kind} encountered")
 
 
 def _smooth_variables(ndim: int) -> tuple[str, ...]:

@@ -15,14 +15,17 @@ Gauss rule disagrees most, and evaluates all the halves in one call.
 The half-line ``[lo, inf)`` is mapped onto ``(0, 1]`` by ``x = lo + t/(1-t)``
 with ``s = 1 - t`` carried as the variable (QUADPACK's ``qk15i`` map), so
 the tail panel next to ``s = 0`` can shrink far below the float spacing
-near 1.  The tail panel is cut into geometric rings instead of halves;
-rings that stop shrinking outwards mean a divergent integral.
+near 1.  Halving the tail panel leaves a geometric ring and a new tail
+panel; while the rings shrink, Wynn's epsilon algorithm extrapolates the
+tail from them (QUADPACK's ``qelg``), which settles slowly decaying power
+tails.  A tail still in error at the depth where QUADPACK evaluated a
+slow exponential tail means a divergent integral.
 
 A request the integrator cannot satisfy raises :class:`QuadratureFailure`
 instead of returning a silent best effort, always with
 ``possibly_infinite=True``: the panel budget ran out, a panel could not be
-split further, the integrand was not finite at a node, or the tail of a
-half-line stopped shrinking.
+split further, the integrand was not finite or overflowed at a node, or
+the tail of a half-line did not converge within reach.
 """
 
 from __future__ import annotations
@@ -50,12 +53,16 @@ _GOLDEN = 0.381966
 # (0, 1] of qk15i.
 _INITIAL_PANELS = 8
 
-# The tail of a half-line "stops shrinking" when the value of a ring of it
-# (see _Adaptive.run) is above this fraction of the value of the ring just
-# inside; this many stalls in a row mean the integral diverges, or converges
-# too slowly to finish.
-_TAIL_SHRINK = 0.98
-_TAIL_STALLS = 20
+# The tail panel [0, 2^-depth] of a half-line is cut no deeper than this:
+# its smallest node is then x = lo + 4.9e8, where QUADPACK's qagi evaluated
+# exp(-x/1e5) to integrate it.
+_TAIL_DEPTH = 21
+
+# Wynn's epsilon algorithm extrapolates the half-line tail from this many
+# newest entries: the older ones, from rings far from infinity, bias the
+# limit of the whole sequence by up to 5e-10 relative on tails such as
+# (2.19 + x)^-1.25 while its error estimate stays below 1e-10.
+_WYNN_WINDOW = 5
 
 # Each round splits boxes until the rest hold at most this share of the
 # tolerance.
@@ -157,8 +164,7 @@ class _Adaptive:
         lo = np.zeros_like(width)
         lo[:, 0] = np.arange(n0) * width[0, 0]
         value, err, axis = self._rules(lo, width)
-        # the tail box [0, h] of a half-line is cut into this many rings
-        rings, last_ring, stalls = 1, None, 0
+        tail = _Tail(float(value[0])) if self.half_line else None
         while True:
             total, total_err = math.fsum(value.tolist()), float(err.sum())
             if not (math.isfinite(total) and math.isfinite(total_err)):
@@ -173,34 +179,36 @@ class _Adaptive:
             rest = total_err - np.cumsum(err[order])
             under = np.flatnonzero(rest <= _SPLIT_TARGET * tol)
             split = order[:under[0] + 1 if len(under) else len(order)]
-            halve = split[lo[split, 0] > 0.0] if self.half_line else split
+            rings = 0
+            if self.half_line and (lo[split, 0] == 0.0).any():
+                rings = tail.cut_size()
+                if rings == 0:
+                    reach = self.origin[0] + 1.0 / (0.5 ** _TAIL_DEPTH * _XK01[0])
+                    self._fail(f"the half-line tail is not settled by x = {reach:.3g}; "
+                               "the integral is probably divergent", total, total_err)
+            halve = split[lo[split, 0] > 0.0] if rings else split
             new_lo, new_width = self._bisect(lo[halve], width[halve], axis[halve])
-            cut_tail = len(halve) < len(split)
-            if cut_tail:
-                # rings [h/2^(j+1), h/2^j], j < rings, outwards, then [0, h/2^rings]
-                ends = width[lo[:, 0] == 0.0][0, 0] * 0.5 ** np.arange(rings + 1)
-                if not ends[-1] > 0.0:
-                    self._fail("a panel cannot be split further", total, total_err)
-                new_lo = np.concatenate([new_lo, ends[1:, None], [[0.0]]])
+            if rings:
+                # the rings [w/2^(j+1), w/2^j], j < rings, then the tail boxes
+                # [0, w/2^j], j = 1 .. rings, of which all but the last are
+                # read only by the extrapolation
+                ends = 0.5 ** np.arange(tail.depth, tail.depth + rings + 1)
+                new_lo = np.concatenate([new_lo, ends[1:, None], np.zeros((rings, 1))])
                 new_width = np.concatenate([new_width, (ends[:-1] - ends[1:])[:, None],
-                                            ends[-1:, None]])
+                                            ends[1:, None]])
             if len(value) - len(split) + len(new_lo) > self.spec.max_subdivisions:
                 self._fail(f"{self.spec.max_subdivisions} subdivisions do not "
                            "meet the tolerance", total, total_err)
             new = self._rules(new_lo, new_width)
-            if cut_tail:
-                # A convergent tail's rings shrink outwards; while they do
-                # not, the next cut takes twice as many rings, up to the
-                # stall limit, so the nodes reach no farther than that many
-                # halvings of the tail would.
-                for ring in np.abs(new[0][-rings - 1:-1]).tolist():
-                    if last_ring is not None:
-                        stalls = stalls + 1 if ring > _TAIL_SHRINK * last_ring else 0
-                    last_ring = ring
-                    if stalls >= _TAIL_STALLS:
-                        self._fail("the half-line tail does not shrink; the "
-                                   "integral is probably divergent", total, total_err)
-                rings = 1 if stalls == 0 else min(2 * rings, _TAIL_STALLS - stalls)
+            if rings:
+                value_new, err_new = new[0], new[1]
+                value_new[-1], err_new[-1] = tail.cut(
+                    value_new[-2 * rings:-rings].tolist(), value_new[-rings:].tolist(),
+                    float(err_new[-1]))
+                keep = np.ones(len(new_lo), dtype=bool)
+                keep[-rings:-1] = False
+                new_lo, new_width = new_lo[keep], new_width[keep]
+                new = tuple(a[keep] for a in new)
             stay = np.ones(len(value), dtype=bool)
             stay[split] = False
             lo = np.concatenate([lo[stay], new_lo])
@@ -231,7 +239,11 @@ class _Adaptive:
             f = self._values([(x + self.origin[0]).reshape(-1)], (n, 15))
             if self.half_line:
                 # divided twice, as in qk15i, so that 1/s^2 never overflows alone
-                f = f / u / u
+                with np.errstate(over="ignore"):
+                    f = f / u / u
+                if not np.isfinite(f).all():
+                    self._fail("integrand is not finite at a quadrature node",
+                               None, None)
             scale = 0.5 * width[:, 0]
             rules = f @ _KG
             kron = rules[:, 0]
@@ -260,7 +272,10 @@ class _Adaptive:
 
     def _values(self, cols, grid):
         """The integrand at the nodes ``cols``, shaped as ``grid``."""
-        f = np.asarray(self.func(*cols), dtype=float)
+        try:
+            f = np.asarray(self.func(*cols), dtype=float)
+        except OverflowError as exc:
+            self._fail(f"integrand overflows at a quadrature node: {exc}", None, None)
         if f.shape != cols[0].shape:
             f = np.broadcast_to(f, cols[0].shape)
         f = f.reshape(grid)
@@ -272,6 +287,72 @@ class _Adaptive:
         raise QuadratureFailure(
             f"quadrature did not converge on {list(self.bounds)}: {reason}",
             value=value, error_estimate=error, possibly_infinite=True)
+
+
+class _Tail:
+    """The tail box ``[0, 2^-depth]`` of a half-line in ``s``, cut into
+    rings ``[w/2, w]`` from the outside in.
+
+    The rings cut so far plus the rule's value on the box left over form a
+    sequence with one entry per depth, which converges to the integral over
+    the first tail box.  Wynn's epsilon algorithm takes its limit from the
+    newest entries, and the spread of the limits at the last three depths
+    is the error (QUADPACK's ``qelg``).  The limit is used only while the
+    newest ring is smaller than the one outside it: the algorithm also
+    "sums" a growing geometric sequence, to a finite value that no
+    divergent tail has.  While rings grow, each cut takes twice as many as
+    the last, so a divergent tail reaches the depth limit in a few rounds.
+    """
+
+    def __init__(self, value: float):
+        self.depth = 0
+        self.size = 1  # rings in the next cut
+        self.rings: list[float] = []
+        self.seq = [value]
+
+    def cut_size(self) -> int:
+        return min(self.size, _TAIL_DEPTH - self.depth)
+
+    def cut(self, rings: list[float], boxes: list[float], error: float):
+        """Record a cut into ``rings`` (values, outside in) with the rule's
+        values on the tail boxes left after each, ``boxes``; return the
+        value and error to carry for the last box, whose rule error is
+        ``error``."""
+        self.depth += len(rings)
+        cut_sum = math.fsum(self.rings)
+        for ring, box in zip(rings, boxes):
+            cut_sum += ring
+            self.seq.append(cut_sum + box)
+        self.rings += rings
+        shrinking = len(self.rings) > 1 and abs(self.rings[-1]) < abs(self.rings[-2])
+        self.size = 1 if shrinking else 2 * self.size
+        if shrinking and len(self.seq) >= 5:
+            limits = [_wynn_epsilon(self.seq[max(0, n - _WYNN_WINDOW):n])
+                      for n in range(len(self.seq) - 2, len(self.seq) + 1)]
+            spread = max(abs(limits[2] - limits[1]) + abs(limits[2] - limits[0]),
+                         50.0 * _EPS * abs(limits[2]))
+            if spread < error:
+                return limits[2] - math.fsum(self.rings), spread
+        return boxes[-1], error
+
+
+def _wynn_epsilon(seq: list[float]) -> float:
+    """The limit of ``seq`` by Wynn's epsilon algorithm: the newest entry of
+    the highest even column of its table, which is exact on a sum of
+    geometric sequences with as many ratios as half the columns.  The
+    table stops at a column whose neighbouring entries agree to rounding."""
+    below = [0.0] * (len(seq) + 1)
+    column = list(seq)
+    limit = column[-1]
+    for k in range(1, len(seq)):
+        pairs = list(zip(column, column[1:]))
+        if any(abs(b - a) <= 4.0 * _EPS * max(abs(a), abs(b)) for a, b in pairs):
+            break
+        below, column = column, [c + 1.0 / (b - a)
+                                 for c, (a, b) in zip(below[1:], pairs)]
+        if k % 2 == 0:
+            limit = column[-1]
+    return limit
 
 
 def _qk_error(diff, resasc, resabs):

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -17,8 +17,8 @@ from ppdiv import (DiscreteIntensity, MarkedModel, PointPattern,
 from ppdiv.divergence import _require_ac
 from ppdiv.extended import ext_mul, ext_muls
 from ppdiv.model_io import compile_density
-from ppdiv.quadrature import (QuadratureSpec, integrate_1d, integrate_box,
-                              probe_points)
+from ppdiv.quadrature import (QuadratureSpec, _wynn_epsilon, integrate_1d,
+                              integrate_box, probe_points)
 
 INF = math.inf
 SPEC = QuadratureSpec()
@@ -55,9 +55,55 @@ class TestRegressions:
         assert density.nodes < 15 * 100
 
     def test_divergent_half_line_raises_possibly_infinite(self):
-        with pytest.raises(QuadratureFailure, match="does not shrink") as info:
-            integrate_1d(lambda x: 1.0 + np.exp(-x), 0.0, INF, SPEC)
+        counted = _Counted(lambda x: 1.0 + np.exp(-x))
+        with pytest.raises(QuadratureFailure, match="probably divergent") as info:
+            integrate_1d(counted, 0.0, INF, SPEC)
         assert info.value.possibly_infinite
+        assert counted.calls < 10
+
+    @pytest.mark.parametrize("expression", ["1", "1/(1+x)", "1/(2+x)", "x**0.5"])
+    def test_divergent_tails_stay_within_quadpack_reach(self, expression):
+        reach = []
+        density = compile_density(expression, ("x",))
+
+        def fn(x):
+            reach.append(float(x.max()))
+            return density(x)
+
+        with pytest.raises(QuadratureFailure, match="probably divergent"):
+            integrate_1d(fn, 0.0, INF, SPEC)
+        # qagi evaluated exp(-x/1e5) out to x = 4.9e8
+        assert max(reach) < 4.92e8
+
+    @pytest.mark.parametrize("expression, mass", [
+        ("(1+x)**-1.02", 50.0),
+        ("(1+x)**-1.1", 10.0),
+        ("(2+x)**-1.05", 20.0 * 2.0 ** -0.05),
+        ("(1+x)**-1.5 + exp(-x)", 3.0),
+        ("1/(1+x*x)", math.pi / 2.0),
+    ])
+    def test_slow_power_tail_is_extrapolated(self, expression, mass):
+        density = _Counted(compile_density(expression, ("x",)))
+        got = SmoothIntensity([(0.0, INF)], density).total_mass()
+        assert abs(got - mass) <= 1e-10 * mass
+        assert density.calls <= 12
+
+    @pytest.mark.parametrize("density", [
+        compile_density("exp(x/1e5)", ("x",)),
+        compile_density("x**40", ("x",)),
+        compile_density("1e-300*x**300", ("x",)),
+        lambda x: math.exp(x / 1e5),
+    ])
+    def test_growing_density_has_infinite_mass(self, density):
+        assert SmoothIntensity([(0.0, INF)], density).total_mass() == INF
+
+    def test_overflow_is_a_density_error_and_an_overflow(self):
+        density = compile_density("exp(x)", ("x",))
+        for error in (FloatingPointError, OverflowError):
+            with pytest.raises(error, match="overflow"):
+                density(np.array([1.0, 800.0]))
+        with pytest.raises(FloatingPointError, match="invalid"):
+            compile_density("sqrt(x - 2)", ("x",))(np.array([1.0]))
 
     @pytest.mark.parametrize("scale", [1.0, 100.0, 1e4])
     def test_slow_exponential_tail_converges(self, scale):
@@ -145,6 +191,25 @@ def test_half_line_against_quadpack(b, c, p, lo):
     want = integrate.quad(lambda x: b * math.exp(-c * x) + (1.0 + x) ** -p,
                           lo, INF, epsabs=1e-13, epsrel=1e-13, limit=500)[0]
     assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=st.floats(0.0, 50.0), c=st.floats(0.05, 8.0), d=st.floats(0.5, 4.0),
+       p=st.floats(1.02, 2.0), lo=st.floats(0.0, 3.0))
+# extrapolated from the whole sequence of ring sums, this tail was off by
+# 2.3e-9 with an error estimate of 4.6e-11
+@example(b=1.25, c=1.125, d=1.09375, p=1.25, lo=1.09375)
+def test_slow_half_line_tails_against_closed_form(b, c, d, p, lo):
+    got, _ = integrate_1d(lambda x: b * np.exp(-c * x) + (d + x) ** -p,
+                          lo, INF, SPEC)
+    want = b / c * math.exp(-c * lo) + (d + lo) ** (1.0 - p) / (p - 1.0)
+    assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+
+
+def test_wynn_epsilon_is_exact_on_geometric_sums():
+    seq = np.cumsum([3.0 * 0.9 ** k + 0.5 ** k for k in range(9)]).tolist()
+    assert _wynn_epsilon(seq) == pytest.approx(30.0 + 2.0, rel=1e-12)
+    assert _wynn_epsilon([1.0, 2.0, 2.0, 2.0]) == 2.0
 
 
 @settings(max_examples=20, deadline=None)
