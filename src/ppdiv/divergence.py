@@ -25,7 +25,7 @@ from .errors import (InfiniteHellinger, NotAbsolutelyContinuous,
 from .extended import INF
 from .kernel import _renyi_poisson_array
 from .measure import (DensityPair, IntensityModel, density_values,
-                      intensity_from_density)
+                      intensity_from_density, probe_locations)
 from .quadrature import integrate_box, probe_columns
 
 _ZERO_TOL = 1e-12
@@ -277,18 +277,21 @@ def tsallis_sanity_bound(pair: DensityPair) -> MassBoundCheck:
     return MassBoundCheck(lam, rhs, h * h, holds)
 
 
-def _require_ac(pair: DensityPair):
+def _require_ac(pair: DensityPair, locations=()) -> np.ndarray:
     """Raise unless f vanishes wherever g does (on the representable
-    support; probe-based for smooth pairs)."""
+    support; probe-based for smooth pairs), and return ``log(f/g)`` at
+    ``locations``, which a smooth pair reads in the same density calls as
+    its probes."""
     if pair.is_exact:
         w, f, g = pair.support_terms()
         if bool(np.any((w > 0) & (f > 0) & (g == 0))):
             raise NotAbsolutelyContinuous(
                 "first intensity has mass where the second density vanishes")
-        return
-    cols = probe_columns(pair.reference.bounds)
-    bad = np.flatnonzero((density_values(pair.f, cols) > 0.0)
-                         & (density_values(pair.g, cols) == 0.0))
+        return pair.log_ratio_at(locations)
+    probes = probe_locations(pair.reference.bounds)
+    ratios = pair.log_ratio_at(probes + list(locations))
+    bad = np.flatnonzero(ratios[:len(probes)] == INF)
     if len(bad):
-        p = tuple(c[bad[0]].item() for c in cols)
-        raise NotAbsolutelyContinuous(f"density ratio infinite near {p}")
+        raise NotAbsolutelyContinuous(
+            f"density ratio infinite near {probes[bad[0]]!r}")
+    return ratios[len(probes):]

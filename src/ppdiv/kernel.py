@@ -122,17 +122,13 @@ def _renyi_poisson_array(s, t, alpha) -> np.ndarray:
     of the libm functions.
     """
     alpha = _validate_alpha(alpha)
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if s.shape != t.shape:
-        s, t = np.broadcast_arrays(s, t)
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float),
+                               np.asarray(t, dtype=float))
     for name, v in (("s", s), ("t", t)):
-        if not (v >= 0.0).all() or np.isinf(v).any():
+        if not (np.isfinite(v).all() and (v >= 0.0).all()):
             raise ValueError(f"{name} must hold finite nonnegative reals")
     shape = s.shape
     s, t = s.reshape(-1), t.reshape(-1)
-    if len(s) <= _BLOCK:
-        return _kernel_block(s, t, alpha).reshape(shape)
     out = np.empty(s.shape)
     for i in range(0, len(s), _BLOCK):
         out[i:i + _BLOCK] = _kernel_block(s[i:i + _BLOCK], t[i:i + _BLOCK], alpha)
@@ -141,75 +137,45 @@ def _renyi_poisson_array(s, t, alpha) -> np.ndarray:
 
 def _kernel_block(s: np.ndarray, t: np.ndarray, alpha: float) -> np.ndarray:
     """The array kernel on one flat block of validated means."""
-    if alpha == 0.0:
-        return np.where(s == 0.0, t, 0.0)
-    live = (s > 0.0) & (t > 0.0)
-    if live.all():
-        return _live_kernel(s, t, alpha)
     out = np.where(s == 0.0, t, 0.0)
+    if alpha == 0.0:
+        return out
     one_m = 1.0 - alpha
     t_zero = (t == 0.0) & (s > 0.0)
     if t_zero.any():
         out[t_zero] = alpha / one_m * s[t_zero] if alpha < 1.0 else INF
-    if live.any():
-        out[live] = _live_kernel(s[live], t[live], alpha)
-    return out
-
-
-def _live_kernel(s: np.ndarray, t: np.ndarray, alpha: float) -> np.ndarray:
-    """The kernel where both means are positive.  Where the ratio lies
-    partly in the band and partly outside, both forms are evaluated
-    everywhere and ``np.where`` picks one per element, which is faster than
-    masked copies of each side."""
-    one_m = 1.0 - alpha
+    live = (s > 0.0) & (t > 0.0) & (s != t)
+    if not live.any():
+        return out
+    s, t = s[live], t[live]
+    # Both forms of a branch are evaluated everywhere and np.where picks
+    # one per element, which is faster than masked copies of each side.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = s / t
         in_band = (ratio >= _RATIO_LO) & (ratio <= _RATIO_HI)
-        band_all = in_band.all()
-        band_any = band_all or in_band.any()
         x = (s - t) / t
         if abs(one_m) <= _ALPHA_NEAR_ONE:
-            if band_all:
-                log_ratio = np.log1p(x)
-                kl = t * ((1.0 + x) * log_ratio - x)
-            else:
-                log_ratio = np.log(s) - np.log(t)
-                kl = s * log_ratio + t - s
-                if band_any:
-                    near = np.log1p(x)
-                    log_ratio = np.where(in_band, near, log_ratio)
-                    kl = np.where(in_band, t * ((1.0 + x) * near - x), kl)
-            if one_m == 0.0:
-                value = kl
-            else:
-                z = -one_m * log_ratio
-                small = np.abs(z) < _SERIES_Z
-                series = z * (1.0 / 2.0 + z * (1.0 / 6.0 + z * (1.0 / 24.0
-                                                                + z / 120.0)))
-                if small.all():
-                    excess = series
-                else:
-                    excess = np.where(small, series, (np.expm1(z) - z) / z)
-                value = kl + s * log_ratio * excess
+            log_ratio = np.where(in_band, np.log1p(x), np.log(s) - np.log(t))
+            kl = np.where(in_band, t * ((1.0 + x) * log_ratio - x),
+                          s * log_ratio + t - s)
+            z = -one_m * log_ratio
+            excess = np.where(
+                np.abs(z) < _SERIES_Z,
+                z * (1.0 / 2.0 + z * (1.0 / 6.0 + z * (1.0 / 24.0 + z / 120.0))),
+                (np.expm1(z) - z) / z)
+            value = kl + s * log_ratio * excess
         else:
-            if band_any:
-                band = t * (alpha * x - np.expm1(alpha * np.log1p(x))) / one_m
-            if not band_all:
-                cross = np.exp(alpha * np.log(s) + one_m * np.log(t))
-                far = (alpha * s + one_m * t - cross) / one_m
-            if band_all:
-                value = band
-            elif band_any:
-                value = np.where(in_band, band, far)
-            else:
-                value = far
-        if not np.isfinite(value).all():
-            m = np.maximum(s, t)
-            bad = ~np.isfinite(value) & (m > 1.0)
-            if bad.any():
-                m = m[bad]
-                value[bad] = m * _kernel_block(s[bad] / m, t[bad] / m, alpha)
-    return np.maximum(value, 0.0)
+            band = t * (alpha * x - np.expm1(alpha * np.log1p(x))) / one_m
+            cross = np.exp(alpha * np.log(s) + one_m * np.log(t))
+            far = (alpha * s + one_m * t - cross) / one_m
+            value = np.where(in_band, band, far)
+        m = np.maximum(s, t)
+        bad = ~np.isfinite(value) & (m > 1.0)
+        if bad.any():
+            m = m[bad]
+            value[bad] = m * _kernel_block(s[bad] / m, t[bad] / m, alpha)
+    out[live] = np.where(value < 0.0, 0.0, value)
+    return out
 
 
 def _log_pmf(k: np.ndarray, mean: float) -> np.ndarray:

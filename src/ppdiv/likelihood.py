@@ -26,8 +26,7 @@ from .errors import (InfiniteHellinger, InfiniteMass, InvalidAlpha,
                      NotAbsolutelyContinuous, QuadratureFailure)
 from .extended import INF, log_ratios
 from .measure import (DensityPair, GridIntensity, PointPattern,
-                      SmoothIntensity, density_values, intensity_from_density,
-                      probe_locations)
+                      SmoothIntensity, density_values, intensity_from_density)
 from .quadrature import integrate_1d
 from . import sampler as _sampler
 
@@ -43,24 +42,22 @@ class LogLikelihoodResult:
     notes: list[str] = field(default_factory=list)
 
 
-def _point_terms(pair: DensityPair, eta: PointPattern, probes=()) -> np.ndarray:
-    """``mult * log phi`` at each point of ``eta``; ``-inf`` marks a point
-    in the zero set of the ratio, and a point where it is infinite raises.
-    The locations ``probes`` (the domination probes of a smooth pair) are
-    read in the same density calls and raise where the ratio is infinite."""
-    locs = [loc for loc, _ in eta.points]
-    ratios = pair.log_ratio_at(list(probes) + locs)
-    bad = np.flatnonzero(ratios[:len(probes)] == INF)
-    if len(bad):
-        raise NotAbsolutelyContinuous(
-            f"density ratio infinite near {probes[bad[0]]}")
+def _point_terms(eta: PointPattern, ratios: np.ndarray) -> np.ndarray:
+    """``mult * log phi`` at each point of ``eta`` from the log ratios
+    ``ratios`` at its locations; ``-inf`` marks a point in the zero set of
+    the ratio, and a point where it is infinite raises."""
     mult = np.array([m for _, m in eta.points], dtype=float)
-    terms = mult * ratios[len(probes):]
+    terms = mult * ratios
     if INF in terms:
+        loc = eta.points[terms.tolist().index(INF)][0]
         raise NotAbsolutelyContinuous(
-            f"density ratio infinite at {locs[terms.tolist().index(INF)]!r}; "
+            f"density ratio infinite at {loc!r}; "
             "the first intensity is not dominated there")
     return terms
+
+
+def _locations(eta: PointPattern) -> list:
+    return [loc for loc, _ in eta.points]
 
 
 def log_lr_finite(pair: DensityPair, eta: PointPattern) -> LogLikelihoodResult:
@@ -75,11 +72,7 @@ def log_lr_finite(pair: DensityPair, eta: PointPattern) -> LogLikelihoodResult:
     if lam == INF or mu == INF:
         raise InfiniteMass("intensity masses must be finite; "
                            "use the sigma-finite evaluator")
-    if pair.is_exact:
-        _require_ac(pair)
-        terms = _point_terms(pair, eta)
-    else:
-        terms = _point_terms(pair, eta, probe_locations(pair.reference.bounds))
+    terms = _point_terms(eta, _require_ac(pair, _locations(eta)))
     if -INF in terms:
         return LogLikelihoodResult(False, -INF)
     return LogLikelihoodResult(True, (mu - lam) + math.fsum(terms.tolist()))
@@ -156,7 +149,7 @@ class TruncatedLogLikelihood:
         last pattern point differ by less than ``tol``, the truncation
         covers the whole domain, or ``n_max`` is hit (then
         ``converged=False`` with the trace kept)."""
-        terms = _point_terms(self.pair, eta)
+        terms = _point_terms(eta, self.pair.log_ratio_at(_locations(eta)))
         if -INF in terms:
             return LogLikelihoodResult(False, -INF, truncation_trace=[],
                                        converged=True)
@@ -262,5 +255,6 @@ def _smooth_loglr_batch(pair, base, size, rng, sample_from_first):
     out = np.empty(size)
     for i in range(size):
         eta = _sampler.sample_pp(model, window=None, seed=rng)
-        out[i] = base + math.fsum(_point_terms(pair, eta).tolist())
+        terms = _point_terms(eta, pair.log_ratio_at(_locations(eta)))
+        out[i] = base + math.fsum(terms.tolist())
     return out
