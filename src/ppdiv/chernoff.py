@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergence import tsallis
+from .divergence import _one_mass_infinite, tsallis
+from .errors import QuadratureFailure
 from .extended import INF, log_ratios
 from .likelihood import _sum_stat
 from .measure import DensityPair, DiscreteIntensity
@@ -47,7 +48,9 @@ def chernoff_info(pair: DensityPair, alpha_tol: float = 1e-9) -> ChernoffResult:
     evaluation reports an infinite supremum with a note.  Mutually singular
     intensities have a linear objective, with its supremum at an end of the
     interval, so a final bracket that reaches an end is compared with the
-    end itself.
+    end itself.  A smooth pair whose first evaluation raises
+    :class:`QuadratureFailure` has an infinite supremum if exactly one total
+    mass is infinite; otherwise (as for 1 against 2 on a half-line) it fails.
     """
     evals = 0
 
@@ -58,7 +61,12 @@ def chernoff_info(pair: DensityPair, alpha_tol: float = 1e-9) -> ChernoffResult:
 
     a, b = lo, hi = _ALPHA_CLIP, 1.0 - _ALPHA_CLIP
     x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f1 = g(x1)
+    try:
+        f1 = g(x1)
+    except QuadratureFailure:
+        if not _one_mass_infinite(pair):
+            raise
+        f1 = INF
     if f1 == INF:
         return ChernoffResult(INF, 0.5, evals, hi - lo,
                               ["singular pair: divergence infinite at every "

@@ -87,16 +87,18 @@ def tsallis_product(base_pair: DensityPair, K: MarkedModel, L: MarkedModel,
         extra, abserr = math.fsum(terms.tolist()), 0.0
     else:
         ref = base_pair.reference
-        f, g, refdens = base_pair.f, base_pair.g, ref.density
+        densities = base_pair.f, base_pair.g, ref.density
 
-        def integrand(*x):
-            weight = _mark_weight(density_values(f, x), density_values(g, x), alpha)
-            return ext_muls(inner.on(x), weight) * density_values(refdens, x)
+        def terms(cols, f, g, r):
+            return ext_muls(inner.on(cols), _mark_weight(f, g, alpha)) * r
 
-        if (integrand(*probe_columns(ref.bounds)) == INF).any():
+        probes = terms(probe_columns(ref.bounds), *base_pair._probe_densities)
+        if (probes == INF).any():
             return DivergenceReport(alpha, INF, 0.0,
                                     ["mark integrand infinite at probe points"])
-        extra, abserr = integrate_box(integrand, ref.bounds, ref.quadrature)
+        extra, abserr = integrate_box(
+            lambda *x: terms(x, *(density_values(d, x) for d in densities)),
+            ref.bounds, ref.quadrature)
         extra = max(extra, 0.0)
     return DivergenceReport(
         alpha, base.value + extra, base.quadrature_error_estimate + abserr,

@@ -7,7 +7,9 @@ of the array kernel for discrete and grid pairs, and for smooth pairs
 adaptive quadrature whose integrand evaluates the densities and the array
 kernel on all nodes of a round at once.
 Outputs live in [0, inf].  For smooth pairs an integrand that is infinite
-on a probe set of positive reference mass yields inf directly; a divergent
+on a probe set of positive reference mass yields inf directly; as the
+kernel is inf exactly where ``alpha >= 1``, ``f > 0`` and ``g = 0``, that
+test reads only the pair's one probe read of the densities.  A divergent
 but pointwise-finite integral surfaces as :class:`QuadratureFailure` with
 a possibly-infinite note, since quadrature cannot certify inf.
 """
@@ -16,17 +18,17 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (InfiniteHellinger, NotAbsolutelyContinuous,
                      QuadratureFailure)
 from .extended import INF
-from .kernel import _renyi_poisson_array
+from .kernel import _renyi_poisson_array, _validate_alpha
 from .measure import (DensityPair, IntensityModel, density_values,
                       intensity_from_density, probe_locations)
-from .quadrature import integrate_box, probe_columns
+from .quadrature import integrate_box
 
 _ZERO_TOL = 1e-12
 
@@ -73,7 +75,14 @@ def tsallis(pair: DensityPair, alpha: float) -> DivergenceReport:
     Equals the integral of ``renyi_poisson(f(x), g(x), alpha)`` against
     the reference measure, and thereby the order-``alpha`` Renyi
     divergence of the induced point-pattern laws for ``alpha > 0``.
+    Computed once per pair and order; each call gets a report of its own.
     """
+    alpha = _validate_alpha(alpha)
+    report = pair._memoised(alpha, lambda: _tsallis(pair, alpha))
+    return replace(report, notes=list(report.notes))
+
+
+def _tsallis(pair: DensityPair, alpha: float) -> DivergenceReport:
     if pair.is_exact:
         w, f, g = pair.support_terms()
         value = _kernel_sums(w, f[None, :], g[None, :], alpha)[0]
@@ -81,22 +90,17 @@ def tsallis(pair: DensityPair, alpha: float) -> DivergenceReport:
             return DivergenceReport(alpha, INF, 0.0,
                                     ["integrand infinite on positive mass"])
         return DivergenceReport(alpha, value, 0.0)
+    if alpha >= 1.0:
+        f, g, r = pair._probe_densities
+        if ((f > 0.0) & (g == 0.0) & (r > 0.0)).any():
+            return DivergenceReport(alpha, INF, 0.0,
+                                    ["integrand infinite at probe points"])
     ref = pair.reference
     f, g, refdens = pair.f, pair.g, ref.density
 
-    def kernel_and_reference(cols):
-        return (_renyi_poisson_array(density_values(f, cols),
-                                     density_values(g, cols), alpha),
-                density_values(refdens, cols))
-
-    k, r = kernel_and_reference(probe_columns(ref.bounds))
-    if ((k == INF) & (r > 0.0)).any():
-        return DivergenceReport(alpha, INF, 0.0,
-                                ["integrand infinite at probe points"])
-
     def integrand(*x):
-        k, r = kernel_and_reference(x)
-        return k * r
+        k = _renyi_poisson_array(density_values(f, x), density_values(g, x), alpha)
+        return k * density_values(refdens, x)
 
     value, abserr = integrate_box(integrand, ref.bounds, ref.quadrature)
     return DivergenceReport(alpha, max(value, 0.0), abserr)
@@ -146,28 +150,24 @@ def renyi_pp(pair: DensityPair, alpha: float) -> DivergenceReport:
 def hellinger_measures(pair: DensityPair) -> float:
     """Hellinger distance ``sqrt(0.5 * integral (sqrt f - sqrt g)^2 dnu)``.
 
-    Twice its square equals the order-1/2 Tsallis divergence.  Returns
-    inf when the distance is certifiably infinite (exactly one of the two
-    total masses is infinite); raises :class:`QuadratureFailure` when the
-    integral diverges without such a certificate.
+    Twice its square equals the order-1/2 Tsallis divergence, so a smooth
+    pair's value is ``sqrt(T_1/2 / 2)``.  Returns inf when the distance is
+    certifiably infinite (exactly one of the two total masses is
+    infinite); raises :class:`QuadratureFailure` when the integral
+    diverges without such a certificate.
     """
     if pair.is_exact:
         w, f, g = pair.support_terms()
         sq = (np.sqrt(f) - np.sqrt(g)) ** 2
         return math.sqrt(0.5 * math.fsum(w * sq))
-    lam, mu = pair.lambda_mass(), pair.mu_mass()
-    if (lam == INF) != (mu == INF):
-        # || sqrt f - sqrt g ||_2 >= | sqrt(lambda(S)) - sqrt(mu(S)) |
+    if _one_mass_infinite(pair):
         return INF
-    ref = pair.reference
-    f, g, refdens = pair.f, pair.g, ref.density
+    return math.sqrt(tsallis(pair, 0.5).value / 2.0)
 
-    def integrand(*x):
-        root_gap = np.sqrt(density_values(f, x)) - np.sqrt(density_values(g, x))
-        return 0.5 * root_gap ** 2 * density_values(refdens, x)
 
-    value, _ = integrate_box(integrand, ref.bounds, ref.quadrature)
-    return math.sqrt(max(value, 0.0))
+def _one_mass_infinite(pair: DensityPair) -> bool:
+    # || sqrt f - sqrt g ||_2 >= | sqrt(lambda(S)) - sqrt(mu(S)) |
+    return (pair.lambda_mass() == INF) != (pair.mu_mass() == INF)
 
 
 def hellinger_pp(pair: DensityPair) -> float:
@@ -289,7 +289,11 @@ def _require_ac(pair: DensityPair, locations=()) -> np.ndarray:
                 "first intensity has mass where the second density vanishes")
         return pair.log_ratio_at(locations)
     probes = probe_locations(pair.reference.bounds)
-    ratios = pair.log_ratio_at(probes + list(locations))
+    try:
+        ratios = pair.log_ratio_at(probes + list(locations))
+    except OverflowError as exc:
+        raise QuadratureFailure(f"a density overflows at a probe: {exc}",
+                                possibly_infinite=True) from exc
     bad = np.flatnonzero(ratios[:len(probes)] == INF)
     if len(bad):
         raise NotAbsolutelyContinuous(

@@ -33,7 +33,8 @@ import numpy as np
 from .errors import (DomainMismatch, OutOfWindow, PointOutsideDomain,
                      QuadratureFailure)
 from .extended import INF, ensure_extended, log_ratios
-from .quadrature import QuadratureSpec, integrate_box, probe_points
+from .quadrature import (QuadratureSpec, integrate_box, probe_columns,
+                         probe_points)
 
 # Total cell budget for grid refinements; beyond this the two grids are
 # treated as incommensurate.
@@ -553,6 +554,9 @@ class DensityPair:
     summation); for smooth references they are callables (quadrature).
     Infinite density values are not allowed; the measures themselves may
     still be infinite.
+
+    A pair never changes once built, so it memoises its Tsallis orders,
+    masses, reversed pair and probe read (a race at worst computes one twice).
     """
 
     reference: IntensityModel
@@ -615,13 +619,35 @@ class DensityPair:
                           density_values(self.g, cols))
 
     def swapped(self) -> "DensityPair":
-        return DensityPair(self.reference, self.g, self.f)
+        return self._memoised("swapped",
+                              lambda: DensityPair(self.reference, self.g, self.f))
 
     def lambda_mass(self) -> float:
-        return self._mass(self.f)
+        return self._memoised("lambda", lambda: self._mass(self.f))
 
     def mu_mass(self) -> float:
-        return self._mass(self.g)
+        return self._memoised("mu", lambda: self._mass(self.g))
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def _memoised(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    @cached_property
+    def _probe_densities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``f``, ``g`` and the reference density of a smooth pair at the
+        probe points; an overflow there fails as it would at a node."""
+        cols = probe_columns(self.reference.bounds)
+        try:
+            return tuple(density_values(d, cols)
+                         for d in (self.f, self.g, self.reference.density))
+        except OverflowError as exc:
+            raise QuadratureFailure(f"a density overflows at a probe: {exc}",
+                                    possibly_infinite=True) from exc
 
     def _mass(self, density) -> float:
         if self.is_exact:

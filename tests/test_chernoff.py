@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from ppdiv import (DiscreteIntensity, bayes_risk_sim, chernoff_info,
-                   common_reference)
+from ppdiv import (DiscreteIntensity, QuadratureFailure, SmoothIntensity,
+                   bayes_risk_sim, chernoff_info, common_reference)
+from ppdiv.model_io import compile_density
 
 
 def dense_grid_oracle(lam, mu, step=1e-6):
@@ -81,6 +82,36 @@ class TestChernoffInfo:
         result = chernoff_info(pair_of([1.0], [4.0]))
         assert result.bracket_width <= 1e-9
         assert result.iterations > 32
+
+
+def half_line_pair(first, second):
+    return common_reference(
+        *(SmoothIntensity([(0.0, math.inf)], compile_density(e, ("x",)))
+          for e in (first, second)))
+
+
+class TestSmoothHalfLine:
+    def test_finite_pair_against_single_atom(self):
+        # f = 3 exp(-x), g = exp(-x): T_alpha is the kernel at (3, 1), so the
+        # objective is that of one atom; no mass is integrated on the way
+        pair = half_line_pair("3*exp(-x)", "exp(-x)")
+        result = chernoff_info(pair)
+        oracle = chernoff_info(pair_of([3.0], [1.0]))
+        assert result.value == pytest.approx(oracle.value, rel=1e-8)
+        assert result.argmax_alpha == pytest.approx(oracle.argmax_alpha, abs=1e-6)
+        assert not {"lambda", "mu"} & pair._memo.keys()
+
+    @pytest.mark.parametrize("first, second", [("exp(-x)", "1"), ("1", "exp(-x)")])
+    def test_one_infinite_mass_gives_infinite_supremum(self, first, second):
+        result = chernoff_info(half_line_pair(first, second))
+        assert result.value == math.inf
+        assert result.iterations == 1
+        assert result.notes == ["singular pair: divergence infinite at every "
+                                "order in (0, 1)"]
+
+    def test_two_infinite_masses_fail(self):
+        with pytest.raises(QuadratureFailure, match="probably divergent"):
+            chernoff_info(half_line_pair("1", "2"))
 
 
 class TestBayesRisk:

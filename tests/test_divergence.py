@@ -2,17 +2,21 @@
 randomized pairs, and the absolute-continuity diagnostics."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from helpers import random_discrete_pair, random_pair
 from ppdiv import (AcRelation, DensityPair, DiscreteIntensity, GridIntensity,
-                   InfiniteHellinger, NotAbsolutelyContinuous,
+                   InfiniteHellinger, MarkedModel, NotAbsolutelyContinuous,
                    QuadratureFailure, SmoothIntensity, classify_pp_relation,
-                   common_reference, dominating_intensity, hellinger_measures,
-                   hellinger_pp, kl_pp, renyi_poisson, renyi_pp, tsallis,
-                   tsallis_sanity_bound, total_mass)
+                   common_reference, compound_renyi, dominating_intensity,
+                   hellinger_measures, hellinger_pp, kl_pp, renyi_poisson,
+                   renyi_pp, tsallis, tsallis_sanity_bound, total_mass)
+from ppdiv.model_io import compile_density
+from ppdiv.quadrature import _Adaptive
 
 INF = math.inf
 KL_2_1 = 2.0 * math.log(2.0) - 1.0
@@ -352,3 +356,108 @@ class TestMassBound:
         for _ in range(40):
             _, _, pair = random_pair(rng)
             assert tsallis_sanity_bound(pair).holds
+
+
+class TestMemo:
+    """A pair memoises its integrals: each is computed once, every caller
+    gets a report of its own, and a used pair reads as a fresh one."""
+
+    MARKS = DiscreteIntensity([("u", 1.0), ("v", 1.0)])
+
+    def smooth(self, second="2 - x*x"):
+        models = [SmoothIntensity([(0.0, 1.0)], compile_density(e, ("x",)))
+                  for e in ("1 + x", second)]
+        K = MarkedModel(models[0], self.MARKS, lambda t, x: 0.5)
+        L = MarkedModel(models[1], self.MARKS,
+                        lambda t, x: 0.25 if x == "u" else 0.75)
+        return models, K, L
+
+    def everything(self, pair, K, L):
+        return ([tsallis(pair, a).value for a in (0.0, 0.5, 1.0, 2.0)]
+                + [hellinger_measures(pair), pair.lambda_mass(), pair.mu_mass(),
+                   compound_renyi(pair, K, L, 0.5).value,
+                   tsallis(pair.swapped(), 0.0).value]
+                + list(vars(classify_pp_relation(pair)).values()))
+
+    def test_notes_are_not_shared(self):
+        (a, b), K, L = self.smooth()
+        pair = common_reference(a, b)
+        for _ in range(2):
+            assert kl_pp(pair).notes == ["kullback-leibler (order-1) divergence"]
+        assert tsallis(pair, 1.0).notes == []
+        compound_renyi(pair, K, L, 1.0)
+        assert tsallis(pair, 1.0).notes == []
+
+    def test_infinite_base_notes_are_not_shared(self):
+        # the second density vanishes on [0.5, 1], so order 2 is inf
+        (a, b), K, L = self.smooth("(x < 0.5) * 1.0")
+        pair = common_reference(a, b)
+        notes = tsallis(pair, 2.0).notes
+        assert compound_renyi(pair, K, L, 2.0).value == INF
+        assert tsallis(pair, 2.0).notes == notes == [
+            "integrand infinite at probe points"]
+
+    def test_used_pair_reads_as_fresh(self):
+        models, K, L = self.smooth()
+        used = common_reference(*models)
+        first = self.everything(used, K, L)
+        assert self.everything(used, K, L) == first
+        assert self.everything(common_reference(*models), K, L) == first
+
+    def test_exact_pair_reads_as_fresh(self):
+        a, b, pair = random_discrete_pair(np.random.default_rng(7))
+        values = [tsallis(pair, 0.5).value, pair.lambda_mass(), pair.mu_mass()]
+        assert values == [tsallis(pair, 0.5).value, pair.lambda_mass(),
+                          pair.mu_mass()]
+        fresh = common_reference(a, b)
+        assert values == [tsallis(fresh, 0.5).value, fresh.lambda_mass(),
+                          fresh.mu_mass()]
+
+    def test_each_integral_runs_once(self, monkeypatch):
+        runs = []
+        run = _Adaptive.run
+        monkeypatch.setattr(_Adaptive, "run",
+                            lambda self: runs.append(self) or run(self))
+        (a, b), K, L = self.smooth()
+        pair = common_reference(a, b)
+        for alpha in (0.0, 0.5, 1.0, 2.0):
+            tsallis(pair, alpha)
+        hellinger_measures(pair)
+        classify_pp_relation(pair)
+        compound_renyi(pair, K, L, 0.5)
+        # four orders, two masses, the backward order 0 and the mark term
+        assert len(runs) <= 8
+        runs.clear()
+        for alpha in (0.0, 0.5, 1.0, 2.0):
+            tsallis(pair, alpha)
+        hellinger_measures(pair)
+        classify_pp_relation(pair)
+        assert runs == []
+
+    def test_threads_sharing_a_pair(self):
+        # a race on the memo may compute an order twice, never differently,
+        # and every caller still owns its report
+        a, b, _ = random_discrete_pair(np.random.default_rng(9))
+        orders = [0.0, 0.25, 0.5, 1.0, 2.0] * 20
+        want = [(tsallis(common_reference(a, b), x).value, 1) for x in orders]
+        pair = common_reference(a, b)
+
+        def work(out):
+            for x in orders:
+                report = tsallis(pair, x)
+                report.notes.append("read")
+                out.append((report.value, len(report.notes)))
+
+        got = [[] for _ in range(8)]
+        threads = [threading.Thread(target=work, args=(out,)) for out in got]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * 8

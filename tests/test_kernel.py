@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ppdiv import (InvalidAlpha, NonConvergent, renyi_poisson,
                    renyi_poisson_oracle)
-from ppdiv.kernel import _BLOCK, _renyi_poisson_array
+from ppdiv.kernel import _ALPHA_NEAR_ONE, _BLOCK, _renyi_poisson_array
 
 INF = math.inf
 KL_2_1 = 2.0 * math.log(2.0) - 1.0  # frozen from the oracle below
@@ -152,6 +152,18 @@ class TestProperties:
         assert nearby == pytest.approx(at_one, abs=2e-6 * (1.0 + slope))
         if 1.0 / 3.0 <= s / t <= 3.0:
             assert nearby == pytest.approx(at_one, abs=1e-5)
+
+    @pytest.mark.parametrize("alpha", [1.0 - _ALPHA_NEAR_ONE, 1.0 + _ALPHA_NEAR_ONE])
+    def test_continuity_at_the_branch_switch(self, alpha):
+        # the array kernel takes its near-one form up to |1 - alpha| = 0.25
+        # and its far form beyond; a step to the next float on either side
+        # must not jump
+        rng = np.random.default_rng(12)
+        s, t = rng.uniform(0.0, 10.0, (2, 1000)) * 10.0 ** rng.integers(-3, 4, (2, 1000))
+        at = _renyi_poisson_array(s, t, alpha)
+        for side in (0.0, 2.0):
+            near = _renyi_poisson_array(s, t, math.nextafter(alpha, side))
+            np.testing.assert_allclose(near, at, rtol=1e-11, atol=0.0)
 
 
 _mean = st.floats(min_value=0.0, max_value=50.0)

@@ -13,7 +13,7 @@ from scipy import integrate
 
 from ppdiv import (DiscreteIntensity, MarkedModel, PointPattern,
                    QuadratureFailure, SmoothIntensity, common_reference,
-                   count)
+                   count, tsallis)
 from ppdiv.divergence import _require_ac
 from ppdiv.extended import ext_mul, ext_muls
 from ppdiv.model_io import compile_density
@@ -104,6 +104,18 @@ class TestRegressions:
                 density(np.array([1.0, 800.0]))
         with pytest.raises(FloatingPointError, match="invalid"):
             compile_density("sqrt(x - 2)", ("x",))(np.array([1.0]))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_overflow_at_a_probe_is_a_quadrature_failure(self, alpha):
+        # the half-line probes reach x = 0.1 * 2^23, where x**60 overflows;
+        # from order 1 the pair's probe read sees it before any node does
+        pair = common_reference(
+            *(SmoothIntensity([(0.0, INF)], compile_density(e, ("x",)))
+              for e in ("x**60", "1")))
+        for call in (lambda: tsallis(pair, alpha), lambda: _require_ac(pair)):
+            with pytest.raises(QuadratureFailure, match="overflow") as info:
+                call()
+            assert info.value.possibly_infinite
 
     @pytest.mark.parametrize("scale", [1.0, 100.0, 1e4])
     def test_slow_exponential_tail_converges(self, scale):
