@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .divergence import DivergenceReport, _kernel_sums, tsallis
+from .divergence import DivergenceReport, _weighted_sums, tsallis
 from .errors import (InvalidAlpha, KernelMismatch, NonDiffuseBase,
                      ZeroMarkAtom)
 from .extended import INF, ext_muls
@@ -47,8 +47,8 @@ class _MarkDivergence:
 
     def over(self, locations) -> list[float]:
         """Divergences at every location of ``locations``."""
-        return _kernel_sums(self.masses, self.K.mark_table(locations),
-                            self.L.mark_table(locations), self.alpha)
+        return _weighted_sums(self.masses, _renyi_poisson_array(
+            self.K.mark_table(locations), self.L.mark_table(locations), self.alpha))
 
 
 def tsallis_product(base_pair: DensityPair, K: MarkedModel, L: MarkedModel,

@@ -83,39 +83,43 @@ def tsallis(pair: DensityPair, alpha: float) -> DivergenceReport:
 
 
 def _tsallis(pair: DensityPair, alpha: float) -> DivergenceReport:
-    if pair.is_exact:
-        w, f, g = pair.support_terms()
-        value = _kernel_sums(w, f[None, :], g[None, :], alpha)[0]
-        if value == INF:
-            return DivergenceReport(alpha, INF, 0.0,
-                                    ["integrand infinite on positive mass"])
-        return DivergenceReport(alpha, value, 0.0)
-    if alpha >= 1.0:
+    if not pair.is_exact and alpha >= 1.0:
         f, g, r = pair._probe_densities
         if ((f > 0.0) & (g == 0.0) & (r > 0.0)).any():
             return DivergenceReport(alpha, INF, 0.0,
                                     ["integrand infinite at probe points"])
+    (value, err), = _integrals(pair, lambda f, g: _renyi_poisson_array(f, g, alpha)[None])
+    if value == INF:
+        return DivergenceReport(alpha, INF, 0.0,
+                                ["integrand infinite on positive mass"])
+    return DivergenceReport(alpha, max(value, 0.0), err)
+
+
+def _integrals(pair: DensityPair, terms, rows: int = 1, exact: bool = True):
+    """``(value, error_estimate)`` per row of the ``(rows, n)`` pointwise
+    terms ``terms(f, g)`` against the pair's reference: :func:`_weighted_sums`
+    on exact pairs, one adaptive quadrature per row on smooth ones."""
+    if pair.is_exact:
+        w, f, g = pair.support_terms()
+        return [(value, 0.0) for value in _weighted_sums(w, terms(f, g), exact)]
     ref = pair.reference
-    f, g, refdens = pair.f, pair.g, ref.density
 
-    def integrand(*x):
-        k = _renyi_poisson_array(density_values(f, x), density_values(g, x), alpha)
-        return k * density_values(refdens, x)
-
-    value, abserr = integrate_box(integrand, ref.bounds, ref.quadrature)
-    return DivergenceReport(alpha, max(value, 0.0), abserr)
+    def row(i):
+        return lambda *x: (terms(density_values(pair.f, x), density_values(pair.g, x))[i]
+                           * density_values(ref.density, x))
+    return [integrate_box(row(i), ref.bounds, ref.quadrature) for i in range(rows)]
 
 
-def _kernel_sums(w: np.ndarray, f: np.ndarray, g: np.ndarray,
-                 alpha: float) -> list[float]:
-    """Per row of the ``(rows, cells)`` density arrays, the ``math.fsum``
-    of ``w * renyi_poisson(f, g, alpha)`` over the cells with ``w > 0``;
-    a row with an infinite such term sums to inf."""
+def _weighted_sums(w: np.ndarray, terms: np.ndarray, exact: bool = True) -> list[float]:
+    """Per row of the ``(rows, cells)`` array ``terms``, the sum of ``w *
+    terms`` over the cells with ``w > 0``, correctly rounded by ``math.fsum``
+    if ``exact``, else pairwise by ``np.sum``; an infinite term gives inf."""
     pos = w > 0.0
     if not pos.all():
-        w, f, g = w[pos], f[:, pos], g[:, pos]
-    terms = w * _renyi_poisson_array(f, g, alpha)
-    return [math.fsum(row) for row in terms.tolist()]
+        w, terms = w[pos], terms[:, pos]
+    weighted = w * terms
+    return ([math.fsum(row) for row in weighted.tolist()] if exact
+            else weighted.sum(axis=1).tolist())
 
 
 def kl_pp(pair: DensityPair) -> DivergenceReport:

@@ -22,6 +22,7 @@ threads; every operation here is pure.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -556,7 +557,8 @@ class DensityPair:
     still be infinite.
 
     A pair never changes once built, so it memoises its Tsallis orders,
-    masses, reversed pair and probe read (a race at worst computes one twice).
+    masses, reversed pair and probe read, and the quadrature failure of
+    any of them (a race at worst computes one twice).
     """
 
     reference: IntensityModel
@@ -634,8 +636,13 @@ class DensityPair:
 
     def _memoised(self, key, compute):
         if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+            try:
+                self._memo[key] = compute()
+            except QuadratureFailure as exc:
+                self._memo[key] = exc.with_traceback(None)
+        if isinstance(value := self._memo[key], QuadratureFailure):
+            raise copy.copy(value)
+        return value
 
     @cached_property
     def _probe_densities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -898,20 +905,15 @@ class MarkedModel:
             return base.support_locations()
         return probe_locations(base.bounds)
 
-    def mark_densities_at(self, t) -> np.ndarray:
-        return np.array([self.mark_density(t, x)
-                         for x in self.mark_reference.support_locations()],
-                        dtype=float)
-
     def mark_table(self, locations) -> np.ndarray:
         """``(len(locations), marks)`` kernel densities at base locations:
-        one :meth:`mark_densities_at` per atom id of a discrete base, one
+        one kernel call per atom id and mark of a discrete base, one
         :meth:`mark_densities_on` on the coordinates of a diffuse base."""
         base = self.base.flattened()
         if isinstance(base, DiscreteIntensity):
-            return np.array([self.mark_densities_at(t) for t in locations],
-                            dtype=float).reshape(len(locations),
-                                                 len(self.mark_reference.masses))
+            marks = self.mark_reference.support_locations()
+            return np.array([[self.mark_density(t, x) for x in marks] for t in locations],
+                            dtype=float).reshape(len(locations), len(marks))
         return self.mark_densities_on(_coords(locations, base.ndim).T)
 
     def mark_densities_on(self, cols) -> np.ndarray:

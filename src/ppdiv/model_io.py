@@ -45,30 +45,49 @@ _ARRAY_NS = {
     "min": lambda *a: functools.reduce(np.minimum, a),
     "max": lambda *a: functools.reduce(np.maximum, a), "pow": np.power,
 }
+_ALLOWED_NODES = tuple(getattr(ast, name) for name in (
+    "Expression Constant Name Load BinOp UnaryOp Compare IfExp Call Add Sub "
+    "Mult Div FloorDiv Mod Pow UAdd USub Lt LtE Gt GtE Eq NotEq").split())
+
+
+def _check_node(node, variables, called: bool):
+    """Raise :class:`ParseError` unless ``node`` is a number (an int becomes
+    a float), a variable, arithmetic, a comparison, ``a if c else b`` or an
+    ``_EXPR_NAMES`` constant, or calls (``called``) an ``_EXPR_NAMES``
+    function by bare name."""
+    if isinstance(node, ast.Name):
+        if node.id not in variables and node.id not in _EXPR_NAMES:
+            raise ParseError(f"density expression uses unknown name {node.id!r}")
+        if called != (node.id not in variables and callable(_EXPR_NAMES[node.id])):
+            raise ParseError(f"density expression misuses the name {node.id!r}")
+    elif (not isinstance(node, _ALLOWED_NODES)
+          or isinstance(node, ast.Call) and not isinstance(node.func, ast.Name)
+          or isinstance(node, ast.Constant) and type(node.value) not in (int, float)):
+        raise ParseError(f"density expression may not use {type(node).__name__}")
+    elif isinstance(node, ast.Constant):
+        node.value = float(node.value)
 
 
 def compile_density(expression: str, variables: tuple[str, ...]):
     """Compile an arithmetic expression into a positional callable of one
     float, or one float64 array (evaluated with numpy ufuncs), per variable.
 
-    Integer literals become floats, so the expression evaluates in float
-    arithmetic: ``9**9**9`` overflows at once instead of building a
-    370-million-digit integer.  A domain error (``sqrt(-1)``, ``1/0``) or a
-    negative, NaN or complex value raises ``FloatingPointError`` naming the
-    expression.
+    Syntax that :func:`_check_node` does not allow, such as a lambda or an
+    attribute, is a :class:`ParseError`.  Integer literals become floats,
+    so the expression evaluates in float arithmetic: ``9**9**9`` overflows
+    at once instead of building a 370-million-digit integer.  A domain
+    error (``sqrt(-1)``, ``1/0``) or a negative, NaN or complex value
+    raises ``FloatingPointError`` naming the expression.
     """
     try:
         tree = ast.parse(expression, mode="eval")
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Constant) and type(node.value) is int:
-                node.value = float(node.value)
+        nodes = list(ast.walk(tree))
+        called = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
+        for node in nodes:
+            _check_node(node, variables, id(node) in called)
         code = compile(tree, "<density>", "eval")
     except (SyntaxError, OverflowError) as exc:
         raise ParseError(f"bad density expression {expression!r}: {exc}") from exc
-    for name in code.co_names:
-        if name not in _EXPR_NAMES and name not in variables:
-            raise ParseError(
-                f"density expression uses unknown name {name!r}")
 
     def fail(args, reason):
         return FloatingPointError(

@@ -296,12 +296,12 @@ class _Tail:
     The rings cut so far plus the rule's value on the box left over form a
     sequence with one entry per depth, which converges to the integral over
     the first tail box.  Wynn's epsilon algorithm takes its limit from the
-    newest entries, and the spread of the limits at the last three depths
-    is the error (QUADPACK's ``qelg``).  The limit is used only while the
-    newest ring is smaller than the one outside it: the algorithm also
-    "sums" a growing geometric sequence, to a finite value that no
-    divergent tail has.  While rings grow, each cut takes twice as many as
-    the last, so a divergent tail reaches the depth limit in a few rounds.
+    newest entries, and the spread of the limits at the last four depths is
+    the error (QUADPACK's ``qelg`` uses three).  The limit is used only while
+    the newest ring is smaller than the one outside it: the algorithm also
+    "sums" a growing geometric sequence, to a finite value that no divergent
+    tail has.  While rings grow, each cut takes twice as many as the last, so
+    a divergent tail reaches the depth limit in a few rounds.
     """
 
     def __init__(self, value: float):
@@ -326,13 +326,13 @@ class _Tail:
         self.rings += rings
         shrinking = len(self.rings) > 1 and abs(self.rings[-1]) < abs(self.rings[-2])
         self.size = 1 if shrinking else 2 * self.size
-        if shrinking and len(self.seq) >= 5:
+        if shrinking and len(self.seq) >= 6:
             limits = [_wynn_epsilon(self.seq[max(0, n - _WYNN_WINDOW):n])
-                      for n in range(len(self.seq) - 2, len(self.seq) + 1)]
-            spread = max(abs(limits[2] - limits[1]) + abs(limits[2] - limits[0]),
-                         50.0 * _EPS * abs(limits[2]))
+                      for n in range(len(self.seq) - 3, len(self.seq) + 1)]
+            spread = max(sum(abs(limits[3] - x) for x in limits[:3]),
+                         50.0 * _EPS * abs(limits[3]))
             if spread < error:
-                return limits[2] - math.fsum(self.rings), spread
+                return limits[3] - math.fsum(self.rings), spread
         return boxes[-1], error
 
 

@@ -163,9 +163,9 @@ def sample_marked(marked: MarkedModel, window=None, seed=0) -> PointPattern:
     base_rng, mark_rng = spawn_streams(seed, 2)
     base = sample_pp(marked.base, window=window, seed=base_rng)
     ref = marked.mark_reference
+    table = marked.mark_table([loc for loc, _ in base.points])
     out: dict = {}
-    for loc, mult in base.points:
-        dens = marked.mark_densities_at(loc)
+    for (loc, mult), dens in zip(base.points, table):
         for _ in range(mult):
             mark = _draw_mark(ref, dens, mark_rng)
             key = (loc, mark)

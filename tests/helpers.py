@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ppdiv import DiscreteIntensity, GridIntensity, common_reference
+from ppdiv import DiscreteIntensity, GridIntensity, common_reference, tsallis
 
 ATOM_IDS = tuple("abcdefghijkl")
 
@@ -48,3 +50,32 @@ def random_pair(rng, allow_zeros=False):
     if rng.uniform() < 0.5:
         return random_discrete_pair(rng, allow_zeros=allow_zeros)
     return random_grid_pair(rng, allow_zeros=allow_zeros)
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_chernoff(pair, alpha_tol=1e-9):
+    """``(value, argmax)`` of ``(1 - a) tsallis(pair, a)`` over
+    ``[1e-6, 1 - 1e-6]`` by one golden-section search, a final bracket
+    that reaches an end being compared with the end itself: the reference
+    for the Newton search of ``chernoff_info`` (finite objectives only)."""
+    def h(a):
+        return (1.0 - a) * tsallis(pair, a).value
+
+    a, b = lo, hi = 1e-6, 1.0 - 1e-6
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = h(x1), h(x2)
+    while b - a > alpha_tol:
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = h(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = h(x2)
+    points = [(x1, f1), (x2, f2)]
+    points += [(end, h(end)) for end in (lo, hi) if end in (a, b)]
+    arg, value = max(points, key=lambda p: p[1])
+    return value, arg

@@ -5,9 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ppdiv import (DiscreteIntensity, QuadratureFailure, SmoothIntensity,
-                   bayes_risk_sim, chernoff_info, common_reference)
+from helpers import golden_chernoff, random_pair
+from ppdiv import (DensityPair, DiscreteIntensity, QuadratureFailure,
+                   SmoothIntensity, bayes_risk_sim, chernoff_info,
+                   common_reference)
 from ppdiv.model_io import compile_density
 
 
@@ -81,7 +85,75 @@ class TestChernoffInfo:
     def test_objective_interval_recorded(self):
         result = chernoff_info(pair_of([1.0], [4.0]))
         assert result.bracket_width <= 1e-9
-        assert result.iterations > 32
+        assert 1 <= result.iterations <= 12
+
+
+def singular_pair(rng):
+    """A random exact pair with no cell where both densities are positive."""
+    _, _, pair = random_pair(rng)
+    first = rng.uniform(size=len(pair.f)) < 0.5
+    return DensityPair(pair.reference, np.where(first, pair.f, 0.0),
+                       np.where(first, 0.0, pair.g))
+
+
+def smooth_pair(bounds, first, second, variables=("x",)):
+    return common_reference(
+        *(SmoothIntensity(bounds, compile_density(e, variables))
+          for e in (first, second)))
+
+
+class TestNewtonAgainstGoldenSection:
+    """The Newton search against the golden-section search it replaced
+    (``helpers.golden_chernoff``), on the same objective."""
+
+    @staticmethod
+    def assert_agrees(pair, reference):
+        result = chernoff_info(pair)
+        value, argmax = golden_chernoff(reference)
+        assert abs(result.value - value) <= 1e-9 * (1.0 + value)
+        assert 1 <= result.iterations <= 12
+        assert result.bracket_width <= 1e-9
+        return result, argmax
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), singular=st.booleans())
+    def test_random_exact_pairs(self, seed, singular):
+        rng = np.random.default_rng(seed)
+        pair = singular_pair(rng) if singular else random_pair(rng, True)[2]
+        result, _ = self.assert_agrees(pair, pair)
+        if singular:
+            # a linear objective peaks at an end of the search interval
+            assert result.argmax_alpha in (1e-6, 1.0 - 1e-6)
+            assert result.iterations <= 2
+
+    @pytest.mark.parametrize("lam, mu", [
+        ([1.828125e-05], [11199.58]), ([1e6], [1e-6]), ([1e-300], [1.0]),
+        ([0.17788, 2.2165e-4, 262.13], [25.086, 75288.98, 0.013622]),
+    ])
+    def test_extreme_ratios(self, lam, mu):
+        # far from its root the slope is nearly exponential in the order,
+        # and unguarded Newton steps leave [0, 1]; the bracket keeps them
+        result = chernoff_info(pair_of(lam, mu))
+        value, _ = golden_chernoff(pair_of(lam, mu))
+        assert abs(result.value - value) <= 1e-9 * (1.0 + value)
+        assert result.iterations <= 16
+
+    @pytest.mark.parametrize("bounds, first, second", [
+        ([(0.0, 1.0)], "1 + x", "2 - x*x"),
+        ([(0.0, 2.0)], "exp(-x)", "(x < 1.5) * 1.0"),
+        ([(0.0, 2.0)], "(x < 1) * 3.0", "(x > 0.5) * 1.0"),
+        ([(0.0, math.inf)], "1 + 0.9*exp(-1.2*x)", "1"),
+        ([(0.0, math.inf)], "3*exp(-x)", "exp(-x)"),
+    ])
+    def test_smooth_pairs(self, bounds, first, second):
+        result, argmax = self.assert_agrees(
+            smooth_pair(bounds, first, second),
+            smooth_pair(bounds, first, second))
+        assert result.argmax_alpha == pytest.approx(argmax, abs=1e-6)
+
+    def test_planar_box(self):
+        args = ([(0.0, 1.0), (0.0, 1.0)], "1 + x0*x1", "2 - x0", ("x0", "x1"))
+        self.assert_agrees(smooth_pair(*args), smooth_pair(*args))
 
 
 def half_line_pair(first, second):

@@ -104,6 +104,15 @@ class TestDivergence:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    def test_disallowed_density_syntax_exit_code(self, files, capsys):
+        write, _ = files
+        bad = {"type": "smooth", "bounds": [[0, 1]],
+               "density": "(lambda y: y.__class__.__mro__.__len__() + 0.0)(1.0)"}
+        assert main(["divergence", write("a.json", bad),
+                     write("b.json", bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+
     def test_domain_mismatch_exit_code(self, files):
         write, _ = files
         assert main(["divergence", write("a.json", POISSON_1),

@@ -11,10 +11,11 @@ import pytest
 from helpers import random_discrete_pair, random_pair
 from ppdiv import (AcRelation, DensityPair, DiscreteIntensity, GridIntensity,
                    InfiniteHellinger, MarkedModel, NotAbsolutelyContinuous,
-                   QuadratureFailure, SmoothIntensity, classify_pp_relation,
-                   common_reference, compound_renyi, dominating_intensity,
-                   hellinger_measures, hellinger_pp, kl_pp, renyi_poisson,
-                   renyi_pp, tsallis, tsallis_sanity_bound, total_mass)
+                   QuadratureFailure, SmoothIntensity, chernoff_info,
+                   classify_pp_relation, common_reference, compound_renyi,
+                   dominating_intensity, hellinger_measures, hellinger_pp,
+                   kl_pp, renyi_poisson, renyi_pp, tsallis,
+                   tsallis_sanity_bound, total_mass)
 from ppdiv.model_io import compile_density
 from ppdiv.quadrature import _Adaptive
 
@@ -433,6 +434,31 @@ class TestMemo:
         hellinger_measures(pair)
         classify_pp_relation(pair)
         assert runs == []
+
+    def test_failures_run_once(self, monkeypatch):
+        # 1 against 2 on a half-line: the order-1/2 quadrature diverges
+        runs = []
+        run = _Adaptive.run
+        monkeypatch.setattr(_Adaptive, "run",
+                            lambda self: runs.append(self) or run(self))
+        pair = common_reference(
+            *(SmoothIntensity([(0.0, INF)], compile_density(e, ("x",)))
+              for e in ("1", "2")))
+
+        def outcomes():
+            out = [classify_pp_relation(pair)]
+            for call in (lambda: tsallis(pair, 0.5), lambda: chernoff_info(pair)):
+                with pytest.raises(QuadratureFailure) as failure:
+                    call()
+                out.append((str(failure.value), failure.value.possibly_infinite))
+            return out
+
+        first = outcomes()
+        assert runs
+        runs.clear()
+        assert outcomes() == first
+        assert runs == []
+        assert first[1:] == [first[1]] * 2 and first[1][1]
 
     def test_threads_sharing_a_pair(self):
         # a race on the memo may compute an order twice, never differently,

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppdiv import (PointPattern, SmoothIntensity, ThinningBoundMissing,
-                   common_reference, log_lr_finite, sample_pp)
+from ppdiv import (ParseError, PointPattern, SmoothIntensity,
+                   ThinningBoundMissing, common_reference, log_lr_finite,
+                   sample_pp)
 from ppdiv.measure import density_values
-from ppdiv.model_io import _EXPR_NAMES, compile_density
+from ppdiv.model_io import _EXPR_NAMES, compile_density, model_from_dict
 
 # One expression per allowed name, nonnegative and finite on [0, 1.5].
 NAME_CASES = {
@@ -86,6 +87,36 @@ class TestArrayDensity:
             density_values(lambda x: x - 0.5, [np.linspace(0.0, 1.0, 5)])
         with pytest.raises(ValueError, match="NaN"):
             density_values(lambda x: np.nan * x, [np.linspace(0.0, 1.0, 5)])
+
+
+class TestAllowList:
+    """Only numbers, variables, arithmetic, comparisons, conditionals and
+    calls of the math names by bare name compile."""
+
+    @pytest.mark.parametrize("expression", [
+        # a lambda's names live in a nested code object
+        "(lambda y: y.__class__.__mro__.__len__() + 0.0)(1.0)",
+        "[1.0 for q in (1,)][0] + x",
+        "__import__('os').system('true')", "x.real", "pi(x)", "exp + x",
+        "x(1.0)", "(1.0)(x)", "max(x, key=abs)", "min(*x)", "1j*x",
+        "True + x", "'a'", "x and 1", "not x", "~x", "x @ x", "x is x",
+    ])
+    def test_rejected_when_compiled(self, expression):
+        with pytest.raises(ParseError):
+            compile_density(expression, ("x",))
+
+    def test_rejected_when_loaded(self):
+        with pytest.raises(ParseError, match="Call"):
+            model_from_dict({"type": "smooth", "bounds": [[0, 1]],
+                             "density": "(lambda y: y.real)(1.0)"})
+
+    def test_every_allowed_node(self):
+        density = compile_density(
+            "-x // 2 % 3 + +x**2 / 4 - (x <= 1) * (x != 2) + (x > 0) * (x >= 0)"
+            " + (x == x) + (x < 1) + (1 if x > 0.5 else 2) + max(x, pi)", ("x",))
+        xs = np.linspace(0.0, 1.5, 7)
+        np.testing.assert_array_max_ulp(density_values(density, [xs]),
+                                        [density(x) for x in xs.tolist()])
 
 
 class TestBatchedThinning:

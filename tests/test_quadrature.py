@@ -192,6 +192,21 @@ def test_bounded_interval_against_quadpack(kind, a, b, c, lo, width):
     assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 
 
+@pytest.mark.parametrize("b, c, d, p, lo", [
+    (41.0, 1.75, 1.0, 2.390625, 1.875),
+    (35.165622751140475, 3.8039329336120233, 1.9467953162175604,
+     2.339315473650026, 0.499353230740577),
+])
+def test_half_line_extrapolation_is_not_trusted_early(b, c, d, p, lo):
+    # the limits at three depths agreed to 4.7e-11 here while the tail was
+    # off by 5.6e-10 (11 times the tolerance in the second case)
+    got, err = integrate_1d(lambda x: b * np.exp(-c * x) + (d + x) ** -p,
+                            lo, INF, SPEC)
+    want = b / c * math.exp(-c * lo) + (d + lo) ** (1.0 - p) / (p - 1.0)
+    assert abs(got - want) <= 1e-10 * (1.0 + want)
+    assert abs(got - want) <= max(err, 1e-15 * want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(b=st.floats(0.01, 50.0), c=st.floats(0.05, 8.0), p=st.floats(2.0, 4.0),
        lo=st.floats(0.0, 3.0))

@@ -157,6 +157,27 @@ class TestSampleMarked:
                 assert p_value > 0.01
 
 
+    def test_one_kernel_call_per_mark_on_a_diffuse_base(self):
+        calls = []
+
+        def kernel(t, x):
+            calls.append(x)
+            return 0.25 + 0.5 * t if x == "u" else 0.75 - 0.5 * t
+
+        base = SmoothIntensity([(0.0, 1.0)], lambda t: 0.0 * t + 400.0,
+                               density_bound=400.0)
+        model = MarkedModel(base, DiscreteIntensity([("u", 1.0), ("v", 1.0)]),
+                            kernel)
+        calls.clear()
+        eta = sample_marked(model, seed=3)
+        assert sum(m for _, m in eta.points) > 300
+        assert sorted(calls) == ["u", "v"]
+        # the mark frequencies follow the kernel: P(u | t) = 0.25 + t / 2
+        u = sum(m for (t, x), m in eta.points if x == "u")
+        want = sum(m * (0.25 + 0.5 * t) for (t, _), m in eta.points)
+        assert abs(u - want) <= 4.0 * math.sqrt(want)
+
+
 class TestPaths:
     def test_counting_path(self):
         eta = PointPattern([(0.3, 1), (0.7, 1)])
