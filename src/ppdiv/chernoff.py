@@ -41,9 +41,11 @@ def chernoff_info(pair: DensityPair, alpha_tol: float = 1e-9) -> ChernoffResult:
     """Maximise ``(1 - alpha) * T_alpha`` over alpha in ``[1e-6, 1 - 1e-6]``.
 
     An end where the slope points out of the interval is the maximiser (as for
-    mutually singular intensities); otherwise the Newton search of the module
-    docstring stops after a step no longer than ``alpha_tol``, and the value
-    is one :func:`tsallis` at the maximiser.  ``iterations`` counts slope
+    mutually singular intensities); by concavity only the end that the slope
+    at 1/2 points to is checked, and 1/2 is the maximiser where that slope is
+    0.  Otherwise the Newton search of the module docstring, which starts
+    from that slope, stops after a step no longer than ``alpha_tol``, and the
+    value is one :func:`tsallis` at the maximiser.  ``iterations`` counts slope
     evaluations and ``bracket_width`` is the last step's length (0 at an end).
     As ``h`` is concave and nonnegative, ``h(a) <= 2 h(1/2)``: an infinite
     ``tsallis(pair, 1/2)`` reports an infinite supremum with a note
@@ -68,19 +70,22 @@ def chernoff_info(pair: DensityPair, alpha_tol: float = 1e-9) -> ChernoffResult:
         terms = _integrals(pair, lambda f, g: _slope_terms(f, g, a), 2, exact=False)
         return [v for v, _ in terms]
 
-    if slope(lo)[0] <= 0.0:
-        a, step = lo, 0.0
-    elif slope(hi)[0] >= 0.0:
+    # by concavity 1/2 is the maximiser if h'(1/2) = 0, and otherwise only
+    # the end that h'(1/2) points to can be
+    a, (d1, d2) = 0.5, slope(0.5)
+    step = 0.0 if d1 == 0.0 else hi - lo
+    if d1 > 0.0 and slope(hi)[0] >= 0.0:
         a, step = hi, 0.0
-    else:
-        a, step = 0.5, hi - lo
-        while abs(step) > alpha_tol:
+    elif d1 < 0.0 and slope(lo)[0] <= 0.0:
+        a, step = lo, 0.0
+    while abs(step) > alpha_tol:
+        lo, hi = (a, hi) if d1 > 0.0 else (lo, a)
+        target = a - d1 / d2 if -INF < d2 < 0.0 else math.nan
+        if not lo <= target <= hi:
+            target = 0.5 * (lo + hi)
+        step, a = target - a, target
+        if abs(step) > alpha_tol:
             d1, d2 = slope(a)
-            lo, hi = (a, hi) if d1 > 0.0 else (lo, a)
-            target = a - d1 / d2 if -INF < d2 < 0.0 else math.nan
-            if not lo <= target <= hi:
-                target = 0.5 * (lo + hi)
-            step, a = target - a, target
     return ChernoffResult((1.0 - a) * tsallis(pair, a).value, a, len(evals),
                           abs(step))
 

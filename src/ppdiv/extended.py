@@ -5,10 +5,10 @@ value and NaN never is.
 
 Density ratios ``f/g`` of two densities in [0, inf) follow the
 measure-theoretic conventions ``0/0 = 0`` and ``t/0 = inf`` for ``t > 0``.
-:func:`log_ratio` and :func:`log_ratios` are the only place they are
-applied: the log ratio is ``-inf`` where ``f = 0`` (so at ``0/0`` too),
-``+inf`` where only ``g = 0``, and finite wherever both densities are
-positive, even when ``f/g`` itself leaves the float range.
+:func:`log_ratios` is the only place they are applied: the log ratio is
+``-inf`` where ``f = 0`` (so at ``0/0`` too), ``+inf`` where only
+``g = 0``, and finite wherever both densities are positive, even when
+``f/g`` itself leaves the float range.
 """
 
 from __future__ import annotations
@@ -36,39 +36,21 @@ def ensure_extended(value: float, what: str = "value") -> float:
 
 def ext_mul(a: float, b: float) -> float:
     """Product on [0, inf] with the measure-theoretic rule 0 * inf = 0."""
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    return a * b
+    return float(ext_muls(a, b))
 
 
 def ext_muls(a, b) -> np.ndarray:
-    """Elementwise :func:`ext_mul` of two float arrays."""
+    """Elementwise product of two float arrays on [0, inf], with 0 * inf = 0."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # a * b may be inf
         return np.where((a == 0.0) | (b == 0.0), 0.0, a * b)
 
 
-def log_ratio(f: float, g: float) -> float:
-    """``log(f/g)`` under the ratio conventions of the module docstring.
-
-    Takes ``log(f/g)`` when the quotient is a normal finite float and
-    ``log f - log g`` otherwise.  The library itself calls the array form
-    :func:`log_ratios`; this scalar form is the reference it is tested
-    against, one point at a time.
-    """
-    if f == 0.0:
-        return -INF
-    if g == 0.0:
-        return INF
-    q = f / g
-    if _TINY <= q < INF:
-        return math.log(q)
-    return math.log(f) - math.log(g)
-
-
 def log_ratios(f, g) -> np.ndarray:
-    """Elementwise :func:`log_ratio` of two float arrays."""
+    """Elementwise ``log(f/g)`` of two float arrays under the ratio
+    conventions of the module docstring: ``log(f/g)`` where the quotient is
+    a normal finite float, ``log f - log g`` otherwise."""
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     with np.errstate(all="ignore"):

@@ -5,12 +5,12 @@ intensity measures computed by the library.  Values live in [0, inf] with
 the conventions 0/0 = 0 and t/0 = inf for t > 0; in particular the value
 is inf exactly when alpha >= 1, s > 0 and t = 0.
 
-It comes in two forms with the same branches.  :func:`renyi_poisson` takes
-one pair of means; it is the public scalar form and the reference the
-array form is tested against.  ``_renyi_poisson_array`` takes arrays of
-means and serves every computation: the exact sums over the atoms or cells
-of discrete and grid pairs, and the quadrature integrands of smooth pairs,
-which evaluate it on all nodes of a round at once.
+There is one kernel, ``_renyi_poisson_array``, on arrays of means.  It
+serves every computation: the exact sums over the atoms or cells of
+discrete and grid pairs, and the quadrature integrands of smooth pairs,
+which evaluate it on all nodes of a round at once.  :func:`renyi_poisson`
+is its public form on one pair of means; the pmf summation of
+:func:`renyi_poisson_oracle` is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -67,60 +67,12 @@ def renyi_poisson(s: float, t: float, alpha: float) -> float:
     """
     s, t = float(s), float(t)
     _validate(s, t, alpha)
-    alpha = float(alpha)
-    if alpha == 0.0:
-        return t if s == 0.0 else 0.0
-    if s == t:
-        return 0.0
-    if s == 0.0:
-        return t
-    one_m = 1.0 - alpha
-    if t == 0.0:
-        return alpha / one_m * s if alpha < 1.0 else INF
-    in_band = _RATIO_LO <= s / t <= _RATIO_HI
-    if abs(one_m) <= _ALPHA_NEAR_ONE:
-        # With L = log(s/t) and z = -(1-alpha) L the closed form is
-        # s L + t - s + s L (expm1(z) - z) / z, which is the KL value at
-        # z = 0 and has no 1/(1-alpha) left to cancel.
-        if in_band:
-            x = (s - t) / t
-            log_ratio = math.log1p(x)
-            kl = t * ((1.0 + x) * log_ratio - x)
-        else:
-            log_ratio = math.log(s) - math.log(t)
-            kl = s * log_ratio + t - s
-        z = -one_m * log_ratio
-        if abs(z) < _SERIES_Z:
-            excess = z * (1.0 / 2.0 + z * (1.0 / 6.0 + z * (1.0 / 24.0
-                                                            + z / 120.0)))
-        else:
-            excess = (math.expm1(z) - z) / z
-        value = kl + s * log_ratio * excess
-    elif in_band:
-        x = (s - t) / t
-        value = t * (alpha * x - math.expm1(alpha * math.log1p(x))) / one_m
-    else:
-        try:
-            cross = math.exp(alpha * math.log(s) + one_m * math.log(t))
-        except OverflowError:
-            cross = INF
-        value = (alpha * s + one_m * t - cross) / one_m
-    m = max(s, t)
-    if not math.isfinite(value) and m > 1.0:
-        # An intermediate overflowed (alpha * s, or inf - inf); by degree-one
-        # homogeneity the means rescaled to at most 1 give the value, which
-        # is then inf only when it truly exceeds the float range.
-        value = m * renyi_poisson(s / m, t / m, alpha)
-    return 0.0 if value < 0.0 else value
+    return float(_renyi_poisson_array(s, t, alpha))
 
 
 def _renyi_poisson_array(s, t, alpha) -> np.ndarray:
-    """:func:`renyi_poisson` elementwise over arrays of means.
-
-    Same branches as the scalar form; alpha is validated once and the
-    means in bulk.  Values agree with the scalar form up to the last bits
-    of the libm functions.
-    """
+    """:func:`renyi_poisson` elementwise over arrays of means, with alpha
+    validated once and the means in bulk."""
     alpha = _validate_alpha(alpha)
     s, t = np.broadcast_arrays(np.asarray(s, dtype=float),
                                np.asarray(t, dtype=float))
@@ -155,6 +107,9 @@ def _kernel_block(s: np.ndarray, t: np.ndarray, alpha: float) -> np.ndarray:
         in_band = (ratio >= _RATIO_LO) & (ratio <= _RATIO_HI)
         x = (s - t) / t
         if abs(one_m) <= _ALPHA_NEAR_ONE:
+            # With L = log(s/t) and z = -(1-alpha) L the closed form is
+            # s L + t - s + s L (expm1(z) - z) / z, which is the KL value at
+            # z = 0 and has no 1/(1-alpha) left to cancel.
             log_ratio = np.where(in_band, np.log1p(x), np.log(s) - np.log(t))
             kl = np.where(in_band, t * ((1.0 + x) * log_ratio - x),
                           s * log_ratio + t - s)
@@ -169,6 +124,9 @@ def _kernel_block(s: np.ndarray, t: np.ndarray, alpha: float) -> np.ndarray:
             cross = np.exp(alpha * np.log(s) + one_m * np.log(t))
             far = (alpha * s + one_m * t - cross) / one_m
             value = np.where(in_band, band, far)
+        # An intermediate that overflowed (alpha * s, or inf - inf): by
+        # degree-one homogeneity the means rescaled to at most 1 give the
+        # value, which is then inf only when it truly exceeds the float range.
         m = np.maximum(s, t)
         bad = ~np.isfinite(value) & (m > 1.0)
         if bad.any():

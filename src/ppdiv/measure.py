@@ -674,9 +674,10 @@ class DensityPair:
 
 def density_values(density, cols) -> np.ndarray:
     """``density`` at the points with coordinate arrays ``cols``, checked
-    as :func:`ensure_extended` does.  One call on the arrays; a callable
-    that cannot take arrays (a ``TypeError`` or ``ValueError``, as from
-    ``math`` functions or ``if`` branches) is called once per point."""
+    as :func:`ensure_extended` does.  One call on the arrays, which a
+    compiled density always takes; a raw Python callable that cannot (a
+    ``TypeError`` or ``ValueError``, as from ``math`` functions or ``if``
+    branches) is called once per point."""
     values = _on_arrays(density, cols)
     if np.count_nonzero(values >= 0.0) != values.size:
         ensure_extended(values[~(values >= 0.0)][0], "density value")

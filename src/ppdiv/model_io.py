@@ -3,12 +3,11 @@
 Model files carry a ``type`` tag (``discrete``, ``grid``, ``smooth``,
 ``scale``, ``sum``, ``marked``).  Smooth densities are arithmetic
 expressions in ``x`` (or ``x0, x1, ...``; mark densities use ``t`` and
-``x``) evaluated in a restricted math namespace, and are kept on the
-model so a written file re-parses to an equal model.
+``x``), compiled once into a tree of numpy closures (:func:`compile_density`)
+and kept on the model so a written file re-parses to an equal model.
 
 Pattern files have one row per point with columns ``loc_1 .. loc_d`` and
-``multiplicity`` (default 1); sampled batches prepend a ``replicate``
-column.
+``multiplicity`` (default 1); sampled batches prepend a ``replicate`` column.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import csv
 import functools
 import json
 import math
+import operator
 from typing import Any
 
 import numpy as np
@@ -28,121 +28,112 @@ from .measure import (DiscreteIntensity, GridIntensity, IntensityModel,
                       SmoothIntensity, SummedIntensity)
 from .quadrature import QuadratureSpec
 
+# The allowed names: numpy ufuncs and constants.  min and max reduce, as a
+# bare ufunc takes a third argument as ``out``.
 _EXPR_NAMES = {
-    "exp": math.exp, "log": math.log, "log1p": math.log1p, "expm1": math.expm1,
-    "sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "atan": math.atan, "floor": math.floor, "ceil": math.ceil,
-    "abs": abs, "min": min, "max": max, "pow": pow,
-    "pi": math.pi, "e": math.e, "inf": math.inf,
-}
-_SCALAR_NS = {"__builtins__": {}, **_EXPR_NAMES}
-# ufunc twins; min and max reduce, as a bare ufunc takes a third argument as ``out``
-_ARRAY_NS = {
-    **_SCALAR_NS,
-    "exp": np.exp, "log": np.log, "log1p": np.log1p, "expm1": np.expm1,
-    "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "tan": np.tan,
-    "atan": np.arctan, "floor": np.floor, "ceil": np.ceil, "abs": np.abs,
-    "min": lambda *a: functools.reduce(np.minimum, a),
-    "max": lambda *a: functools.reduce(np.maximum, a), "pow": np.power,
-}
-_ALLOWED_NODES = tuple(getattr(ast, name) for name in (
-    "Expression Constant Name Load BinOp UnaryOp Compare IfExp Call Add Sub "
-    "Mult Div FloorDiv Mod Pow UAdd USub Lt LtE Gt GtE Eq NotEq").split())
+    "exp": np.exp, "log": np.log, "log1p": np.log1p, "expm1": np.expm1, "sqrt": np.sqrt,
+    "sin": np.sin, "cos": np.cos, "tan": np.tan, "atan": np.arctan, "floor": np.floor,
+    "ceil": np.ceil, "abs": np.abs, "pow": np.power, "pi": math.pi, "e": math.e,
+    "inf": math.inf, "min": lambda *a: functools.reduce(np.minimum, a),
+    "max": lambda *a: functools.reduce(np.maximum, a)}
+# The allowed operators.  On arrays Python's operators are numpy's ufuncs;
+# on the float64 scalars that floats become, they round as Python's do.
+_OPERATORS = {getattr(ast, node): getattr(operator, op) for node, op in zip(
+    "Add Sub Mult Div FloorDiv Mod Pow UAdd USub Lt LtE Gt GtE Eq NotEq".split(),
+    "add sub mul truediv floordiv mod pow pos neg lt le gt ge eq ne".split())}
 
 
-def _check_node(node, variables, called: bool):
-    """Raise :class:`ParseError` unless ``node`` is a number (an int becomes
-    a float), a variable, arithmetic, a comparison, ``a if c else b`` or an
-    ``_EXPR_NAMES`` constant, or calls (``called``) an ``_EXPR_NAMES``
-    function by bare name."""
-    if isinstance(node, ast.Name):
-        if node.id not in variables and node.id not in _EXPR_NAMES:
-            raise ParseError(f"density expression uses unknown name {node.id!r}")
-        if called != (node.id not in variables and callable(_EXPR_NAMES[node.id])):
-            raise ParseError(f"density expression misuses the name {node.id!r}")
-    elif (not isinstance(node, _ALLOWED_NODES)
-          or isinstance(node, ast.Call) and not isinstance(node.func, ast.Name)
-          or isinstance(node, ast.Constant) and type(node.value) not in (int, float)):
-        raise ParseError(f"density expression may not use {type(node).__name__}")
-    elif isinstance(node, ast.Constant):
-        node.value = float(node.value)
+def _build(node, variables, slots):
+    """The closure that evaluates ``node`` on the values of the variables it
+    reads, numbered in ``slots``; a node outside the tables is a ParseError."""
+    kind, fn, parts = type(node).__name__, None, []
+    if kind == "Name" and node.id in variables:
+        i = slots.setdefault(node.id, len(slots))
+        return lambda env: env[i]
+    if kind in ("Constant", "Name"):
+        value = node.value if kind == "Constant" else _EXPR_NAMES.get(node.id)
+        if type(value) in (int, float):
+            value = np.float64(value)
+            return lambda env: value
+    elif kind == "IfExp":  # each branch runs only at the points that take it
+        test, body, orelse = (_build(n, variables, slots)
+                              for n in (node.test, node.body, node.orelse))
+
+        def branch(env):
+            take = test(env) != 0.0
+            if take.all() or not take.any():
+                return body(env) if take.all() else orelse(env)
+            shape = np.broadcast_shapes(*map(np.shape, env))
+            take, out = np.broadcast_to(take, shape), np.empty(shape)
+            for run, where in ((body, take), (orelse, ~take)):
+                out[where] = run([np.broadcast_to(v, shape)[where] for v in env])
+            return out
+        return branch
+    elif kind == "Call" and type(node.func) is ast.Name and not node.keywords:
+        fn, parts = _EXPR_NAMES.get(node.func.id), node.args
+        fn = fn if len(parts) == getattr(fn, "nin", max(len(parts), 2)) else None
+    elif kind in ("UnaryOp", "BinOp"):
+        fn = _OPERATORS.get(type(node.op))
+        parts = [node.operand] if kind == "UnaryOp" else [node.left, node.right]
+    elif kind == "Compare":  # 1 where every part holds, else 0, as bools add up
+        ops = [_OPERATORS.get(type(op)) for op in node.ops]
+        fn = None if None in ops else lambda *v: functools.reduce(
+            np.logical_and, [op(a, b) for op, a, b in zip(ops, v, v[1:])]) * 1.0
+        parts = [node.left, *node.comparators]
+    if not callable(fn):
+        raise ParseError(f"density expression may not use {kind} {ast.unparse(node)!r}")
+    parts = [_build(n, variables, slots) for n in parts]
+    if len(parts) == 1:  # a direct call costs a quarter of a comprehension
+        return lambda env: fn(parts[0](env))
+    if len(parts) == 2:
+        return lambda env: fn(parts[0](env), parts[1](env))
+    return lambda env: fn(*[part(env) for part in parts])
 
 
 def compile_density(expression: str, variables: tuple[str, ...]):
-    """Compile an arithmetic expression into a positional callable of one
-    float, or one float64 array (evaluated with numpy ufuncs), per variable.
-
-    Syntax that :func:`_check_node` does not allow, such as a lambda or an
-    attribute, is a :class:`ParseError`.  Integer literals become floats,
-    so the expression evaluates in float arithmetic: ``9**9**9`` overflows
-    at once instead of building a 370-million-digit integer.  A domain
-    error (``sqrt(-1)``, ``1/0``) or a negative, NaN or complex value
-    raises ``FloatingPointError`` naming the expression.
-    """
+    """Compile an arithmetic expression, once, into a tree of numpy closures
+    that takes one float or float64 array per variable (those it never reads
+    stay as given) and returns a float or an array.  Numbers (integers become
+    floats, so ``9**9**9`` overflows at once), the variables, ``_OPERATORS``,
+    ``a if c else b`` and the ``_EXPR_NAMES`` (functions called by bare name)
+    compile; anything else is a :class:`ParseError`.  A domain error or a
+    negative or NaN value raises ``FloatingPointError`` naming the
+    expression, an overflow :class:`_Overflow`."""
+    slots: dict[str, int] = {}
     try:
-        tree = ast.parse(expression, mode="eval")
-        nodes = list(ast.walk(tree))
-        called = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
-        for node in nodes:
-            _check_node(node, variables, id(node) in called)
-        code = compile(tree, "<density>", "eval")
-    except (SyntaxError, OverflowError) as exc:
+        root = _build(ast.parse(expression, mode="eval").body, variables, slots)
+    except (SyntaxError, OverflowError, RecursionError) as exc:
         raise ParseError(f"bad density expression {expression!r}: {exc}") from exc
-
-    def fail(args, reason):
-        return FloatingPointError(
-            f"density {expression!r} at ({', '.join(map(str, args))}): {reason}")
+    read = [variables.index(name) for name in slots]
 
     def density(*args):
-        scope = dict(zip(variables, args))
-        for a in args:
-            if isinstance(a, np.ndarray):
-                return density_array(scope, args)
-        try:
-            value = eval(code, _SCALAR_NS, scope)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise fail(args, exc) from exc
-        if isinstance(value, complex) or not value >= 0.0:
-            raise fail(args, f"value {value!r} is not a nonnegative real")
-        return value
-
-    def density_array(scope, args):
+        env = [np.asarray(args[i], dtype=float)[()] for i in read]
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        shape = arrays[0].shape if len(arrays) == 1 else np.broadcast(*arrays).shape
         try:
             with np.errstate(divide="raise", invalid="raise", over="call",
                              call=_raise_overflow):
-                value = eval(code, _ARRAY_NS, scope)
-        except (FloatingPointError, ZeroDivisionError) as exc:
-            kind = _Overflow if isinstance(exc, OverflowError) else FloatingPointError
-            raise kind(f"density {expression!r} on an array of points: {exc}") from exc
-        shape = (args[0].shape if len(args) == 1
-                 else np.broadcast_shapes(*(np.shape(a) for a in args)))
-        out = np.asarray(value, dtype=float)
-        if out.shape != shape:
-            out = np.broadcast_to(out, shape)
+                out = np.asarray(root(env), dtype=float)
+        except FloatingPointError as exc:
+            at = "on an array of points" if shape else f"at {args}"
+            raise type(exc)(f"density {expression!r} {at}: {exc}") from exc
+        out = out if out.shape == shape else np.broadcast_to(out, shape)
         if np.count_nonzero(out >= 0.0) != out.size:
             bad = np.flatnonzero(~(out >= 0.0))[0]
-            raise fail([a.flat[bad] for a in np.broadcast_arrays(*args)],
-                       f"value {float(out.flat[bad])!r} is not a nonnegative real")
-        return out
+            at = ", ".join(str(a.flat[bad]) for a in np.broadcast_arrays(*args))
+            raise FloatingPointError(f"density {expression!r} at ({at}): value "
+                                     f"{float(out.flat[bad])!r} is not a nonnegative real")
+        return out if shape else float(out)
 
     return density
 
 
 class _Overflow(FloatingPointError, OverflowError):
-    """A density value beyond the float range on an array of points: a
-    ``FloatingPointError`` like every bad density value, and the
-    ``OverflowError`` that the scalar path's ``math`` functions raise,
-    which quadrature reads as an integrand too large to integrate."""
+    """An overflowing density value, which quadrature reads as divergence."""
 
 
 def _raise_overflow(kind, flag):
     raise _Overflow(f"{kind} encountered")
-
-
-def _smooth_variables(ndim: int) -> tuple[str, ...]:
-    if ndim == 1:
-        return ("x",)
-    return tuple(f"x{i}" for i in range(ndim))
 
 
 def model_from_dict(spec: dict) -> IntensityModel | MarkedModel:
@@ -158,8 +149,9 @@ def model_from_dict(spec: dict) -> IntensityModel | MarkedModel:
             return GridIntensity(tuple(tuple(b) for b in spec["bounds"]),
                                  tuple(spec["shape"]), spec["values"])
         if kind == "smooth":
-            bounds = tuple((float(lo), _parse_hi(hi)) for lo, hi in spec["bounds"])
-            variables = _smooth_variables(len(bounds))
+            bounds = tuple((float(lo), float(hi)) for lo, hi in spec["bounds"])
+            variables = (("x",) if len(bounds) == 1
+                         else tuple(f"x{i}" for i in range(len(bounds))))
             quad = QuadratureSpec(**spec.get("quadrature", {}))
             return SmoothIntensity(
                 bounds, compile_density(spec["density"], variables),
@@ -182,12 +174,6 @@ def model_from_dict(spec: dict) -> IntensityModel | MarkedModel:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad {kind!r} model spec: {exc}") from exc
     raise ParseError(f"unknown model type {kind!r}")
-
-
-def _parse_hi(hi) -> float:
-    if hi in ("inf", "Infinity"):
-        return math.inf
-    return float(hi)
 
 
 def model_to_dict(model) -> dict:
@@ -242,13 +228,8 @@ def save_model(model, path):
 # ---------------------------------------------------------------------------
 
 def _location_cells(loc):
-    if isinstance(loc, tuple):
-        return [_cell(v) for v in loc]
-    return [_cell(loc)]
-
-
-def _cell(v):
-    return v if isinstance(v, str) else repr(float(v)) if isinstance(v, float) else repr(v)
+    return [v if isinstance(v, str) else repr(float(v)) if isinstance(v, float)
+            else repr(v) for v in (loc if isinstance(loc, tuple) else (loc,))]
 
 
 def patterns_to_csv(patterns, fh):

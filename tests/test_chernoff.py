@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import golden_chernoff, random_pair
+from ppdiv import chernoff
 from ppdiv import (DensityPair, DiscreteIntensity, QuadratureFailure,
                    SmoothIntensity, bayes_risk_sim, chernoff_info,
                    common_reference)
@@ -86,6 +87,22 @@ class TestChernoffInfo:
         result = chernoff_info(pair_of([1.0], [4.0]))
         assert result.bracket_width <= 1e-9
         assert 1 <= result.iterations <= 12
+
+    @pytest.mark.parametrize("lam, mu", [([1.0], [4.0]), ([4.0], [1.0]),
+                                         ([1.0, 3.0], [2.0, 0.5])])
+    def test_interior_optimum_checks_one_end(self, monkeypatch, lam, mu):
+        # by concavity only the end that the slope at 1/2 points to is checked
+        orders = []
+        slope_terms = chernoff._slope_terms
+
+        def recorded(f, g, a):
+            orders.append(a)
+            return slope_terms(f, g, a)
+        monkeypatch.setattr(chernoff, "_slope_terms", recorded)
+        result = chernoff_info(pair_of(lam, mu))
+        assert 1e-6 < result.argmax_alpha < 1.0 - 1e-6
+        assert orders[0] == 0.5 and result.iterations == len(orders)
+        assert len({1e-6, 1.0 - 1e-6} & set(orders)) <= 1
 
 
 def singular_pair(rng):

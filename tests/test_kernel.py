@@ -1,5 +1,6 @@
-"""Scalar Poisson kernel: closed form against the pmf-summation oracle,
-plus its structural properties."""
+"""Poisson kernel: closed form against the pmf-summation oracle, its
+structural properties, and the array kernel against the scalar reference
+in ``helpers``."""
 
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import scalar_renyi_poisson
 from ppdiv import (InvalidAlpha, NonConvergent, renyi_poisson,
                    renyi_poisson_oracle)
 from ppdiv.kernel import _ALPHA_NEAR_ONE, _BLOCK, _renyi_poisson_array
@@ -195,7 +197,7 @@ class TestArrayForm:
         s = np.array([c[0] for c in cells])
         t = np.array([c[1] for c in cells])
         got = _renyi_poisson_array(s, t, alpha)
-        want = np.array([renyi_poisson(a, b, alpha) for a, b in cells])
+        want = np.array([scalar_renyi_poisson(a, b, alpha) for a, b in cells])
         assert not np.isnan(got).any()
         np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
         np.testing.assert_array_equal(got == 0.0, want == 0.0)
@@ -212,7 +214,7 @@ class TestArrayForm:
         t[rng.uniform(size=n) < 0.1] = 0.0
         s[-3:], t[-3:] = (1e308, 1e308, 1.5e308), (1e-300, 1e300, 0.5e308)
         got = _renyi_poisson_array(s.reshape(-1, 1), t.reshape(-1, 1), alpha)
-        want = np.array([renyi_poisson(a, b, alpha) for a, b in zip(s, t)])
+        want = np.array([scalar_renyi_poisson(a, b, alpha) for a, b in zip(s, t)])
         assert got.shape == (n, 1)
         np.testing.assert_array_equal(np.isinf(got[:, 0]), np.isinf(want))
         np.testing.assert_allclose(got[:, 0], want, rtol=1e-9, atol=0)
@@ -221,7 +223,7 @@ class TestArrayForm:
         s = np.array([[1.0, 2.0, 0.0], [4.0, 0.0, 3.0]])
         got = _renyi_poisson_array(s, 2.0, 0.5)
         assert got.shape == (2, 3)
-        assert got[1, 1] == renyi_poisson(0.0, 2.0, 0.5)
+        assert got[1, 1] == scalar_renyi_poisson(0.0, 2.0, 0.5)
 
     def test_validation(self):
         with pytest.raises(InvalidAlpha):

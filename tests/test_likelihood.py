@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_discrete_pair, random_pair
+from helpers import log_ratio, random_discrete_pair, random_pair
 from ppdiv import (DiscreteIntensity, GridIntensity, InfiniteHellinger,
                    InfiniteMass, InvalidAlpha, NotAbsolutelyContinuous,
                    PointPattern, SmoothIntensity, TruncatedLogLikelihood,
                    common_reference, log_lr_finite, log_lr_sigma_finite,
                    mc_divergence_estimate, sample_pp, tsallis)
 from ppdiv import likelihood
-from ppdiv.extended import log_ratio, log_ratios
+from ppdiv.extended import log_ratios
 from ppdiv.likelihood import _sum_stat
 
 INF = math.inf

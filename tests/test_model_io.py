@@ -1,8 +1,10 @@
-"""Compiled densities on arrays, and the smooth paths that call a density
-once per array of points: thinning, its bound probe and pattern
-log-ratios."""
+"""Compiled densities on arrays against the ``math`` reference in
+``helpers``, and the smooth paths that call a density once per array of
+points: thinning, its bound probe and pattern log-ratios."""
 
+import ast
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -10,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppdiv import (ParseError, PointPattern, SmoothIntensity,
-                   ThinningBoundMissing, common_reference, log_lr_finite,
-                   sample_pp)
+import ppdiv
+from helpers import math_density
+from ppdiv import (DiscreteIntensity, MarkedModel, ParseError, PointPattern,
+                   SmoothIntensity, ThinningBoundMissing, common_reference,
+                   log_lr_finite, sample_pp)
 from ppdiv.measure import density_values
 from ppdiv.model_io import _EXPR_NAMES, compile_density, model_from_dict
 
@@ -53,13 +57,15 @@ class TestArrayDensity:
         density = compile_density(NAME_CASES[name], ("x",))
         values = density(np.array(xs))
         assert values.shape == (len(xs),)
-        want = np.array([density(x) for x in xs], dtype=float)
+        reference = math_density(NAME_CASES[name], ("x",))
+        want = np.array([reference(x) for x in xs], dtype=float)
         np.testing.assert_array_max_ulp(values, want, maxulp=4)
 
     def test_two_variables_and_constants_broadcast(self):
         x0, x1 = np.array([0.0, 0.5, 2.0]), np.array([1.0, 3.0, 0.25])
         density = compile_density("min(x0, x1) + x0*x1", ("x0", "x1"))
-        want = [density(a, b) for a, b in zip(x0.tolist(), x1.tolist())]
+        reference = math_density("min(x0, x1) + x0*x1", ("x0", "x1"))
+        want = [reference(a, b) for a, b in zip(x0.tolist(), x1.tolist())]
         np.testing.assert_array_max_ulp(density(x0, x1), want, maxulp=4)
         np.testing.assert_array_equal(
             compile_density("2", ("x0", "x1"))(x0, x1), [2.0, 2.0, 2.0])
@@ -77,10 +83,36 @@ class TestArrayDensity:
     def test_raw_callables_fall_back_to_points(self):
         xs = np.linspace(0.0, 1.0, 7)
         for fn in (lambda x: 2.0 + math.sin(x),
-                   lambda x: 1.0 if x < 0.5 else 2.0,
-                   compile_density("1 if x < 0.5 else 2", ("x",))):
+                   lambda x: 1.0 if x < 0.5 else 2.0):
             np.testing.assert_array_equal(density_values(fn, [xs]),
                                           [fn(x) for x in xs.tolist()])
+
+    @pytest.mark.parametrize("expression", [
+        # the untaken branch is undefined below 2, so it must not run there
+        "sqrt(x - 2) if x > 2 else 0.5", "(0.25 < x < 0.75) + 1",
+        "1 if x < 0.5 else 2", "(x - 1 if x > 1 else 1 - x) if x != 2 else 7"])
+    def test_conditionals_and_chained_comparisons_take_one_call(self, expression):
+        xs = np.linspace(0.0, 3.0, 7)
+        density = _Counted(compile_density(expression, ("x",)))
+        got = density_values(density, [xs])
+        assert (density.array_calls, density.scalar_calls) == (1, 0)
+        reference = math_density(expression, ("x",))
+        np.testing.assert_array_equal(got, [reference(x) for x in xs.tolist()])
+
+    def test_floats_in_floats_out(self):
+        density = compile_density("sqrt(x - 2) if x > 2 else 0.5", ("x",))
+        assert type(density(1.0)) is float and density(6.0) == 2.0
+        model = SmoothIntensity([(0, 3)], density)
+        assert type(model.density_at(2.5)) is float
+        assert type(model.density_at((1.0,))) is float
+
+    def test_unread_arguments_stay_as_given(self):
+        # a constant kernel on string atom ids and string mark ids
+        model = MarkedModel(DiscreteIntensity([("a", 1.0), ("b", 2.0)]),
+                            DiscreteIntensity([("u", 1.0), ("v", 1.0)]),
+                            compile_density("0.5", ("t", "x")))
+        np.testing.assert_array_equal(model.mark_table(["a", "b"]),
+                                      np.full((2, 2), 0.5))
 
     def test_raw_callables_keep_their_value_error(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -111,12 +143,35 @@ class TestAllowList:
                              "density": "(lambda y: y.real)(1.0)"})
 
     def test_every_allowed_node(self):
-        density = compile_density(
+        expression = (
             "-x // 2 % 3 + +x**2 / 4 - (x <= 1) * (x != 2) + (x > 0) * (x >= 0)"
-            " + (x == x) + (x < 1) + (1 if x > 0.5 else 2) + max(x, pi)", ("x",))
+            " + (x == x) + (x < 1) + (1 if x > 0.5 else 2) + max(x, pi)")
+        density = compile_density(expression, ("x",))
+        reference = math_density(expression, ("x",))
         xs = np.linspace(0.0, 1.5, 7)
         np.testing.assert_array_max_ulp(density_values(density, [xs]),
-                                        [density(x) for x in xs.tolist()])
+                                        [reference(x) for x in xs.tolist()])
+
+    @pytest.mark.parametrize("expression", [
+        "exp(x, x)", "sqrt()", "min(x)", "pow(x)", "sin(x, 1, 2)"])
+    def test_wrong_argument_count_is_rejected(self, expression):
+        with pytest.raises(ParseError):
+            compile_density(expression, ("x",))
+
+    def test_long_sum_compiles(self):
+        density = compile_density(" + ".join(["x"] * 300), ("x",))
+        assert density(0.5) == 150.0
+
+    def test_library_calls_no_eval(self):
+        """No module of the library calls ``eval``, ``exec`` or
+        ``compile`` by bare name: expressions run only through the tree."""
+        calls = []
+        for path in sorted(pathlib.Path(ppdiv.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id in ("eval", "exec", "compile")):
+                    calls.append(f"{path.name}:{node.lineno} {node.func.id}")
+        assert calls == []
 
 
 class TestBatchedThinning:

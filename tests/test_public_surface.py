@@ -1,14 +1,18 @@
 """The public surface that callers and scripts rely on: the package's
-exported names, the CLI subcommands and flags, and the names of
-:class:`DiscreteIntensity` kept for callers of its pair form.  A change
-here is an API change and should be deliberate."""
+exported names, the CLI subcommands and flags, the signatures of the
+one-value entry points and the names of :class:`DiscreteIntensity` kept
+for callers of its pair form.  A change here is an API change and should
+be deliberate."""
 
 import argparse
+import inspect
 
 import numpy as np
+import pytest
 
 import ppdiv
 from ppdiv import DiscreteIntensity, cli
+from ppdiv.model_io import compile_density
 
 PUBLIC_NAMES = [
     "AcRelation", "AcVerdict", "ChernoffResult", "DensityPair",
@@ -55,6 +59,16 @@ def test_cli_subcommands_and_flags():
                   for opt in (a.option_strings or [a.dest])]
            for name, parser in sub.choices.items()}
     assert got == CLI_ARGUMENTS
+
+
+@pytest.mark.parametrize("function, parameters", [
+    (ppdiv.renyi_poisson, ["s", "t", "alpha"]), (ppdiv.ext_mul, ["a", "b"]),
+    (compile_density, ["expression", "variables"])])
+def test_signatures(function, parameters):
+    params = inspect.signature(function).parameters.values()
+    assert [p.name for p in params] == parameters
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
+               for p in params)
 
 
 def test_discrete_pair_form_names():

@@ -294,10 +294,12 @@ class TestBatchedProbes:
 
 
 def test_array_product_matches_scalar_convention():
-    a = [0.0, 0.0, INF, 2.0, INF, 3.0]
-    b = [INF, 0.0, 0.0, 0.5, 2.0, INF]
-    want = [ext_mul(x, y) for x, y in zip(a, b)]
+    a = [0.0, 0.0, INF, 2.0, INF, 3.0, 1e200]
+    b = [INF, 0.0, 0.0, 0.5, 2.0, INF, 1e200]
+    want = [0.0, 0.0, 0.0, 1.0, INF, INF, INF]
     np.testing.assert_array_equal(ext_muls(a, b), want)
+    got = [ext_mul(x, y) for x, y in zip(a, b)]
+    assert got == want and all(type(v) is float for v in got)
 
 
 class TestWindows:
