@@ -23,6 +23,7 @@ import numpy as np
 from .divergence import _integrals, _one_mass_infinite, tsallis
 from .errors import QuadratureFailure
 from .extended import INF, log_ratios
+from .kernel import _renyi_poisson_array
 from .likelihood import _sum_stat
 from .measure import DensityPair, DiscreteIntensity
 from . import sampler as _sampler
@@ -44,9 +45,10 @@ def chernoff_info(pair: DensityPair, alpha_tol: float = 1e-9) -> ChernoffResult:
     mutually singular intensities); by concavity only the end that the slope
     at 1/2 points to is checked, and 1/2 is the maximiser where that slope is
     0.  Otherwise the Newton search of the module docstring, which starts
-    from that slope, stops after a step no longer than ``alpha_tol``, and the
-    value is one :func:`tsallis` at the maximiser.  ``iterations`` counts slope
-    evaluations and ``bracket_width`` is the last step's length (0 at an end).
+    from that slope, stops after a step no longer than ``alpha_tol``; the
+    value sums or integrates :func:`_objective_terms` at the maximiser.
+    ``iterations`` counts slope evaluations and ``bracket_width`` is the
+    last step's length (0 at an end).
     As ``h`` is concave and nonnegative, ``h(a) <= 2 h(1/2)``: an infinite
     ``tsallis(pair, 1/2)`` reports an infinite supremum with a note
     (``iterations`` 1).  A smooth pair whose order-1/2 quadrature fails has an
@@ -86,8 +88,15 @@ def chernoff_info(pair: DensityPair, alpha_tol: float = 1e-9) -> ChernoffResult:
         step, a = target - a, target
         if abs(step) > alpha_tol:
             d1, d2 = slope(a)
-    return ChernoffResult((1.0 - a) * tsallis(pair, a).value, a, len(evals),
-                          abs(step))
+    (value, _), = _integrals(pair, lambda f, g: _objective_terms(f, g, a)[None])
+    return ChernoffResult(max(value, 0.0), a, len(evals), abs(step))
+
+
+def _objective_terms(f: np.ndarray, g: np.ndarray, a: float) -> np.ndarray:
+    """Pointwise terms ``(1 - a) K(f, g, a)`` of ``h(a)``, from the means
+    scaled by a power of two near ``max(f, g)``: ``K`` can overflow near 1."""
+    scale = np.ldexp(1.0, np.frexp(np.maximum(f, g))[1])
+    return scale * ((1.0 - a) * _renyi_poisson_array(f / scale, g / scale, a))
 
 
 def _slope_terms(f: np.ndarray, g: np.ndarray, a: float) -> np.ndarray:

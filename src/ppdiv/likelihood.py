@@ -127,8 +127,7 @@ class TruncatedLogLikelihood:
         pair = self.pair
         ref = pair.reference
         if isinstance(ref, GridIntensity):
-            (glo, _), step = ref.bounds[0], ref.steps[0]
-            edges = glo + np.arange(ref.shape[0] + 1) * step
+            edges = ref.edges[0]
             refmass = ref.values * np.maximum(
                 np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0)
             return math.fsum(((pair.g - pair.f) * refmass).tolist())

@@ -5,16 +5,18 @@ with:
 
 * :class:`DiscreteIntensity` -- weighted atoms on a countable support,
   identified by opaque hashable ids.
-* :class:`GridIntensity` -- an axis-aligned box split into a regular grid
-  of cells, each carrying a constant Lebesgue density.
+* :class:`GridIntensity` -- an axis-aligned box split into cells by one
+  edge array per axis, each cell carrying a constant Lebesgue density.
 * :class:`SmoothIntensity` -- a nonnegative density function on a box (or
   the half-line ``[0, inf)``), integrated by adaptive quadrature.
 
 :class:`ScaledIntensity` and :class:`SummedIntensity` combine models of a
 single class.  :func:`common_reference` reduces any same-class pair to a
 :class:`DensityPair`: densities ``(f, g)`` against one shared reference
-measure, which is the canonical input to every divergence and likelihood
-computation.  Point patterns and mark kernels round out the domain types.
+measure (for two grids, the Lebesgue measure on the join of their cell
+partitions), which is the canonical input to every divergence and
+likelihood computation.  Point patterns and mark kernels round out the
+domain types.
 
 All models are immutable after construction and safe to share across
 threads; every operation here is pure.
@@ -23,9 +25,9 @@ threads; every operation here is pure.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Sequence
 
@@ -37,10 +39,10 @@ from .extended import INF, ensure_extended, log_ratios
 from .quadrature import (QuadratureSpec, integrate_box, probe_columns,
                          probe_points)
 
-# Total cell budget for grid refinements; beyond this the two grids are
-# treated as incommensurate.
+# Cell budget for the join of two grids, checked before it is built.
 _MAX_REFINED_CELLS = 2_000_000
 
+# Grid edges closer than this, relative to the axis scale, are one edge.
 _SNAP_TOL = 1e-12
 
 
@@ -158,30 +160,49 @@ class DiscreteIntensity(IntensityModel):
 
 @dataclass(frozen=True, eq=False)
 class GridIntensity(IntensityModel):
-    """Regular grid over a finite box with a constant density per cell.
+    """Axis-aligned box split into cells with a constant density each.
 
-    ``values`` is a flat (row-major), read-only float64 array of the finite
-    nonnegative cell densities, interpreted against the Lebesgue measure.
+    ``edges`` holds one increasing read-only float64 array of cell edges
+    per axis, the grid's only geometry.  The constructor makes ``shape[d]``
+    equal cells between the ``bounds`` of axis ``d``; grids derived from
+    others (a pair's reference, a flattened sum, a dominating intensity)
+    may have unequal cells.  ``values`` holds the finite nonnegative cell
+    densities against the Lebesgue measure, flat (row-major), read-only.
     """
 
-    bounds: tuple[tuple[float, float], ...]
-    shape: tuple[int, ...]
+    edges: tuple[np.ndarray, ...]
     values: np.ndarray
 
     def __init__(self, bounds, shape, values):
         bounds = _check_bounds(bounds)
-        for lo, hi in bounds:
-            if math.isinf(hi):
-                raise ValueError("grid boxes must be bounded")
+        if any(math.isinf(hi) for _, hi in bounds):
+            raise ValueError("grid boxes must be bounded")
         shape = tuple(int(n) for n in (shape if isinstance(shape, Sequence) else (shape,)))
         if any(n < 1 for n in shape) or len(shape) != len(bounds):
             raise ValueError("shape must give a positive cell count per axis")
+        edges = [np.linspace(lo, hi, n + 1) for (lo, hi), n in zip(bounds, shape)]
+        if not all((np.diff(e) > 0.0).all() for e in edges):
+            raise ValueError("cells too narrow to tell their edges apart")
+        self._fill(edges, values)
+
+    @classmethod
+    def _on(cls, edges, values) -> "GridIntensity":
+        """Grid on the given increasing per-axis ``edges``."""
+        out = cls.__new__(cls)
+        out._fill(edges, values)
+        return out
+
+    def _fill(self, edges, values):
+        for e in edges:
+            e.flags.writeable = False
         flat = _frozen_densities(values, "cell densities")
+        shape = tuple(len(e) - 1 for e in edges)
         if len(flat) != math.prod(shape):
             raise ValueError("values length must equal the number of cells")
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "values", flat)
+        object.__setattr__(self, "bounds", tuple((float(e[0]), float(e[-1])) for e in edges))
+        object.__setattr__(self, "shape", shape)
 
     @property
     def domain_class(self) -> str:
@@ -189,15 +210,13 @@ class GridIntensity(IntensityModel):
 
     @property
     def ndim(self) -> int:
-        return len(self.bounds)
+        return len(self.edges)
 
     @cached_property
-    def steps(self) -> tuple[float, ...]:
-        return tuple((hi - lo) / n for (lo, hi), n in zip(self.bounds, self.shape))
-
-    @cached_property
-    def cell_volume(self) -> float:
-        return float(math.prod(self.steps))
+    def equal_cells(self) -> bool:
+        """Whether each axis has equal cells, up to float noise in the edges."""
+        return all(np.abs(e - np.linspace(e[0], e[-1], len(e))).max()
+                   <= _SNAP_TOL * max(abs(e[0]), abs(e[-1])) for e in self.edges)
 
     @cached_property
     def values_array(self) -> np.ndarray:
@@ -214,24 +233,21 @@ class GridIntensity(IntensityModel):
     def cell_indices(self, locations) -> np.ndarray:
         """``(n, d)`` array of the :meth:`cell_index` of each location."""
         pts = _coords_array(locations, self.bounds)
-        t = (pts - np.array(self.bounds)[:, 0]) / self.steps
-        i = np.floor(t)
-        i = np.where((i >= 1) & (t == i), i - 1, i)
-        return np.clip(i, 0, np.array(self.shape) - 1).astype(np.intp)
+        return np.stack([np.clip(np.searchsorted(e, pts[:, d]) - 1, 0, len(e) - 2)
+                         for d, e in enumerate(self.edges)], axis=-1)
 
     def density_at(self, location) -> float:
         return float(self.values_array[self.cell_index(location)])
 
     def cell_centers(self) -> np.ndarray:
-        axes = [lo + (np.arange(n) + 0.5) * step
-                for (lo, hi), n, step in zip(self.bounds, self.shape, self.steps)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*[0.5 * (e[:-1] + e[1:]) for e in self.edges], indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
     @cached_property
     def masses(self) -> np.ndarray:
         """Reference mass of each cell (density times cell volume)."""
-        out = self.values * self.cell_volume
+        volumes = functools.reduce(np.multiply.outer, map(np.diff, self.edges))
+        out = self.values * volumes.reshape(-1)
         out.flags.writeable = False
         return out
 
@@ -245,15 +261,16 @@ class GridIntensity(IntensityModel):
         return self._centres
 
     def total_mass(self) -> float:
-        return float(math.fsum(self.values.tolist()) * self.cell_volume)
+        return float(math.fsum(self.masses.tolist()))
 
     def _reweighted(self, factors) -> "GridIntensity":
-        return GridIntensity(self.bounds, self.shape, self.values * factors)
+        return GridIntensity._on(self.edges, self.values * factors)
 
     def __eq__(self, other):
         if not isinstance(other, GridIntensity):
             return NotImplemented
-        return (self.bounds == other.bounds and self.shape == other.shape
+        return (self.shape == other.shape
+                and all(map(np.array_equal, self.edges, other.edges))
                 and np.array_equal(self.values, other.values))
 
     def __hash__(self):
@@ -439,9 +456,19 @@ def _add_concrete(a, b):
 def _aligned(a, b):
     """Unit-weight reference carrying two discrete or two grid models,
     with each model's weights on it: the union of the atom ids (those of
-    ``a`` first) or the exact common grid refinement."""
+    ``a`` first) or the join of the two grids' cell partitions (each grid's
+    densities zero off its own box)."""
     if isinstance(a, GridIntensity):
-        return _refine_pair(a, b)
+        if a.ndim != b.ndim:
+            raise DomainMismatch("grids differ in dimension")
+        edges, cells_a, cells_b = zip(*map(_join_axis, a.edges, b.edges))
+        n_cells = math.prod(len(e) - 1 for e in edges)
+        if n_cells > _MAX_REFINED_CELLS:
+            raise DomainMismatch("the join of the two grids exceeds the cell budget")
+        # indices -1 and n (off the box) pick the zero padded after each axis
+        fa, fb = (np.pad(m.values_array, [(0, 1)] * m.ndim)[np.ix_(*cells)].reshape(-1)
+                  for m, cells in ((a, cells_a), (b, cells_b)))
+        return GridIntensity._on(edges, np.ones(n_cells)), fa, fb
     extra = [pid for pid in b.ids if pid not in a.index]
     ids = a.ids + tuple(extra)
     # index -1 picks the zero appended to the weights of ``b``
@@ -451,95 +478,22 @@ def _aligned(a, b):
             np.append(b.weights, 0.0)[at_b])
 
 
-# ---------------------------------------------------------------------------
-# Grid refinement
-# ---------------------------------------------------------------------------
-
-def _snap(x: float) -> Fraction:
-    fr = Fraction(x).limit_denominator(10 ** 9)
-    if abs(float(fr) - x) > _SNAP_TOL * max(1.0, abs(x)):
-        raise DomainMismatch(
-            f"grid coordinate {x!r} is not commensurate with a rational lattice")
-    return fr
-
-
-def _fraction_gcd(fractions):
-    out = fractions[0]
-    for fr in fractions[1:]:
-        num = math.gcd(out.numerator * fr.denominator,
-                       fr.numerator * out.denominator)
-        out = Fraction(num, out.denominator * fr.denominator)
-    return out
-
-
-def _refine_axis(a_lo, a_hi, n_a, b_lo, b_hi, n_b):
-    """Common regular lattice covering both axis intervals exactly."""
-    fa_lo, fa_hi = _snap(a_lo), _snap(a_hi)
-    fb_lo, fb_hi = _snap(b_lo), _snap(b_hi)
-    if min(fa_hi, fb_hi) <= max(fa_lo, fb_lo):
+def _join_axis(ea: np.ndarray, eb: np.ndarray):
+    """Edges of the join of two axis partitions, where edges closer than
+    ``_SNAP_TOL`` relative to the axis scale are one, and the partition
+    cell holding each join cell's centre in either: -1 below the box and
+    the cell count above it."""
+    if np.array_equal(ea, eb):
+        cells = np.arange(len(ea) - 1)
+        return ea, cells, cells
+    if min(ea[-1], eb[-1]) <= max(ea[0], eb[0]):
         raise DomainMismatch("grid boxes are disjoint")
-    step_a = (fa_hi - fa_lo) / n_a
-    step_b = (fb_hi - fb_lo) / n_b
-    lo = min(fa_lo, fb_lo)
-    hi = max(fa_hi, fb_hi)
-    anchors = [step_a, step_b]
-    for off in (fa_lo - lo, fb_lo - lo):
-        if off != 0:
-            anchors.append(off)
-    h = _fraction_gcd(anchors)
-    n_cells = (hi - lo) / h
-    if n_cells.denominator != 1:
-        raise DomainMismatch("grid lattices are incommensurate")
-    return float(lo), float(hi), int(n_cells), lo, h
-
-
-def _axis_map(lo_u: Fraction, h: Fraction, n_cells: int, m_lo, m_hi, m_n):
-    """Refined-axis index -> original cell index (or -1 outside the box).
-
-    ``h`` divides both the model's step and its offset from ``lo_u``, so
-    the model box starts at refined index ``k0`` and each model cell spans
-    ``q`` refined cells, both integers: refined cell ``r`` (centre
-    ``lo_u + h (r + 1/2)``) lies in model cell ``(r - k0) // q``.
-    """
-    f_lo, f_hi = _snap(m_lo), _snap(m_hi)
-    k0 = (f_lo - lo_u) / h
-    q = (f_hi - f_lo) / m_n / h
-    assert k0.denominator == 1 and q.denominator == 1
-    k0, q = int(k0), int(q)
-    r = np.arange(n_cells)
-    return np.where((r >= k0) & (r < k0 + m_n * q), (r - k0) // q, -1)
-
-
-def _refine_pair(a: GridIntensity, b: GridIntensity):
-    """Lebesgue reference grid refining both inputs, plus aligned densities."""
-    if a.ndim != b.ndim:
-        raise DomainMismatch("grids differ in dimension")
-    bounds, shape, axis_data = [], [], []
-    for d in range(a.ndim):
-        lo, hi, n_cells, f_lo, h = _refine_axis(
-            a.bounds[d][0], a.bounds[d][1], a.shape[d],
-            b.bounds[d][0], b.bounds[d][1], b.shape[d])
-        bounds.append((lo, hi))
-        shape.append(n_cells)
-        axis_data.append((f_lo, h, n_cells))
-    if math.prod(shape) > _MAX_REFINED_CELLS:
-        raise DomainMismatch("common grid refinement exceeds the cell budget")
-
-    def gather(model: GridIntensity) -> np.ndarray:
-        maps = [_axis_map(f_lo, h, n_cells, model.bounds[d][0],
-                          model.bounds[d][1], model.shape[d])
-                for d, (f_lo, h, n_cells) in enumerate(axis_data)]
-        vals = model.values_array
-        out = vals[np.ix_(*[np.clip(m, 0, s - 1) for m, s in zip(maps, model.shape)])]
-        mask = np.ones(tuple(shape), dtype=bool)
-        for d, m in enumerate(maps):
-            sel = (m >= 0)
-            mask &= sel.reshape([-1 if i == d else 1 for i in range(len(shape))])
-        return np.where(mask, out, 0.0).reshape(-1)
-
-    reference = GridIntensity(tuple(bounds), tuple(shape),
-                              np.ones(math.prod(shape)))
-    return reference, gather(a), gather(b)
+    merged = np.sort(np.concatenate([ea, eb]), kind="stable")
+    tol = _SNAP_TOL * max(abs(merged[0]), abs(merged[-1]))
+    edges = merged[np.r_[True, np.diff(merged) > tol]]
+    edges[-1] = merged[-1]
+    centres = 0.5 * (edges[:-1] + edges[1:])
+    return edges, np.searchsorted(ea, centres) - 1, np.searchsorted(eb, centres) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +671,8 @@ def common_reference(a: IntensityModel, b: IntensityModel) -> DensityPair:
     reference measure.
 
     Discrete pairs land on the counting measure over the union of their
-    supports; grid pairs on the Lebesgue measure of the exact common grid
-    refinement; smooth pairs on the Lebesgue measure of their (identical)
+    supports; grid pairs on the Lebesgue measure of the join of their cell
+    partitions; smooth pairs on the Lebesgue measure of their (identical)
     domain.  Deterministic given the inputs.
     """
     fa, fb = a.flattened(), b.flattened()

@@ -181,6 +181,8 @@ def model_to_dict(model) -> dict:
         return {"type": "discrete",
                 "atoms": [[pid, w] for pid, w in zip(model.ids, model.weights.tolist())]}
     if isinstance(model, GridIntensity):
+        if not model.equal_cells:
+            raise ParseError("grids with unequal cells have no model-file form")
         return {"type": "grid", "bounds": [list(b) for b in model.bounds],
                 "shape": list(model.shape), "values": model.values.tolist()}
     if isinstance(model, SmoothIntensity):

@@ -99,8 +99,7 @@ def _sample_discrete(m: DiscreteIntensity, window, rng) -> PointPattern:
 def _sample_grid(m: GridIntensity, window, rng) -> PointPattern:
     box = _window_box(m, window)
     lows, highs = [], []
-    for (lo, _), n, step, (blo, bhi) in zip(m.bounds, m.shape, m.steps, box):
-        edges = lo + np.arange(n + 1) * step
+    for edges, (blo, bhi) in zip(m.edges, box):
         lows.append(np.maximum(edges[:-1], blo))
         highs.append(np.maximum(np.minimum(edges[1:], bhi), lows[-1]))
     volumes = functools.reduce(np.multiply.outer, [h - l for l, h in zip(lows, highs)])
@@ -178,8 +177,8 @@ def _draw_mark(ref, dens, rng):
     idx = int(rng.choice(len(masses), p=masses / masses.sum()))
     if isinstance(ref, DiscreteIntensity):
         return ref.ids[idx]
-    lo, step = ref.bounds[0][0], ref.steps[0]
-    return float(rng.uniform(lo + idx * step, lo + (idx + 1) * step))
+    edges = ref.edges[0]
+    return float(rng.uniform(edges[idx], edges[idx + 1]))
 
 
 @dataclass(frozen=True)

@@ -75,11 +75,10 @@ def test_03_hellinger_chain():
 
 
 def _split_grid(model, n_parts):
-    lo, _ = model.bounds[0]
-    step = model.steps[0]
+    edges = model.edges[0]
     parts = []
     for idxs in np.array_split(np.arange(model.shape[0]), n_parts):
-        sub_bounds = [(lo + idxs[0] * step, lo + (idxs[-1] + 1) * step)]
+        sub_bounds = [(edges[idxs[0]], edges[idxs[-1] + 1])]
         parts.append(GridIntensity(sub_bounds, [len(idxs)],
                                    [model.values[i] for i in idxs]))
     return parts

@@ -59,6 +59,14 @@ class TestChernoffInfo:
         # each atom contributes 0.5*5 - 2 = 0.5 at the middle order
         assert result.value == pytest.approx(1.0, abs=1e-9)
 
+    def test_value_near_the_float_limit_is_finite(self):
+        # T_a = h(a) / (1 - a) overflows at the maximiser; h(a) does not
+        result = chernoff_info(pair_of([1e307], [1.0]))
+        a = result.argmax_alpha
+        assert a == pytest.approx(0.99072, abs=1e-5)
+        want = a * 1e307 + (1.0 - a) - 1e307 ** a
+        assert result.value == pytest.approx(want, rel=1e-9)
+
     def test_random_pairs_against_oracle(self):
         rng = np.random.default_rng(55)
         for _ in range(10):

@@ -380,6 +380,14 @@ class TestModelFiles:
         save_model(model, path)
         assert model_to_dict(load_model(path)) == model_to_dict(model)
 
+    def test_grid_with_unequal_cells_has_no_file_form(self):
+        flat = ppdiv.SummedIntensity(
+            [GridIntensity([(0, 1)], [2], [1.0, 2.0]),
+             GridIntensity([(0, 1)], [3], [3.0, 1.0, 2.0])]).flattened()
+        assert flat.shape == (4,)
+        with pytest.raises(ppdiv.ParseError, match="unequal cells"):
+            model_to_dict(flat)
+
     def test_expression_name_whitelist(self):
         with pytest.raises(Exception):
             model_from_dict({"type": "smooth", "bounds": [[0, 1]],

@@ -188,8 +188,7 @@ def _split_grid_levels(pair, eta, levels):
     ``|log phi| <= 1``, plus the band term ``(log phi + 1 - f/g) g`` and
     the tail term ``(g - f)`` off the band, each summed on its own."""
     ref, f, g = pair.reference, pair.f, pair.g
-    (lo, _), step = ref.bounds[0], ref.steps[0]
-    edges = lo + np.arange(ref.shape[0] + 1) * step
+    edges = ref.edges[0]
     out = []
     for n, pat in zip(levels, _pattern_sums(pair, eta, levels)):
         m = ref.values * np.maximum(np.minimum(edges[1:], n) - edges[:-1], 0.0)
@@ -278,6 +277,25 @@ class TestOneIntegralPerLevel:
             trace = log_lr_sigma_finite(pair, eta, tol=0.0).truncation_trace
             levels = [k for k, _ in trace]
             assert levels == list(range(1, math.ceil(width) + 1))
+            want = _split_grid_levels(pair, eta, levels)
+            np.testing.assert_allclose([v for _, v in trace], want,
+                                       rtol=0.0, atol=1e-12)
+
+
+    def test_unequal_refined_cells_match_compensated_split(self):
+        rng = np.random.default_rng(38)
+        for _ in range(20):
+            n_f = int(rng.integers(2, 9))
+            n_g = n_f + 1
+            width = float(rng.uniform(1.5, 6.0))
+            f = rng.uniform(0.05, 8.0, n_f) * (rng.uniform(size=n_f) > 0.2)
+            lam = GridIntensity([(0.0, width)], [n_f], f)
+            mu = GridIntensity([(0.0, width)], [n_g], rng.uniform(0.05, 4.0, n_g))
+            pair = common_reference(lam, mu)
+            assert not pair.reference.equal_cells
+            eta = sample_pp(lam, seed=rng)
+            trace = log_lr_sigma_finite(pair, eta, tol=0.0).truncation_trace
+            levels = [k for k, _ in trace]
             want = _split_grid_levels(pair, eta, levels)
             np.testing.assert_allclose([v for _, v in trace], want,
                                        rtol=0.0, atol=1e-12)

@@ -2,7 +2,7 @@
 mark kernels."""
 
 import math
-from fractions import Fraction
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from ppdiv import (DensityPair, DiscreteIntensity, DomainMismatch,
                    GridIntensity, MarkedModel, OutOfWindow, PointPattern,
                    ScaledIntensity, SmoothIntensity, SummedIntensity,
                    common_reference, count, total_mass)
-from ppdiv.measure import _axis_map, _refine_axis, _snap
 
 INF = math.inf
 
@@ -61,11 +60,16 @@ class TestCommonReference:
         with pytest.raises(DomainMismatch):
             common_reference(a, b)
 
-    def test_incommensurate_grids_rejected(self):
-        a = GridIntensity([(0, 1)], [3], [1.0, 1.0, 1.0])
+    def test_incommensurate_grids_pair_on_the_join(self):
+        a = GridIntensity([(0, 1)], [3], [1.0, 2.0, 3.0])
         b = GridIntensity([(0, math.sqrt(2))], [1], [1.0])
-        with pytest.raises(DomainMismatch):
-            common_reference(a, b)
+        pair = common_reference(a, b)
+        np.testing.assert_array_equal(pair.reference.edges[0],
+                                      [0.0, 1 / 3, 2 / 3, 1.0, math.sqrt(2)])
+        np.testing.assert_array_equal(pair.f, [1.0, 2.0, 3.0, 0.0])
+        np.testing.assert_array_equal(pair.g, [1.0, 1.0, 1.0, 1.0])
+        assert pair.lambda_mass() == pytest.approx(2.0, rel=1e-15)
+        assert pair.mu_mass() == pytest.approx(math.sqrt(2), rel=1e-15)
 
     def test_roundtrip_masses(self):
         # integrating each density against the reference reproduces the
@@ -75,7 +79,7 @@ class TestCommonReference:
         b = GridIntensity([(0, 2)], [6], tuple(rng.uniform(0, 3, 6)))
         pair = common_reference(a, b)
         ref = pair.reference
-        w = ref.values_array.reshape(-1) * ref.cell_volume
+        w = ref.masses
         assert math.fsum(w * np.asarray(pair.f)) == pytest.approx(
             total_mass(a), abs=1e-12)
         assert math.fsum(w * np.asarray(pair.g)) == pytest.approx(
@@ -90,66 +94,80 @@ class TestCommonReference:
             common_reference(a, b)
 
 
-def _fraction_axis_map(lo_u, h, n_cells, m_lo, m_hi, m_n):
-    """Cell-by-cell reference for ``_axis_map``: each refined cell's centre,
-    in exact rational arithmetic, located in the model grid."""
-    f_lo, f_hi = _snap(m_lo), _snap(m_hi)
-    step = (f_hi - f_lo) / m_n
-    out = np.full(n_cells, -1, dtype=int)
-    for r in range(n_cells):
-        center = lo_u + h * r + h / 2
-        if f_lo < center < f_hi:
-            out[r] = min(int((center - f_lo) / step), m_n - 1)
-    return out
-
-
 def _random_axis_pair(rng):
-    """Two commensurate, overlapping axis grids ``(lo, hi, n)`` with
-    rational ends on small denominators, offsets and partial overlap
-    included."""
+    """Two overlapping axis grids ``(lo, hi, n)`` with offsets, partial
+    overlap, shared edges and edges that agree only up to float noise."""
     while True:
         axes = []
         for _ in range(2):
-            den = int(rng.integers(1, 13))
-            lo = Fraction(int(rng.integers(-6, 7)), den)
-            n = int(rng.integers(1, 9))
-            step = Fraction(int(rng.integers(1, 7)), den)
-            axes.append((lo, lo + n * step, n))
+            lo = float(rng.choice([0.0, 0.1, -0.3, rng.uniform(-2.0, 1.0)]))
+            hi = lo + float(rng.choice([0.6, 1.0, rng.uniform(0.2, 3.0)]))
+            axes.append((lo, hi, int(rng.integers(1, 13))))
         (a_lo, a_hi, _), (b_lo, b_hi, _) = axes
         if min(a_hi, b_hi) > max(a_lo, b_lo):
-            return [(float(lo), float(hi), n) for lo, hi, n in axes]
+            return axes
 
 
-class TestIntegerRefinement:
-    def test_axis_map_matches_fraction_loop(self):
+def _check_join(a, b):
+    pair = common_reference(a, b)
+    ref = pair.reference
+    for model, dens in ((a, pair.f), (b, pair.g)):
+        lo, hi = np.array(model.bounds).T
+        for centre, value in zip(ref.cell_centers(), dens):
+            if ((centre > lo) & (centre < hi)).all():
+                assert value == model.density_at(centre)
+            else:
+                assert value == 0.0
+    assert pair.lambda_mass() == pytest.approx(a.total_mass(), rel=1e-12)
+    assert pair.mu_mass() == pytest.approx(b.total_mass(), rel=1e-12)
+    for n, n_a, n_b in zip(ref.shape, a.shape, b.shape):
+        assert n <= n_a + n_b + 1
+    # the reference box is the hull of both boxes, so it holds their points
+    assert ref.bounds == tuple((min(x[0], y[0]), max(x[1], y[1]))
+                               for x, y in zip(a.bounds, b.bounds))
+
+
+class TestGridJoin:
+    def test_refined_densities_match_models(self):
         rng = np.random.default_rng(11)
-        for _ in range(300):
-            a, b = _random_axis_pair(rng)
-            lo, hi, n_cells, lo_u, h = _refine_axis(*a, *b)
-            for m_lo, m_hi, m_n in (a, b):
-                got = _axis_map(lo_u, h, n_cells, m_lo, m_hi, m_n)
-                want = _fraction_axis_map(lo_u, h, n_cells, m_lo, m_hi, m_n)
-                np.testing.assert_array_equal(got, want)
-
-    def test_two_dimensional_refinement_matches_fraction_loop(self):
-        rng = np.random.default_rng(12)
-        for _ in range(60):
+        # edges that differ by float noise, inside and at the top of the join
+        pairs = [((0.1, 0.7, 6), (0.0, 1.0, 10)), ((0.0, 0.3, 3), (0.1, 0.1 + 0.2, 2))]
+        pairs += [_random_axis_pair(rng) for _ in range(150)]
+        for axis_a, axis_b in pairs:
+            a, b = (GridIntensity([(lo, hi)], [n], rng.uniform(0, 3, n))
+                    for lo, hi, n in (axis_a, axis_b))
+            _check_join(a, b)
+        for _ in range(40):
             axes_a, axes_b = zip(*(_random_axis_pair(rng) for _ in range(2)))
-            grids = []
-            for axes in (axes_a, axes_b):
-                shape = [n for _, _, n in axes]
-                grids.append(GridIntensity([(lo, hi) for lo, hi, _ in axes],
-                                           shape,
-                                           rng.uniform(0, 3, math.prod(shape))))
-            pair = common_reference(*grids)
-            refined = [_refine_axis(*a, *b) for a, b in zip(axes_a, axes_b)]
-            for model, axes, dens in ((grids[0], axes_a, pair.f),
-                                      (grids[1], axes_b, pair.g)):
-                maps = [_fraction_axis_map(lo_u, h, n_cells, *axis)
-                        for (_, _, n_cells, lo_u, h), axis in zip(refined, axes)]
-                inside = np.logical_and.outer(maps[0] >= 0, maps[1] >= 0)
-                want = np.where(inside, model.values_array[np.ix_(*maps)], 0.0)
-                np.testing.assert_array_equal(dens, want.reshape(-1))
+            a, b = (GridIntensity([(lo, hi) for lo, hi, _ in axes],
+                                  [n for _, _, n in axes],
+                                  rng.uniform(0, 3, math.prod(n for _, _, n in axes)))
+                    for axes in (axes_a, axes_b))
+            _check_join(a, b)
+
+    def test_float_noise_edges_are_one_edge(self):
+        a = GridIntensity([(0.1, 0.7)], [6], np.ones(6))
+        b = GridIntensity([(0.0, 1.0)], [10], np.ones(10))
+        pair = common_reference(a, b)
+        assert pair.reference.shape == (10,)
+        np.testing.assert_array_equal(pair.f, [0.0] + [1.0] * 6 + [0.0] * 3)
+
+    def test_cells_narrower_than_float_spacing_rejected(self):
+        # edges 1e16 + 0.5 k round onto each other
+        with pytest.raises(ValueError, match="too narrow"):
+            GridIntensity([(1e16, 1e16 + 2)], [4], np.ones(4))
+
+    def test_join_over_budget_allocates_nothing(self):
+        a = GridIntensity([(0, 1), (0, 1)], [1500, 1], np.ones(1500))
+        b = GridIntensity([(0, 1), (0, 1)], [1, 1500], np.ones(1500))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainMismatch, match="cell budget"):
+                common_reference(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestArrayModels:

@@ -8,8 +8,8 @@ from scipy import stats
 
 from ppdiv import (DiscreteIntensity, GridIntensity, InfiniteWindowMass,
                    MarkedModel, PointPattern, SmoothIntensity,
-                   ThinningBoundMissing, compound_path, count, counting_path,
-                   sample_marked, sample_pp)
+                   SummedIntensity, ThinningBoundMissing, compound_path,
+                   count, counting_path, sample_marked, sample_pp)
 
 INF = math.inf
 
@@ -23,6 +23,20 @@ class TestSamplePP:
     def test_determinism(self):
         grid = GridIntensity([(0, 2)], [4], [1.0, 0.5, 2.0, 0.1])
         assert sample_pp(grid, seed=33) == sample_pp(grid, seed=33)
+
+    def test_unequal_cells_get_counts_by_mass(self):
+        # the flattened sum of a 2-cell and a 3-cell grid has edges
+        # 0, 1/3, 1/2, 2/3, 1 and densities 4, 2, 3, 4
+        flat = SummedIntensity([GridIntensity([(0, 1)], [2], [1.0, 2.0]),
+                                GridIntensity([(0, 1)], [3], [3.0, 1.0, 2.0])]).flattened()
+        edges = np.array([0.0, 1 / 3, 1 / 2, 2 / 3, 1.0])
+        want = np.array([4.0, 2.0, 3.0, 4.0]) * np.diff(edges)
+        reps = 2000
+        counts = np.zeros(4)
+        for s in range(reps):
+            locs = [loc for loc, _ in sample_pp(flat, seed=s).points]
+            counts += np.bincount(np.searchsorted(edges, locs) - 1, minlength=4)
+        assert np.all(np.abs(counts - reps * want) <= 5.0 * np.sqrt(reps * want))
 
     def test_mean_and_variance_of_counts(self):
         grid = GridIntensity([(0, 2)], [2], [2.0, 2.0])  # mass 4
