@@ -3,6 +3,7 @@ mark kernels."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ppdiv import (DensityPair, DiscreteIntensity, DomainMismatch,
                    GridIntensity, MarkedModel, OutOfWindow, PointPattern,
                    ScaledIntensity, SmoothIntensity, SummedIntensity,
                    common_reference, count, total_mass)
+from ppdiv.measure import _SNAP_TOL, _join_axis
 
 INF = math.inf
 
@@ -125,6 +127,58 @@ def _check_join(a, b):
     # the reference box is the hull of both boxes, so it holds their points
     assert ref.bounds == tuple((min(x[0], y[0]), max(x[1], y[1]))
                                for x, y in zip(a.bounds, b.bounds))
+
+
+def _fraction_axis_map(join_edges, model_edges):
+    """Cell-by-cell reference for ``_join_axis``: each join cell's centre,
+    in exact rational arithmetic, located among the model's cells; -1 below
+    the model's box and its cell count above it."""
+    m = [Fraction(float(x)) for x in model_edges]
+    out = np.empty(len(join_edges) - 1, dtype=int)
+    for r in range(len(join_edges) - 1):
+        centre = (Fraction(float(join_edges[r])) + Fraction(float(join_edges[r + 1]))) / 2
+        if centre < m[0]:
+            out[r] = -1
+        elif centre > m[-1]:
+            out[r] = len(m) - 1
+        else:
+            out[r] = next(k for k in range(len(m) - 1) if m[k] < centre < m[k + 1])
+    return out
+
+
+class TestIntegerRefinement:
+    def test_axis_map_matches_fraction_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            ea, eb = (np.linspace(lo, hi, n + 1) for lo, hi, n in _random_axis_pair(rng))
+            edges, cells_a, cells_b = _join_axis(ea, eb)
+            # join edges are model edges, and each model edge is (up to
+            # float noise) a join edge
+            assert (np.diff(edges) > 0).all()
+            assert np.isin(edges, np.concatenate([ea, eb])).all()
+            tol = _SNAP_TOL * max(abs(edges[0]), abs(edges[-1]))
+            for e in (ea, eb):
+                assert (np.abs(e[:, None] - edges[None, :]).min(axis=1) <= tol).all()
+            np.testing.assert_array_equal(cells_a, _fraction_axis_map(edges, ea))
+            np.testing.assert_array_equal(cells_b, _fraction_axis_map(edges, eb))
+
+    def test_two_dimensional_refinement_matches_fraction_loop(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            axes_a, axes_b = zip(*(_random_axis_pair(rng) for _ in range(2)))
+            grids = []
+            for axes in (axes_a, axes_b):
+                shape = [n for _, _, n in axes]
+                grids.append(GridIntensity([(lo, hi) for lo, hi, _ in axes],
+                                           shape,
+                                           rng.uniform(0, 3, math.prod(shape))))
+            pair = common_reference(*grids)
+            edges = pair.reference.edges
+            for model, dens in ((grids[0], pair.f), (grids[1], pair.g)):
+                maps = [_fraction_axis_map(j, e) for j, e in zip(edges, model.edges)]
+                padded = np.pad(model.values_array, [(0, 1)] * model.ndim)
+                want = padded[np.ix_(*maps)]
+                np.testing.assert_array_equal(dens, want.reshape(-1))
 
 
 class TestGridJoin:
