@@ -25,10 +25,9 @@ threads; every operation here is pure.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -42,8 +41,9 @@ from .quadrature import (QuadratureSpec, integrate_box, probe_columns,
 # Cell budget for the join of two grids, checked before it is built.
 _MAX_REFINED_CELLS = 2_000_000
 
-# Grid edges closer than this, relative to the axis scale, are one edge.
-_SNAP_TOL = 1e-12
+# Edges on a grid axis within this many float spacings of its largest
+# |coordinate| are one edge: float noise, as in 0.1 + 0.2 against 0.3.
+_SNAP_ULPS = 16
 
 
 class IntensityModel:
@@ -216,7 +216,7 @@ class GridIntensity(IntensityModel):
     def equal_cells(self) -> bool:
         """Whether each axis has equal cells, up to float noise in the edges."""
         return all(np.abs(e - np.linspace(e[0], e[-1], len(e))).max()
-                   <= _SNAP_TOL * max(abs(e[0]), abs(e[-1])) for e in self.edges)
+                   <= _SNAP_ULPS * np.spacing(np.abs(e).max()) for e in self.edges)
 
     @cached_property
     def values_array(self) -> np.ndarray:
@@ -246,7 +246,7 @@ class GridIntensity(IntensityModel):
     @cached_property
     def masses(self) -> np.ndarray:
         """Reference mass of each cell (density times cell volume)."""
-        volumes = functools.reduce(np.multiply.outer, map(np.diff, self.edges))
+        volumes = reduce(np.multiply.outer, map(np.diff, self.edges))
         out = self.values * volumes.reshape(-1)
         out.flags.writeable = False
         return out
@@ -479,17 +479,20 @@ def _aligned(a, b):
 
 
 def _join_axis(ea: np.ndarray, eb: np.ndarray):
-    """Edges of the join of two axis partitions, where edges closer than
-    ``_SNAP_TOL`` relative to the axis scale are one, and the partition
-    cell holding each join cell's centre in either: -1 below the box and
-    the cell count above it."""
+    """Edges of the join of two axis partitions, edges within
+    ``_SNAP_ULPS`` float spacings of the axis scale being one, and the
+    partition cell holding each join cell's centre in either: -1 below the
+    box and the cell count above it.  So that each partition keeps all its
+    own edges, its cells must be wider than twice that tolerance."""
     if np.array_equal(ea, eb):
         cells = np.arange(len(ea) - 1)
         return ea, cells, cells
     if min(ea[-1], eb[-1]) <= max(ea[0], eb[0]):
         raise DomainMismatch("grid boxes are disjoint")
     merged = np.sort(np.concatenate([ea, eb]), kind="stable")
-    tol = _SNAP_TOL * max(abs(merged[0]), abs(merged[-1]))
+    tol = _SNAP_ULPS * np.spacing(max(abs(merged[0]), abs(merged[-1])))
+    if min(np.diff(ea).min(), np.diff(eb).min()) <= 2 * tol:
+        raise DomainMismatch("grid cells too narrow to pair on the joint axis")
     edges = merged[np.r_[True, np.diff(merged) > tol]]
     edges[-1] = merged[-1]
     centres = 0.5 * (edges[:-1] + edges[1:])

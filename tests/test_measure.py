@@ -14,7 +14,7 @@ from ppdiv import (DensityPair, DiscreteIntensity, DomainMismatch,
                    GridIntensity, MarkedModel, OutOfWindow, PointPattern,
                    ScaledIntensity, SmoothIntensity, SummedIntensity,
                    common_reference, count, total_mass)
-from ppdiv.measure import _SNAP_TOL, _join_axis
+from ppdiv.measure import _SNAP_ULPS, _join_axis
 
 INF = math.inf
 
@@ -98,15 +98,24 @@ class TestCommonReference:
 
 def _random_axis_pair(rng):
     """Two overlapping axis grids ``(lo, hi, n)`` with offsets, partial
-    overlap, shared edges and edges that agree only up to float noise."""
+    overlap, shared edges and edges that agree only up to float noise, or
+    both far from the origin (near 1.7e9, as epoch seconds are)."""
+    # Far from the origin the two grids' edges are kept apart: merging two
+    # edges there moves a model's mass by their float noise, far above the
+    # 1e-12 the mass checks ask for.
+    shift = float(rng.choice([0.0, 0.0, 1.7e9]))
     while True:
         axes = []
         for _ in range(2):
             lo = float(rng.choice([0.0, 0.1, -0.3, rng.uniform(-2.0, 1.0)]))
+            if shift:
+                lo = shift + rng.uniform(-2.0, 1.0)
             hi = lo + float(rng.choice([0.6, 1.0, rng.uniform(0.2, 3.0)]))
             axes.append((lo, hi, int(rng.integers(1, 13))))
         (a_lo, a_hi, _), (b_lo, b_hi, _) = axes
-        if min(a_hi, b_hi) > max(a_lo, b_lo):
+        ea, eb = (np.linspace(lo, hi, n + 1) for lo, hi, n in axes)
+        if (min(a_hi, b_hi) > max(a_lo, b_lo)
+                and (not shift or np.abs(np.subtract.outer(ea, eb)).min() > 1e-4)):
             return axes
 
 
@@ -156,7 +165,7 @@ class TestIntegerRefinement:
             # float noise) a join edge
             assert (np.diff(edges) > 0).all()
             assert np.isin(edges, np.concatenate([ea, eb])).all()
-            tol = _SNAP_TOL * max(abs(edges[0]), abs(edges[-1]))
+            tol = _SNAP_ULPS * np.spacing(max(abs(edges[0]), abs(edges[-1])))
             for e in (ea, eb):
                 assert (np.abs(e[:, None] - edges[None, :]).min(axis=1) <= tol).all()
             np.testing.assert_array_equal(cells_a, _fraction_axis_map(edges, ea))
@@ -205,6 +214,36 @@ class TestGridJoin:
         pair = common_reference(a, b)
         assert pair.reference.shape == (10,)
         np.testing.assert_array_equal(pair.f, [0.0] + [1.0] * 6 + [0.0] * 3)
+
+    def test_offset_axes_keep_every_cell(self):
+        # 1e-3 cells on an axis at 1.7e9 (epoch seconds) are about 4000
+        # float spacings wide
+        lo = 1.7e9
+        a = GridIntensity([(lo, lo + 1)], [1000], np.arange(1000) % 7 + 1.0)
+        b = GridIntensity([(lo, lo + 1)], [500], np.arange(500) % 3 + 1.0)
+        pair = common_reference(a, b)
+        assert pair.reference.shape == (1000,)
+        np.testing.assert_array_equal(pair.f, a.values)
+        np.testing.assert_array_equal(pair.g, np.repeat(b.values, 2))
+        np.testing.assert_allclose(pair.reference.masses * pair.f, a.masses, rtol=1e-12)
+        np.testing.assert_allclose((pair.reference.masses * pair.g).reshape(-1, 2).sum(1),
+                                   b.masses, rtol=1e-12)
+        assert pair.lambda_mass() == pytest.approx(a.total_mass(), rel=1e-12)
+        assert pair.mu_mass() == pytest.approx(b.total_mass(), rel=1e-12)
+        _check_join(a, b)
+        _check_join(a, GridIntensity([(lo + 0.2, lo + 1.7)], [7], np.ones(7)))
+
+    def test_cells_within_float_noise_of_the_joint_axis_rejected(self):
+        # at 1e12 a float spacing is 1.2e-4, so 1e-3 cells cannot be told
+        # from a neighbour's edge plus noise
+        a = GridIntensity([(1e12, 1e12 + 1)], [1000], np.ones(1000))
+        b = GridIntensity([(1e12, 1e12 + 1)], [501], np.ones(501))
+        with pytest.raises(DomainMismatch, match="too narrow"):
+            common_reference(a, b)
+        # one partition's cells must survive the other's coarser axis scale
+        c = GridIntensity([(0, 1e-3)], [1000], np.ones(1000))
+        with pytest.raises(DomainMismatch, match="too narrow"):
+            common_reference(c, GridIntensity([(0, 1e12)], [2], np.ones(2)))
 
     def test_cells_narrower_than_float_spacing_rejected(self):
         # edges 1e16 + 0.5 k round onto each other
