@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergence import _integrals, _one_mass_infinite, tsallis
+from .divergence import _one_mass_infinite, tsallis
 from .errors import QuadratureFailure
 from .extended import INF, log_ratios
 from .kernel import _renyi_poisson_array
@@ -69,7 +69,7 @@ def chernoff_info(pair: DensityPair, alpha_tol: float = 1e-9) -> ChernoffResult:
 
     def slope(a: float) -> list[float]:
         evals.append(a)  # np.sum, not the slower fsum: the slope only steers
-        terms = _integrals(pair, lambda f, g: _slope_terms(f, g, a), 2, exact=False)
+        terms = pair._integrals(lambda f, g: _slope_terms(f, g, a), 2, exact=False)
         return [v for v, _ in terms]
 
     # by concavity 1/2 is the maximiser if h'(1/2) = 0, and otherwise only
@@ -88,7 +88,7 @@ def chernoff_info(pair: DensityPair, alpha_tol: float = 1e-9) -> ChernoffResult:
         step, a = target - a, target
         if abs(step) > alpha_tol:
             d1, d2 = slope(a)
-    (value, _), = _integrals(pair, lambda f, g: _objective_terms(f, g, a)[None])
+    (value, _), = pair._integrals(lambda f, g: _objective_terms(f, g, a)[None])
     return ChernoffResult(max(value, 0.0), a, len(evals), abs(step))
 
 

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -90,6 +91,10 @@ def cmd_divergence(args) -> int:
 
 
 def cmd_loglr(args) -> int:
+    if args.n_max < 1:
+        raise ParseError(f"--n-max must be >= 1, got {args.n_max}")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ParseError(f"--tol must be finite and >= 0, got {args.tol}")
     pair, a, _ = _load_pair(args.model_a, args.model_b)
     eta = _io.load_pattern(args.pattern,
                            discrete=isinstance(a.flattened(), DiscreteIntensity))

@@ -15,12 +15,13 @@ import math
 
 import numpy as np
 
-from .divergence import DivergenceReport, _weighted_sums, tsallis
+from .divergence import DivergenceReport, tsallis
 from .errors import (InvalidAlpha, KernelMismatch, NonDiffuseBase,
                      ZeroMarkAtom)
 from .extended import INF, ext_muls
 from .kernel import _renyi_poisson_array
-from .measure import DensityPair, DiscreteIntensity, MarkedModel, density_values
+from .measure import (DensityPair, DiscreteIntensity, MarkedModel, _weighted_sums,
+                      density_values)
 from .quadrature import integrate_box, probe_columns
 
 

@@ -2,10 +2,12 @@
 they induce, plus absolute-continuity diagnostics.
 
 Every computation reduces to integrating the Poisson kernel of the two
-densities pointwise against the shared reference: an exact weighted sum
-of the array kernel for discrete and grid pairs, and for smooth pairs
-adaptive quadrature whose integrand evaluates the densities and the array
-kernel on all nodes of a round at once.
+densities pointwise against the shared reference, through the one entry
+``DensityPair._integrals``: an exact weighted sum of the array kernel for
+discrete and grid pairs, and for smooth pairs adaptive quadrature whose
+integrand evaluates the densities and the array kernel on all nodes of a
+round at once.  The Hellinger distance is ``sqrt(T_1/2 / 2)`` for every
+pair.
 Outputs live in [0, inf].  For smooth pairs an integrand that is infinite
 on a probe set of positive reference mass yields inf directly; as the
 kernel is inf exactly where ``alpha >= 1``, ``f > 0`` and ``g = 0``, that
@@ -28,7 +30,6 @@ from .extended import INF
 from .kernel import _renyi_poisson_array, _validate_alpha
 from .measure import (DensityPair, IntensityModel, density_values,
                       intensity_from_density, probe_locations)
-from .quadrature import integrate_box
 
 _ZERO_TOL = 1e-12
 
@@ -88,38 +89,11 @@ def _tsallis(pair: DensityPair, alpha: float) -> DivergenceReport:
         if ((f > 0.0) & (g == 0.0) & (r > 0.0)).any():
             return DivergenceReport(alpha, INF, 0.0,
                                     ["integrand infinite at probe points"])
-    (value, err), = _integrals(pair, lambda f, g: _renyi_poisson_array(f, g, alpha)[None])
+    (value, err), = pair._integrals(lambda f, g: _renyi_poisson_array(f, g, alpha)[None])
     if value == INF:
         return DivergenceReport(alpha, INF, 0.0,
                                 ["integrand infinite on positive mass"])
     return DivergenceReport(alpha, max(value, 0.0), err)
-
-
-def _integrals(pair: DensityPair, terms, rows: int = 1, exact: bool = True):
-    """``(value, error_estimate)`` per row of the ``(rows, n)`` pointwise
-    terms ``terms(f, g)`` against the pair's reference: :func:`_weighted_sums`
-    on exact pairs, one adaptive quadrature per row on smooth ones."""
-    if pair.is_exact:
-        w, f, g = pair.support_terms()
-        return [(value, 0.0) for value in _weighted_sums(w, terms(f, g), exact)]
-    ref = pair.reference
-
-    def row(i):
-        return lambda *x: (terms(density_values(pair.f, x), density_values(pair.g, x))[i]
-                           * density_values(ref.density, x))
-    return [integrate_box(row(i), ref.bounds, ref.quadrature) for i in range(rows)]
-
-
-def _weighted_sums(w: np.ndarray, terms: np.ndarray, exact: bool = True) -> list[float]:
-    """Per row of the ``(rows, cells)`` array ``terms``, the sum of ``w *
-    terms`` over the cells with ``w > 0``, correctly rounded by ``math.fsum``
-    if ``exact``, else pairwise by ``np.sum``; an infinite term gives inf."""
-    pos = w > 0.0
-    if not pos.all():
-        w, terms = w[pos], terms[:, pos]
-    weighted = w * terms
-    return ([math.fsum(row) for row in weighted.tolist()] if exact
-            else weighted.sum(axis=1).tolist())
 
 
 def kl_pp(pair: DensityPair) -> DivergenceReport:
@@ -154,16 +128,13 @@ def renyi_pp(pair: DensityPair, alpha: float) -> DivergenceReport:
 def hellinger_measures(pair: DensityPair) -> float:
     """Hellinger distance ``sqrt(0.5 * integral (sqrt f - sqrt g)^2 dnu)``.
 
-    Twice its square equals the order-1/2 Tsallis divergence, so a smooth
-    pair's value is ``sqrt(T_1/2 / 2)``.  Returns inf when the distance is
-    certifiably infinite (exactly one of the two total masses is
-    infinite); raises :class:`QuadratureFailure` when the integral
-    diverges without such a certificate.
+    Twice its square equals the order-1/2 Tsallis divergence, so the value
+    is ``sqrt(T_1/2 / 2)`` for every pair, read from the pair's memoised
+    order 1/2.  Returns inf when the distance is certifiably infinite
+    (exactly one of the two total masses is infinite); raises
+    :class:`QuadratureFailure` when the integral diverges without such a
+    certificate.
     """
-    if pair.is_exact:
-        w, f, g = pair.support_terms()
-        sq = (np.sqrt(f) - np.sqrt(g)) ** 2
-        return math.sqrt(0.5 * math.fsum(w * sq))
     if _one_mass_infinite(pair):
         return INF
     return math.sqrt(tsallis(pair, 0.5).value / 2.0)
@@ -241,18 +212,15 @@ def dominating_intensity(pair: DensityPair) -> IntensityModel:
             "hellinger distance is not certifiably finite") from exc
     if h == INF:
         raise InfiniteHellinger("hellinger distance is infinite")
-    if pair.is_exact:
-        _, f, g = pair.support_terms()
+
+    def dens(f, g):
         # the formula reduces to f exactly where the densities agree
-        dens = np.where(f == g, f, 0.25 * (np.sqrt(f) + np.sqrt(g)) ** 2)
-        return intensity_from_density(pair.reference, dens)
-    f, g = pair.f, pair.g
+        return np.where(f == g, f, 0.25 * (np.sqrt(f) + np.sqrt(g)) ** 2)
 
-    def dens(*x):
-        fv, gv = density_values(f, x), density_values(g, x)
-        return np.where(fv == gv, fv, 0.25 * (np.sqrt(fv) + np.sqrt(gv)) ** 2)
-
-    return intensity_from_density(pair.reference, dens)
+    if pair.is_exact:
+        return intensity_from_density(pair.reference, dens(pair.f, pair.g))
+    return intensity_from_density(pair.reference, lambda *x: dens(
+        density_values(pair.f, x), density_values(pair.g, x)))
 
 
 @dataclass

@@ -69,4 +69,5 @@ class NotAbsolutelyContinuous(PPDivError):
 
 
 class NonConvergent(PPDivError):
-    """Series summation exceeded its term budget."""
+    """A series exceeded its term budget, or a Monte Carlo estimate has no
+    usable sample."""

@@ -23,11 +23,10 @@ import numpy as np
 
 from .divergence import _require_ac, hellinger_measures
 from .errors import (InfiniteHellinger, InfiniteMass, InvalidAlpha,
-                     NotAbsolutelyContinuous, QuadratureFailure)
+                     NonConvergent, NotAbsolutelyContinuous, QuadratureFailure)
 from .extended import INF, log_ratios
 from .measure import (DensityPair, GridIntensity, PointPattern,
-                      SmoothIntensity, density_values, intensity_from_density)
-from .quadrature import integrate_1d
+                      SmoothIntensity, intensity_from_density)
 from . import sampler as _sampler
 
 
@@ -110,7 +109,7 @@ class TruncatedLogLikelihood:
                 "the likelihood ratio needs a finite hellinger distance")
         self.pair = pair
         self.n_max = int(n_max)
-        self.lo, self.hi = ref.bounds[0]
+        self.hi = ref.bounds[0][1]
         # mu(S_n) - lambda(S_n) at index n, from the empty S_0
         self._gap: list[float] = [0.0]
 
@@ -119,27 +118,10 @@ class TruncatedLogLikelihood:
     def _extend_to(self, n: int):
         while len(self._gap) <= n:
             level = len(self._gap)
-            inc = self._segment(max(self.lo, level - 1.0), min(self.hi, float(level)))
+            # mu - lambda of the unit segment, cut to the domain
+            (inc, _), = self.pair._integrals(lambda f, g: (g - f)[None],
+                                             box=((level - 1.0, float(level)),))
             self._gap.append(self._gap[-1] + inc)
-
-    def _segment(self, lo: float, hi: float) -> float:
-        """``mu - lambda`` of the segment ``[lo, hi]``; zero if it is empty."""
-        pair = self.pair
-        ref = pair.reference
-        if isinstance(ref, GridIntensity):
-            edges = ref.edges[0]
-            refmass = ref.values * np.maximum(
-                np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0)
-            return math.fsum(((pair.g - pair.f) * refmass).tolist())
-        f, g, refdens = pair.f, pair.g, ref.density
-
-        def gap(x):
-            cols = (x,)
-            return ((density_values(g, cols) - density_values(f, cols))
-                    * density_values(refdens, cols))
-
-        value, _ = integrate_1d(gap, lo, hi, ref.quadrature)
-        return value
 
     # -- evaluation --------------------------------------------------------
 
@@ -191,7 +173,10 @@ def mc_divergence_estimate(pair: DensityPair, alpha: float, n_samples: int,
 
     At ``alpha = 1`` this averages the log ratio under the first law; away
     from 1 it averages the ratio to the power ``alpha`` under the second
-    law and rescales the log.  Returns ``(estimate, standard_error)``.
+    law and rescales the log.  Returns ``(estimate, standard_error)``;
+    ``n_samples`` must be at least 2 for the standard error.  Raises
+    :class:`NonConvergent` when no pattern drawn under the second law is in
+    the first law's support, as the ratio power then averages to 0.
     Reproducible given ``(seed, n_samples)``.
     """
     if not 0.0 < alpha <= 2.0:
@@ -202,8 +187,8 @@ def mc_divergence_estimate(pair: DensityPair, alpha: float, n_samples: int,
         raise InfiniteMass("monte carlo estimation needs finite intensities")
     _require_ac(pair)
     n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
     rng = _sampler.spawn_streams(seed, 1)[0]
 
     sample_from_first = abs(alpha - 1.0) < 1e-12
@@ -216,6 +201,10 @@ def mc_divergence_estimate(pair: DensityPair, alpha: float, n_samples: int,
         return est, se
     x = np.exp(alpha * ll)  # exp(-inf) -> 0 for out-of-support patterns
     m = float(np.mean(x))
+    if m == 0.0:
+        raise NonConvergent(
+            f"none of the {n_samples} patterns drawn under the second law is "
+            "in the first law's support; the ratio power averages to 0")
     se_m = float(np.std(x, ddof=1) / math.sqrt(len(x)))
     est = math.log(m) / (alpha - 1.0)
     se = se_m / (abs(alpha - 1.0) * m)

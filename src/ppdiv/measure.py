@@ -246,10 +246,24 @@ class GridIntensity(IntensityModel):
     @cached_property
     def masses(self) -> np.ndarray:
         """Reference mass of each cell (density times cell volume)."""
-        volumes = reduce(np.multiply.outer, map(np.diff, self.edges))
-        out = self.values * volumes.reshape(-1)
+        out = self._masses_in(self.bounds)
         out.flags.writeable = False
         return out
+
+    def _cells_in(self, box) -> tuple[list, list]:
+        """Per axis, the lower and upper ends of the cells cut to ``box``;
+        a cell off the box gets two equal ends."""
+        lows, highs = [], []
+        for edges, (lo, hi) in zip(self.edges, box):
+            lows.append(np.maximum(edges[:-1], lo))
+            highs.append(np.maximum(np.minimum(edges[1:], hi), lows[-1]))
+        return lows, highs
+
+    def _masses_in(self, box) -> np.ndarray:
+        """Mass of each cell cut to ``box``, flat (row-major)."""
+        lows, highs = self._cells_in(box)
+        volumes = reduce(np.multiply.outer, [h - l for l, h in zip(lows, highs)])
+        return self.values * volumes.reshape(-1)
 
     @cached_property
     def _centres(self) -> tuple:
@@ -511,7 +525,10 @@ class DensityPair:
     float64 arrays aligned with the reference atoms/cells (exact
     summation); for smooth references they are callables (quadrature).
     Infinite density values are not allowed; the measures themselves may
-    still be infinite.
+    still be infinite.  Every integral of pointwise terms of ``(f, g)``
+    against the reference, over the domain or a box in it, goes through
+    :meth:`_integrals`; the masses are single-density integrals of the
+    models :func:`intensity_from_density` builds.
 
     A pair never changes once built, so it memoises its Tsallis orders,
     masses, reversed pair and probe read, and the quadrature failure of
@@ -582,10 +599,12 @@ class DensityPair:
                               lambda: DensityPair(self.reference, self.g, self.f))
 
     def lambda_mass(self) -> float:
-        return self._memoised("lambda", lambda: self._mass(self.f))
+        return self._memoised("lambda", lambda: intensity_from_density(
+            self.reference, self.f).total_mass())
 
     def mu_mass(self) -> float:
-        return self._memoised("mu", lambda: self._mass(self.g))
+        return self._memoised("mu", lambda: intensity_from_density(
+            self.reference, self.g).total_mass())
 
     @cached_property
     def _memo(self) -> dict:
@@ -613,20 +632,35 @@ class DensityPair:
             raise QuadratureFailure(f"a density overflows at a probe: {exc}",
                                     possibly_infinite=True) from exc
 
-    def _mass(self, density) -> float:
-        if self.is_exact:
-            return float(math.fsum((self.reference.masses * density).tolist()))
+    def _integrals(self, terms, rows: int = 1, exact: bool = True, box=None):
+        """``(value, error_estimate)`` per row of the ``(rows, n)`` pointwise
+        terms ``terms(f, g)`` against the reference, over the part of the
+        domain in ``box`` (default: all of it): :func:`_weighted_sums` with
+        the reference masses of the atoms or of the cells cut to ``box`` on
+        exact pairs, one adaptive quadrature per row on smooth ones."""
         ref = self.reference
-        refdens = ref.density
-        try:
-            value, _ = integrate_box(
-                lambda *x: density_values(density, x) * density_values(refdens, x),
-                ref.bounds, ref.quadrature)
-        except QuadratureFailure as exc:
-            if exc.possibly_infinite and ref.has_unbounded_domain:
-                return INF
-            raise
-        return ensure_extended(value, "mass")
+        if self.is_exact:
+            w = ref.masses if box is None else ref._masses_in(box)
+            return [(value, 0.0) for value in _weighted_sums(w, terms(self.f, self.g), exact)]
+        bounds = ref.bounds if box is None else tuple(
+            (max(lo, blo), min(hi, bhi)) for (lo, hi), (blo, bhi) in zip(ref.bounds, box))
+
+        def row(i):
+            return lambda *x: (terms(density_values(self.f, x), density_values(self.g, x))[i]
+                               * density_values(ref.density, x))
+        return [integrate_box(row(i), bounds, ref.quadrature) for i in range(rows)]
+
+
+def _weighted_sums(w: np.ndarray, terms: np.ndarray, exact: bool = True) -> list[float]:
+    """Per row of the ``(rows, cells)`` array ``terms``, the sum of ``w *
+    terms`` over the cells with ``w > 0``, correctly rounded by ``math.fsum``
+    if ``exact``, else pairwise by ``np.sum``; an infinite term gives inf."""
+    pos = w > 0.0
+    if not pos.all():
+        w, terms = w[pos], terms[:, pos]
+    weighted = w * terms
+    return ([math.fsum(row) for row in weighted.tolist()] if exact
+            else weighted.sum(axis=1).tolist())
 
 
 def density_values(density, cols) -> np.ndarray:

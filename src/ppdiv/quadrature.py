@@ -118,14 +118,6 @@ class QuadratureSpec:
         )
 
 
-def integrate_1d(func, lo: float, hi: float, spec: QuadratureSpec):
-    """Integrate the array integrand ``func`` over [lo, hi] (hi may be inf).
-
-    Returns ``(value, error_estimate)`` or raises QuadratureFailure.
-    """
-    return integrate_box(func, ((lo, hi),), spec)
-
-
 def integrate_box(func, bounds, spec: QuadratureSpec):
     """Integrate the array integrand ``func`` over an axis-aligned box.
 

@@ -16,7 +16,6 @@ draws, so a seed now gives another pattern than under the per-point code.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -98,12 +97,8 @@ def _sample_discrete(m: DiscreteIntensity, window, rng) -> PointPattern:
 
 def _sample_grid(m: GridIntensity, window, rng) -> PointPattern:
     box = _window_box(m, window)
-    lows, highs = [], []
-    for edges, (blo, bhi) in zip(m.edges, box):
-        lows.append(np.maximum(edges[:-1], blo))
-        highs.append(np.maximum(np.minimum(edges[1:], bhi), lows[-1]))
-    volumes = functools.reduce(np.multiply.outer, [h - l for l, h in zip(lows, highs)])
-    masses = (m.values_array * volumes).reshape(-1)
+    lows, highs = m._cells_in(box)
+    masses = m._masses_in(box)
     total = math.fsum(masses.tolist())
     n = int(rng.poisson(total)) if total > 0.0 else 0
     if n == 0:

@@ -1,7 +1,7 @@
 """Shared random-model builders for the test suite, and the scalar
 references that the library's array code is tested against: the branchy
-one-pair Poisson kernel, the one-pair log ratio and a ``math``-namespace
-evaluator of density expressions."""
+one-pair Poisson kernel, the direct Hellinger sum, the one-pair log ratio
+and a ``math``-namespace evaluator of density expressions."""
 
 from __future__ import annotations
 
@@ -139,6 +139,14 @@ def scalar_renyi_poisson(s: float, t: float, alpha: float) -> float:
         # is then inf only when it truly exceeds the float range.
         value = m * scalar_renyi_poisson(s / m, t / m, alpha)
     return 0.0 if value < 0.0 else value
+
+
+def exact_hellinger(pair) -> float:
+    """Hellinger distance of a discrete or grid pair as the direct sum
+    ``sqrt(0.5 * fsum(w (sqrt f - sqrt g)^2))`` over its support: the
+    reference for ``hellinger_measures``, which reads ``T_1/2``."""
+    w, f, g = pair.support_terms()
+    return math.sqrt(0.5 * math.fsum(w * (np.sqrt(f) - np.sqrt(g)) ** 2))
 
 
 def log_ratio(f: float, g: float) -> float:

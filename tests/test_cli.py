@@ -178,6 +178,26 @@ class TestLogLr:
         assert len(out["trace"]) >= 2
 
 
+    @pytest.mark.parametrize("extra", [
+        ["--n-max", "0"], ["--n-max", "-3"],
+        ["--tol", "nan"], ["--tol", "inf"], ["--tol", "-0.5"],
+    ])
+    def test_bad_truncation_setting_is_a_parse_error(self, files, capsys,
+                                                     tmp_path, extra):
+        write, _ = files
+        lam = {"type": "smooth", "bounds": [[0, "inf"]],
+               "density": "1 + exp(-x)"}
+        mu = {"type": "smooth", "bounds": [[0, "inf"]], "density": "1.0"}
+        pattern = tmp_path / "eta.csv"
+        pattern.write_text("loc_1\n0.5\n")
+        code = main(["loglr", write("a.json", lam), write("b.json", mu),
+                     str(pattern), "--sigma-finite"] + extra)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {extra[0]} must be")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("density", ["x - 0.5", "-1", "(x - 2)**0.5"])
     def test_invalid_density_is_a_numeric_failure(self, files, capsys,
                                                   tmp_path, density):

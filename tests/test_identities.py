@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppdiv import (DiscreteIntensity, GridIntensity, MarkedModel,
+from helpers import exact_hellinger
+from ppdiv import (DensityPair, DiscreteIntensity, GridIntensity, MarkedModel,
                    SmoothIntensity, chernoff_info, common_reference,
                    flatten_product, hellinger_measures, hellinger_pp, kl_pp,
                    renyi_pp, tsallis, tsallis_product)
@@ -18,14 +19,17 @@ INF = math.inf
 _ORDERS = st.one_of(st.sampled_from([0.25, 0.5, 0.999, 1.0, 1.001, 2.0]),
                     st.floats(0.01, 3.0))
 _WEIGHT = st.one_of(st.just(0.0), st.floats(0.05, 5.0))
+# Weights whose distinct values differ by at least 1/40 relative: the
+# direct Hellinger sum loses every digit where two densities nearly agree.
+_LATTICE_WEIGHT = st.integers(0, 40).map(lambda k: k / 8.0)
 
 
-def _weights(draw, n):
-    return draw(st.lists(_WEIGHT, min_size=n, max_size=n))
+def _weights(draw, n, weight=_WEIGHT):
+    return draw(st.lists(weight, min_size=n, max_size=n))
 
 
 @st.composite
-def exact_pairs(draw):
+def exact_pairs(draw, weight=_WEIGHT):
     """A discrete pair on overlapping id sets, or a grid pair on one box
     with its own cell count per side (so the reference is a refinement)."""
     if draw(st.booleans()):
@@ -34,13 +38,13 @@ def exact_pairs(draw):
         ids_b = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1,
                               max_size=6, unique=True))
         return common_reference(
-            DiscreteIntensity(zip(ids_a, _weights(draw, len(ids_a)))),
-            DiscreteIntensity(zip(ids_b, _weights(draw, len(ids_b)))))
+            DiscreteIntensity(zip(ids_a, _weights(draw, len(ids_a), weight))),
+            DiscreteIntensity(zip(ids_b, _weights(draw, len(ids_b), weight))))
     width = draw(st.sampled_from([0.5, 1.0, 1.5, 3.0]))
     n_a, n_b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     return common_reference(
-        GridIntensity([(0.0, width)], [n_a], _weights(draw, n_a)),
-        GridIntensity([(0.0, width)], [n_b], _weights(draw, n_b)))
+        GridIntensity([(0.0, width)], [n_a], _weights(draw, n_a, weight)),
+        GridIntensity([(0.0, width)], [n_b], _weights(draw, n_b, weight)))
 
 
 def _close(a, b, rel=1e-9, abs_=1e-12):
@@ -58,6 +62,14 @@ class TestPaperIdentities:
         assert hellinger_pp(pair) == pytest.approx(
             math.sqrt(-math.expm1(-h * h)), rel=1e-12, abs=1e-15)
         assert kl_pp(pair).value == tsallis(pair, 1.0).value
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=exact_pairs(_LATTICE_WEIGHT), power=st.integers(-60, 60))
+    def test_hellinger_matches_the_direct_sum(self, pair, power):
+        scale = 2.0 ** power  # exact, so the pair's shape is unchanged
+        pair = DensityPair(pair.reference, pair.f * scale, pair.g * scale)
+        want = exact_hellinger(pair)
+        assert abs(hellinger_measures(pair) - want) <= 1e-13 * want
 
     @settings(max_examples=100, deadline=None)
     @given(pair=exact_pairs(), alpha=_ORDERS)

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from helpers import log_ratio, random_discrete_pair, random_pair
 from ppdiv import (DiscreteIntensity, GridIntensity, InfiniteHellinger,
-                   InfiniteMass, InvalidAlpha, NotAbsolutelyContinuous,
-                   PointPattern, SmoothIntensity, TruncatedLogLikelihood,
+                   InfiniteMass, InvalidAlpha, NonConvergent,
+                   NotAbsolutelyContinuous, PointPattern, SmoothIntensity,
+                   TruncatedLogLikelihood,
                    common_reference, log_lr_finite, log_lr_sigma_finite,
                    mc_divergence_estimate, sample_pp, tsallis)
-from ppdiv import likelihood
+from ppdiv import measure
 from ppdiv.extended import log_ratios
 from ppdiv.likelihood import _sum_stat
 
@@ -235,16 +236,16 @@ class TestOneIntegralPerLevel:
         mu = SmoothIntensity([(0.0, INF)], lambda x: 1.0)
         evaluator = TruncatedLogLikelihood(common_reference(lam, mu), n_max=7)
         segments = []
-        real = likelihood.integrate_1d
+        real = measure.integrate_box
 
-        def counted(func, lo, hi, spec):
-            segments.append((lo, hi))
-            return real(func, lo, hi, spec)
+        def counted(func, bounds, spec):
+            segments.append(tuple(bounds))
+            return real(func, bounds, spec)
 
-        monkeypatch.setattr(likelihood, "integrate_1d", counted)
+        monkeypatch.setattr(measure, "integrate_box", counted)
         result = evaluator.evaluate(PointPattern([(0.5, 1)]), tol=0.0)
         assert len(result.truncation_trace) == 7
-        assert segments == [(n - 1.0, float(n)) for n in range(1, 8)]
+        assert segments == [((n - 1.0, float(n)),) for n in range(1, 8)]
 
     @pytest.mark.parametrize("scale", [1.0, 3.0])
     @pytest.mark.parametrize("swap", [False, True])
@@ -347,8 +348,19 @@ class TestMonteCarlo:
 
     def test_sample_count_enforced(self):
         pair = common_reference(UNIT_2, UNIT_1)
-        with pytest.raises(ValueError):
-            mc_divergence_estimate(pair, 1.0, 0, seed=0)
+        # one sample has no standard error
+        for n_samples in (0, 1):
+            with pytest.raises(ValueError, match="at least 2"):
+                mc_divergence_estimate(pair, 1.0, n_samples, seed=0)
+
+    def test_every_pattern_off_support_is_non_convergent(self):
+        # every pattern drawn under the second law has a point on "x",
+        # where the first law has no mass; the true order-1/2 value is 50
+        pair = common_reference(DiscreteIntensity([("x", 0.0), ("y", 1.0)]),
+                                DiscreteIntensity([("x", 50.0), ("y", 1.0)]))
+        assert tsallis(pair, 0.5).value == pytest.approx(50.0)
+        with pytest.raises(NonConvergent, match="support"):
+            mc_divergence_estimate(pair, 0.5, 20, seed=0)
 
     def test_same_seed_is_reproducible(self):
         pair = common_reference(UNIT_2, UNIT_1)
@@ -481,3 +493,17 @@ class TestCrossPath:
             assert sigma.in_support == finite.in_support
             assert sigma.log_lr == pytest.approx(finite.log_lr, rel=1e-12,
                                                  abs=1e-12)
+
+    @pytest.mark.parametrize("bounds", [(0.5, 3.7), (1.25, 2.6), (0.0, 4.0)])
+    def test_sigma_finite_smooth_matches_finite(self, bounds):
+        # The unit truncation levels are cut to a domain whose ends need not
+        # be integers, as a grid's cells are.
+        lam = SmoothIntensity([bounds], lambda x: 2.0 + np.sin(3.0 * x))
+        mu = SmoothIntensity([bounds], lambda x: 1.0 + 0.5 * x)
+        pair = common_reference(lam, mu)
+        eta = PointPattern([(float(x), 1) for x in
+                            np.random.default_rng(37).uniform(*bounds, 5)])
+        finite = log_lr_finite(pair, eta)
+        sigma = log_lr_sigma_finite(pair, eta, tol=0.0)
+        assert sigma.converged
+        assert sigma.log_lr == pytest.approx(finite.log_lr, rel=1e-9, abs=1e-9)

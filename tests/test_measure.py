@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_pair
 from ppdiv import (DensityPair, DiscreteIntensity, DomainMismatch,
                    GridIntensity, MarkedModel, OutOfWindow, PointPattern,
                    ScaledIntensity, SmoothIntensity, SummedIntensity,
@@ -543,6 +544,14 @@ class TestDensityPair:
         p1 = DensityPair(ref1, [1.0, 2.0], [2.0, 1.0])
         p2 = DensityPair(ref2, [0.5, 1.0], [1.0, 0.5])
         assert p1.lambda_mass() == p2.lambda_mass() == 3.0
+
+    def test_exact_masses_are_sums_over_the_reference(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            _, _, pair = random_pair(rng, allow_zeros=True)
+            masses = pair.reference.masses
+            assert pair.lambda_mass() == math.fsum((masses * pair.f).tolist())
+            assert pair.mu_mass() == math.fsum((masses * pair.g).tolist())
 
     def test_infinite_density_rejected(self):
         ref = DiscreteIntensity([("a", 1.0)])

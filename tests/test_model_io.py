@@ -173,6 +173,20 @@ class TestAllowList:
                     calls.append(f"{path.name}:{node.lineno} {node.func.id}")
         assert calls == []
 
+    def test_only_the_integral_entries_name_the_integrator(self):
+        """Pointwise terms of a pair are integrated through
+        ``DensityPair._integrals``: besides ``quadrature``, which defines
+        ``integrate_box``, only ``measure`` (that entry and the single-model
+        masses) and ``disintegration`` (the mark integrand) name it."""
+        users = set()
+        for path in sorted(pathlib.Path(ppdiv.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                name = (getattr(node, "name", None) if isinstance(node, ast.alias)
+                        else getattr(node, "attr", getattr(node, "id", None)))
+                if name == "integrate_box":
+                    users.add(path.name)
+        assert users - {"quadrature.py"} <= {"measure.py", "disintegration.py"}
+
 
 class TestBatchedThinning:
     @pytest.mark.parametrize("bound", [3.0, None])

@@ -17,8 +17,8 @@ from ppdiv import (DiscreteIntensity, MarkedModel, PointPattern,
 from ppdiv.divergence import _require_ac
 from ppdiv.extended import ext_mul, ext_muls
 from ppdiv.model_io import compile_density
-from ppdiv.quadrature import (QuadratureSpec, _wynn_epsilon, integrate_1d,
-                              integrate_box, probe_points)
+from ppdiv.quadrature import (QuadratureSpec, _wynn_epsilon, integrate_box,
+                              probe_points)
 
 INF = math.inf
 SPEC = QuadratureSpec()
@@ -57,7 +57,7 @@ class TestRegressions:
     def test_divergent_half_line_raises_possibly_infinite(self):
         counted = _Counted(lambda x: 1.0 + np.exp(-x))
         with pytest.raises(QuadratureFailure, match="probably divergent") as info:
-            integrate_1d(counted, 0.0, INF, SPEC)
+            integrate_box(counted, [(0.0, INF)], SPEC)
         assert info.value.possibly_infinite
         assert counted.calls < 10
 
@@ -71,7 +71,7 @@ class TestRegressions:
             return density(x)
 
         with pytest.raises(QuadratureFailure, match="probably divergent"):
-            integrate_1d(fn, 0.0, INF, SPEC)
+            integrate_box(fn, [(0.0, INF)], SPEC)
         # qagi evaluated exp(-x/1e5) out to x = 4.9e8
         assert max(reach) < 4.92e8
 
@@ -119,7 +119,7 @@ class TestRegressions:
 
     @pytest.mark.parametrize("scale", [1.0, 100.0, 1e4])
     def test_slow_exponential_tail_converges(self, scale):
-        value, err = integrate_1d(lambda x: np.exp(-x / scale), 0.0, INF, SPEC)
+        value, err = integrate_box(lambda x: np.exp(-x / scale), [(0.0, INF)], SPEC)
         assert abs(value - scale) <= 1e-9 * scale
         assert err <= 1e-10 * scale
 
@@ -144,20 +144,20 @@ class TestRegressions:
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(QuadratureFailure) as info:
-            integrate_1d(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0,
-                         QuadratureSpec(max_subdivisions=20))
+            integrate_box(lambda x: 1.0 / np.sqrt(x), [(0.0, 1.0)],
+                          QuadratureSpec(max_subdivisions=20))
         assert info.value.possibly_infinite
 
     def test_integrable_endpoint_singularity(self):
-        value, _ = integrate_1d(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, SPEC)
+        value, _ = integrate_box(lambda x: 1.0 / np.sqrt(x), [(0.0, 1.0)], SPEC)
         assert value == pytest.approx(2.0, abs=1e-9)
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureFailure, match="not finite"):
-            integrate_1d(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0, SPEC)
+            integrate_box(lambda x: np.where(x > 0.5, np.inf, 1.0), [(0.0, 1.0)], SPEC)
 
     def test_empty_interval(self):
-        assert integrate_1d(lambda x: x, 1.0, 1.0, SPEC) == (0.0, 0.0)
+        assert integrate_box(lambda x: x, [(1.0, 1.0)], SPEC) == (0.0, 0.0)
 
     def test_unbounded_box_rejected(self):
         with pytest.raises(ValueError):
@@ -186,7 +186,7 @@ def _family(kind, a, b, c):
 def test_bounded_interval_against_quadpack(kind, a, b, c, lo, width):
     fn, scalar = _family(kind, a, b, c)
     hi = lo + width
-    got, _ = integrate_1d(fn, lo, hi, SPEC)
+    got, _ = integrate_box(fn, [(lo, hi)], SPEC)
     want = integrate.quad(scalar, lo, hi, epsabs=1e-13, epsrel=1e-13,
                           limit=500)[0]
     assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
@@ -200,8 +200,8 @@ def test_bounded_interval_against_quadpack(kind, a, b, c, lo, width):
 def test_half_line_extrapolation_is_not_trusted_early(b, c, d, p, lo):
     # the limits at three depths agreed to 4.7e-11 here while the tail was
     # off by 5.6e-10 (11 times the tolerance in the second case)
-    got, err = integrate_1d(lambda x: b * np.exp(-c * x) + (d + x) ** -p,
-                            lo, INF, SPEC)
+    got, err = integrate_box(lambda x: b * np.exp(-c * x) + (d + x) ** -p,
+                             [(lo, INF)], SPEC)
     want = b / c * math.exp(-c * lo) + (d + lo) ** (1.0 - p) / (p - 1.0)
     assert abs(got - want) <= 1e-10 * (1.0 + want)
     assert abs(got - want) <= max(err, 1e-15 * want)
@@ -214,7 +214,7 @@ def test_half_line_against_quadpack(b, c, p, lo):
     def fn(x):
         return b * np.exp(-c * x) + (1.0 + x) ** -p
 
-    got, _ = integrate_1d(fn, lo, INF, SPEC)
+    got, _ = integrate_box(fn, [(lo, INF)], SPEC)
     want = integrate.quad(lambda x: b * math.exp(-c * x) + (1.0 + x) ** -p,
                           lo, INF, epsabs=1e-13, epsrel=1e-13, limit=500)[0]
     assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
@@ -227,8 +227,8 @@ def test_half_line_against_quadpack(b, c, p, lo):
 # 2.3e-9 with an error estimate of 4.6e-11
 @example(b=1.25, c=1.125, d=1.09375, p=1.25, lo=1.09375)
 def test_slow_half_line_tails_against_closed_form(b, c, d, p, lo):
-    got, _ = integrate_1d(lambda x: b * np.exp(-c * x) + (d + x) ** -p,
-                          lo, INF, SPEC)
+    got, _ = integrate_box(lambda x: b * np.exp(-c * x) + (d + x) ** -p,
+                           [(lo, INF)], SPEC)
     want = b / c * math.exp(-c * lo) + (d + lo) ** (1.0 - p) / (p - 1.0)
     assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 

@@ -69,6 +69,23 @@ class TestSamplePP:
             assert (sample_pp(model, window=window, seed=seed).points
                     == sample_pp(restricted, seed=seed).points)
 
+    def test_window_cutting_cells_on_both_axes(self):
+        # x edges 0, 1, 2, 3 and y edges 0, 0.5, 1, 1.5, 2: the window cuts
+        # cells on both axes and leaves out one cell per axis
+        grid = GridIntensity([(0, 3), (0, 2)], [3, 4], np.arange(1.0, 13.0))
+        window = ((1.4, 2.3), (0.2, 1.2))
+        overlaps = np.outer([0.0, 0.6, 0.3], [0.3, 0.5, 0.2, 0.0]).reshape(-1)
+        mass = float(grid._masses_in(window).sum())
+        assert mass == pytest.approx(float(grid.values @ overlaps), rel=1e-14)
+        reps = 2000
+        counts = np.empty(reps)
+        for s in range(reps):
+            eta = sample_pp(grid, window=window, seed=s)
+            pts = np.array([loc for loc, _ in eta.points]).reshape(-1, 2)
+            assert ((pts >= [1.4, 0.2]) & (pts <= [2.3, 1.2])).all()
+            counts[s] = eta.total_count()
+        assert abs(counts.mean() - mass) <= 4.0 * math.sqrt(mass / reps)
+
     def test_restriction_property_chi_square(self):
         # counts inside a sub-window of the sampling window stay Poisson
         grid = GridIntensity([(0, 2)], [2], [2.0, 1.0])
