@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergence import _one_mass_infinite, tsallis
-from .errors import QuadratureFailure
+from .divergence import _half_order
 from .extended import INF, log_ratios
 from .kernel import _renyi_poisson_array
 from .likelihood import _sum_stat
@@ -56,12 +55,7 @@ def chernoff_info(pair: DensityPair, alpha_tol: float = 1e-9) -> ChernoffResult:
     otherwise (as 1 against 2 on a half-line does).
     """
     lo, hi = 1e-6, 1.0 - 1e-6
-    try:
-        half = tsallis(pair, 0.5).value
-    except QuadratureFailure:
-        if not _one_mass_infinite(pair):
-            raise
-        half = INF
+    half = _half_order(pair)
     if half == INF:
         return ChernoffResult(INF, 0.5, 1, hi - lo, ["singular pair: divergence "
                                                      "infinite at every order in (0, 1)"])

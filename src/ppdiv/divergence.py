@@ -130,19 +130,24 @@ def hellinger_measures(pair: DensityPair) -> float:
 
     Twice its square equals the order-1/2 Tsallis divergence, so the value
     is ``sqrt(T_1/2 / 2)`` for every pair, read from the pair's memoised
-    order 1/2.  Returns inf when the distance is certifiably infinite
-    (exactly one of the two total masses is infinite); raises
-    :class:`QuadratureFailure` when the integral diverges without such a
-    certificate.
+    order 1/2; no mass is computed on the way.  When a smooth pair's
+    quadrature of ``T_1/2`` fails, the distance is inf if exactly one of the
+    two total masses is infinite, which certifies it, and the failure is
+    raised as :class:`QuadratureFailure` otherwise.
     """
-    if _one_mass_infinite(pair):
+    return math.sqrt(_half_order(pair) / 2.0)
+
+
+def _half_order(pair: DensityPair) -> float:
+    """``T_1/2`` of the pair, or inf where its quadrature fails on a smooth
+    pair with exactly one infinite total mass, by the reverse triangle
+    inequality ``|| sqrt f - sqrt g ||_2 >= | sqrt(lambda(S)) - sqrt(mu(S)) |``."""
+    try:
+        return tsallis(pair, 0.5).value
+    except QuadratureFailure:
+        if (pair.lambda_mass() == INF) == (pair.mu_mass() == INF):
+            raise
         return INF
-    return math.sqrt(tsallis(pair, 0.5).value / 2.0)
-
-
-def _one_mass_infinite(pair: DensityPair) -> bool:
-    # || sqrt f - sqrt g ||_2 >= | sqrt(lambda(S)) - sqrt(mu(S)) |
-    return (pair.lambda_mass() == INF) != (pair.mu_mass() == INF)
 
 
 def hellinger_pp(pair: DensityPair) -> float:

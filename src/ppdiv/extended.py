@@ -34,6 +34,18 @@ def ensure_extended(value: float, what: str = "value") -> float:
     return v
 
 
+def ext_fsum(values) -> float:
+    """``math.fsum`` of nonnegative floats, with inf where the sum leaves
+    the float range (``fsum`` raises on such an intermediate overflow);
+    terms of both signs re-raise it, as their sum may still be finite."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        if min(values) < 0.0:
+            raise
+        return INF
+
+
 def ext_mul(a: float, b: float) -> float:
     """Product on [0, inf] with the measure-theoretic rule 0 * inf = 0."""
     return float(ext_muls(a, b))

@@ -29,6 +29,9 @@ from .measure import (DensityPair, GridIntensity, PointPattern,
                       SmoothIntensity, intensity_from_density)
 from . import sampler as _sampler
 
+# Expected thinning proposals per block of Monte Carlo patterns.
+_BLOCK_PROPOSALS = 2 ** 20
+
 
 @dataclass
 class LogLikelihoodResult:
@@ -46,11 +49,16 @@ def _point_terms(eta: PointPattern, ratios: np.ndarray) -> np.ndarray:
     ``ratios`` at its locations; ``-inf`` marks a point in the zero set of
     the ratio, and a point where it is infinite raises."""
     mult = np.array([m for _, m in eta.points], dtype=float)
-    terms = mult * ratios
-    if INF in terms:
-        loc = eta.points[terms.tolist().index(INF)][0]
+    return _dominated(mult * ratios, lambda i: eta.points[i][0])
+
+
+def _dominated(terms: np.ndarray, location) -> np.ndarray:
+    """``terms`` unless one is ``+inf``, where the first intensity is not
+    dominated: that raises, naming the point ``location(i)``."""
+    hit = np.flatnonzero(terms == INF)
+    if len(hit):
         raise NotAbsolutelyContinuous(
-            f"density ratio infinite at {loc!r}; "
+            f"density ratio infinite at {location(int(hit[0]))!r}; "
             "the first intensity is not dominated there")
     return terms
 
@@ -81,11 +89,15 @@ class TruncatedLogLikelihood:
     """Evaluator of the sigma-finite log-likelihood exponent.
 
     Keeps, per truncation level ``n``, the one deterministic term
-    ``mu(S_n) - lambda(S_n)`` (one integral of ``g - f`` per unit
-    segment), so that many patterns can be evaluated against one pair
-    cheaply.  Finite Hellinger distance is required: it is what makes the
-    levels converge.  Works on one-dimensional grid or smooth references
-    whose domain starts at a finite left end.
+    ``mu(S_n) - lambda(S_n)``, so that many patterns can be evaluated
+    against one pair cheaply.  ``S_n`` is the domain up to ``n``; its
+    increments are the integrals of ``g - f`` over the unit segments, taken
+    in chunks of doubling length (levels 1, 2, 3-4, 5-8, ...), each one
+    sum per segment over the cells of a grid, or one adaptive quadrature
+    whose first panels are the segments.  Finite Hellinger distance is
+    required: it is what makes the levels converge, and its check computes
+    no mass.  Works on one-dimensional grid or smooth references whose
+    domain starts at a finite left end.
     """
 
     def __init__(self, pair: DensityPair, n_max: int = 100):
@@ -110,18 +122,25 @@ class TruncatedLogLikelihood:
         self.pair = pair
         self.n_max = int(n_max)
         self.hi = ref.bounds[0][1]
+        # the last level evaluate() can reach
+        self._top = self.n_max if math.isinf(self.hi) else min(self.n_max, math.ceil(self.hi))
         # mu(S_n) - lambda(S_n) at index n, from the empty S_0
         self._gap: list[float] = [0.0]
 
     # -- deterministic integrals ------------------------------------------
 
     def _extend_to(self, n: int):
+        # levels 1, 2, 3-4, 5-8, ... up to n_max and the domain's end, one
+        # chunk per pass: mu - lambda of each unit segment cut to the domain,
+        # S_1 from the domain's left end (which may be negative)
         while len(self._gap) <= n:
-            level = len(self._gap)
-            # mu - lambda of the unit segment, cut to the domain
-            (inc, _), = self.pair._integrals(lambda f, g: (g - f)[None],
-                                             box=((level - 1.0, float(level)),))
-            self._gap.append(self._gap[-1] + inc)
+            first = len(self._gap)
+            last = max(first, min(2 * (first - 1), self._top))
+            cuts = [-INF if first == 1 else first - 1.0]
+            cuts += [float(level) for level in range(first, last + 1)]
+            (incs, _), = self.pair._integrals(lambda f, g: (g - f)[None], cuts=cuts)
+            for inc in incs:
+                self._gap.append(self._gap[-1] + inc)
 
     # -- evaluation --------------------------------------------------------
 
@@ -136,13 +155,16 @@ class TruncatedLogLikelihood:
                                        converged=True)
         locs = np.array([float(loc) for loc, _ in eta.points])
         order = np.lexsort((terms, locs))
-        locs, contribs = locs[order], terms[order]
+        locs, contribs = locs[order].tolist(), terms[order].tolist()
 
         trace: list[tuple[int, float]] = []
-        prev = None
+        prev, pat, inside = None, 0.0, 0
         for n in range(1, self.n_max + 1):
             self._extend_to(n)
-            pat = float(contribs[locs <= n].sum()) if len(locs) else 0.0
+            # the pattern sum over S_n, point by point in sorted order
+            while inside < len(locs) and locs[inside] <= n:
+                pat += contribs[inside]
+                inside += 1
             ell = pat + self._gap[n]
             trace.append((n, ell))
             if self.hi <= n:
@@ -150,7 +172,7 @@ class TruncatedLogLikelihood:
             # The step from the previous level is trusted only once that
             # level held every pattern point: a point's log-ratio can cancel
             # the compensator increment of the level it falls in.
-            settled = not len(locs) or locs[-1] <= n - 1
+            settled = not locs or locs[-1] <= n - 1
             if prev is not None and settled and abs(ell - prev) < tol:
                 return LogLikelihoodResult(True, ell, trace, True)
             prev = ell
@@ -177,7 +199,11 @@ def mc_divergence_estimate(pair: DensityPair, alpha: float, n_samples: int,
     ``n_samples`` must be at least 2 for the standard error.  Raises
     :class:`NonConvergent` when no pattern drawn under the second law is in
     the first law's support, as the ratio power then averages to 0.
-    Reproducible given ``(seed, n_samples)``.
+    Discrete and grid pairs draw the counts of all patterns at once; smooth
+    pairs thin the patterns in blocks of at most about 2^20 expected
+    proposals, with one density call per block for the thinning and one
+    per density for the log ratios.  Reproducible given
+    ``(seed, n_samples)``.
     """
     if not 0.0 < alpha <= 2.0:
         raise InvalidAlpha("monte carlo estimation is restricted to "
@@ -233,16 +259,16 @@ def _sum_stat(counts: np.ndarray, logratio: np.ndarray) -> np.ndarray:
 
 
 def _smooth_loglr_batch(pair, base, size, rng, sample_from_first):
-    dens = pair.f if sample_from_first else pair.g
-    model = intensity_from_density(pair.reference, dens)
-    if not model.has_unbounded_domain:
-        # The probe-grid bound is deterministic, so estimating it once per
-        # batch leaves every draw unchanged.
-        model = SmoothIntensity(model.bounds, model.density, model.quadrature,
-                                _sampler._density_bound(model, model.bounds))
+    model = intensity_from_density(pair.reference, pair.f if sample_from_first else pair.g)
+    bound, mean = _sampler._proposal_rate(model, model.bounds)
+    # The probe-grid bound is deterministic, so estimating it once serves
+    # every block; a block holds about _BLOCK_PROPOSALS proposals at most.
+    model = SmoothIntensity(model.bounds, model.density, model.quadrature, bound)
+    block = max(1, int(_BLOCK_PROPOSALS / max(mean, 1.0)))
     out = np.empty(size)
-    for i in range(size):
-        eta = _sampler.sample_pp(model, window=None, seed=rng)
-        terms = _point_terms(eta, pair.log_ratio_at(_locations(eta)))
-        out[i] = base + math.fsum(terms.tolist())
+    for start in range(0, size, block):
+        k = min(block, size - start)
+        coords, which = _sampler._thin(model, model.bounds, rng, k)
+        ratios = _dominated(pair.log_ratio_at(coords), lambda i: coords[i].tolist())
+        out[start:start + k] = base + np.bincount(which, weights=ratios, minlength=k)
     return out

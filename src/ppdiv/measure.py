@@ -34,9 +34,9 @@ import numpy as np
 
 from .errors import (DomainMismatch, OutOfWindow, PointOutsideDomain,
                      QuadratureFailure)
-from .extended import INF, ensure_extended, log_ratios
-from .quadrature import (QuadratureSpec, integrate_box, probe_columns,
-                         probe_points)
+from .extended import INF, ensure_extended, ext_fsum, log_ratios
+from .quadrature import (QuadratureSpec, integrate_box, integrate_segments,
+                         probe_columns, probe_points)
 
 # Cell budget for the join of two grids, checked before it is built.
 _MAX_REFINED_CELLS = 2_000_000
@@ -144,7 +144,7 @@ class DiscreteIntensity(IntensityModel):
         return self.ids
 
     def total_mass(self) -> float:
-        return float(math.fsum(self.weights.tolist()))
+        return ext_fsum(self.weights.tolist())
 
     def _reweighted(self, factors) -> "DiscreteIntensity":
         return DiscreteIntensity._of(self.ids, self.weights * factors)
@@ -275,7 +275,7 @@ class GridIntensity(IntensityModel):
         return self._centres
 
     def total_mass(self) -> float:
-        return float(math.fsum(self.masses.tolist()))
+        return ext_fsum(self.masses.tolist())
 
     def _reweighted(self, factors) -> "GridIntensity":
         return GridIntensity._on(self.edges, self.values * factors)
@@ -422,7 +422,7 @@ class SummedIntensity(IntensityModel):
         masses = [p.total_mass() for p in self.parts]
         if any(m == INF for m in masses):
             return INF
-        return float(math.fsum(masses))
+        return ext_fsum(masses)
 
     def flattened(self) -> IntensityModel:
         flats = [p.flattened() for p in self.parts]
@@ -632,34 +632,42 @@ class DensityPair:
             raise QuadratureFailure(f"a density overflows at a probe: {exc}",
                                     possibly_infinite=True) from exc
 
-    def _integrals(self, terms, rows: int = 1, exact: bool = True, box=None):
+    def _integrals(self, terms, rows: int = 1, exact: bool = True, cuts=None):
         """``(value, error_estimate)`` per row of the ``(rows, n)`` pointwise
-        terms ``terms(f, g)`` against the reference, over the part of the
-        domain in ``box`` (default: all of it): :func:`_weighted_sums` with
-        the reference masses of the atoms or of the cells cut to ``box`` on
-        exact pairs, one adaptive quadrature per row on smooth ones."""
+        terms ``terms(f, g)`` against the reference: :func:`_weighted_sums`
+        with the reference masses of the atoms or cells on exact pairs, one
+        adaptive quadrature per row on smooth ones.  With ``cuts``,
+        increasing break points on the axis of a 1-d pair, value and error
+        are lists with one entry per segment between consecutive cuts, cut
+        to the domain: one sum per segment over the cells cut to it, or one
+        quadrature per row whose first panels are the segments."""
         ref = self.reference
         if self.is_exact:
-            w = ref.masses if box is None else ref._masses_in(box)
-            return [(value, 0.0) for value in _weighted_sums(w, terms(self.f, self.g), exact)]
-        bounds = ref.bounds if box is None else tuple(
-            (max(lo, blo), min(hi, bhi)) for (lo, hi), (blo, bhi) in zip(ref.bounds, box))
+            t = terms(self.f, self.g)
+            if cuts is None:
+                return [(value, 0.0) for value in _weighted_sums(ref.masses, t, exact)]
+            sums = [_weighted_sums(ref._masses_in(((lo, hi),)), t, exact)
+                    for lo, hi in zip(cuts[:-1], cuts[1:])]
+            return [(list(row), [0.0] * len(sums)) for row in zip(*sums)]
 
         def row(i):
             return lambda *x: (terms(density_values(self.f, x), density_values(self.g, x))[i]
                                * density_values(ref.density, x))
-        return [integrate_box(row(i), bounds, ref.quadrature) for i in range(rows)]
+        if cuts is None:
+            return [integrate_box(row(i), ref.bounds, ref.quadrature) for i in range(rows)]
+        edges = np.clip(cuts, *ref.bounds[0])
+        return [integrate_segments(row(i), edges, ref.quadrature) for i in range(rows)]
 
 
 def _weighted_sums(w: np.ndarray, terms: np.ndarray, exact: bool = True) -> list[float]:
     """Per row of the ``(rows, cells)`` array ``terms``, the sum of ``w *
-    terms`` over the cells with ``w > 0``, correctly rounded by ``math.fsum``
+    terms`` over the cells with ``w > 0``, correctly rounded by ``ext_fsum``
     if ``exact``, else pairwise by ``np.sum``; an infinite term gives inf."""
     pos = w > 0.0
     if not pos.all():
         w, terms = w[pos], terms[:, pos]
     weighted = w * terms
-    return ([math.fsum(row) for row in weighted.tolist()] if exact
+    return ([ext_fsum(row) for row in weighted.tolist()] if exact
             else weighted.sum(axis=1).tolist())
 
 

@@ -11,6 +11,9 @@ every new panel of a round, and returns the integrand values as one
 array.  Each round bisects the panels with the largest errors, as few as
 leave the others within half the tolerance, a box across the axis whose
 Gauss rule disagrees most, and evaluates all the halves in one call.
+:func:`integrate_segments` starts a 1-d run from given break points, as
+QUADPACK's ``qagp`` does, and reads the integral over each segment
+between them from the panels that bisection made of it.
 
 The half-line ``[lo, inf)`` is mapped onto ``(0, 1]`` by ``x = lo + t/(1-t)``
 with ``s = 1 - t`` carried as the variable (QUADPACK's ``qk15i`` map), so
@@ -47,10 +50,10 @@ _PROBES_PER_AXIS = 17
 _BOX_PROBES_PER_AXIS = 9
 _GOLDEN = 0.381966
 
-# Initial panels of a bounded 1-d interval.  A round costs about the same
-# for 15 or 120 nodes, and the finer start resolves features down to about
-# a hundredth of the interval.  A half-line starts from the one panel
-# (0, 1] of qk15i.
+# Initial panels of a bounded 1-d interval, shared evenly among its
+# segments (at least one each).  A round costs about the same for 15 or 120
+# nodes, and the finer start resolves features down to about a hundredth of
+# the interval.  A half-line starts from the one panel (0, 1] of qk15i.
 _INITIAL_PANELS = 8
 
 # The tail panel [0, 2^-depth] of a half-line is cut no deeper than this:
@@ -131,30 +134,58 @@ def integrate_box(func, bounds, spec: QuadratureSpec):
         return 0.0, 0.0
     if len(bounds) > 1 and any(math.isinf(hi) for _, hi in bounds):
         raise ValueError("only 1-d boxes may be unbounded")
-    return _Adaptive(func, bounds, spec).run()
+    (value,), (error,) = _Adaptive(func, bounds, spec).run()
+    return value, error
+
+
+def integrate_segments(func, edges, spec: QuadratureSpec):
+    """Integrate the 1-d array integrand ``func`` over each segment between
+    consecutive finite ``edges`` (nondecreasing) in one adaptive run.
+
+    The run's first panels are the segments, and the error control is
+    global: the errors of all segments sum to at most ``max(abs_tol, 1e-10
+    |total|)``.  Returns ``(values, error_estimates)``, one float per
+    segment (0 on an empty one), or raises QuadratureFailure.
+    """
+    edges = np.asarray(edges, dtype=float)
+    if not np.isfinite(edges).all() or (np.diff(edges) < 0.0).any():
+        raise ValueError("segment edges must be finite and nondecreasing")
+    if edges[-1] == edges[0]:
+        return [0.0] * (len(edges) - 1), [0.0] * (len(edges) - 1)
+    # an empty segment's panels have value and error 0, so none is split
+    return _Adaptive(func, ((float(edges[0]), float(edges[-1])),), spec, edges).run()
 
 
 class _Adaptive:
     """One adaptive integration over a pool of boxes, held as ``(n, d)``
     arrays of lower ends and widths in the integration variables (``s``
-    on a half-line) with each box's value and error estimates."""
+    on a half-line) with each box's value and error estimates and the
+    segment it lies in.  A bounded 1-d run may be cut into segments at
+    ``edges`` (its two ends and the break points between them)."""
 
-    def __init__(self, func, bounds, spec: QuadratureSpec):
+    def __init__(self, func, bounds, spec: QuadratureSpec, edges=None):
         self.func = func
         self.bounds = bounds
         self.spec = spec
         self.origin = [lo for lo, _ in bounds]
         self.half_line = math.isinf(bounds[0][1])
+        self.edges = np.array(bounds[0]) if edges is None else np.asarray(edges)
 
     def run(self):
-        span = [1.0 if self.half_line else hi - lo for lo, hi in self.bounds]
-        n0 = 1
-        if len(span) == 1 and not self.half_line:
-            n0 = min(_INITIAL_PANELS, self.spec.max_subdivisions)
-        width = np.array([span] * n0)
-        width[:, 0] /= n0
-        lo = np.zeros_like(width)
-        lo[:, 0] = np.arange(n0) * width[0, 0]
+        """The values and error estimates of the segments, once the
+        panels of all of them meet the tolerance together."""
+        if len(self.bounds) > 1 or self.half_line:
+            width = np.array([[1.0 if self.half_line else hi - a for a, hi in self.bounds]])
+            lo, seg = np.zeros_like(width), np.zeros(1, dtype=int)
+        else:
+            # each segment cut evenly, into the share of the initial panels
+            n_seg = len(self.edges) - 1
+            per = max(1, min(_INITIAL_PANELS, self.spec.max_subdivisions) // n_seg)
+            seg = np.repeat(np.arange(n_seg), per)
+            step = np.diff(self.edges) / per
+            width = step[seg][:, None]
+            lo = (self.edges[:-1][seg] - self.origin[0]
+                  + np.tile(np.arange(per), n_seg) * step[seg])[:, None]
         value, err, axis = self._rules(lo, width)
         tail = _Tail(float(value[0])) if self.half_line else None
         while True:
@@ -164,7 +195,9 @@ class _Adaptive:
                            total, total_err)
             tol = max(self.spec.abs_tol, _EPSREL * abs(total))
             if total_err <= tol:
-                return total, total_err
+                mine = [seg == k for k in range(len(self.edges) - 1)]
+                return ([math.fsum(value[m].tolist()) for m in mine],
+                        [float(err[m].sum()) for m in mine])
             # Split the fewest boxes, largest errors first, that leave the
             # others' errors within half the tolerance.
             order = np.argsort(-err)
@@ -203,6 +236,9 @@ class _Adaptive:
                 new = tuple(a[keep] for a in new)
             stay = np.ones(len(value), dtype=bool)
             stay[split] = False
+            # halves stay in their panel's segment; a half-line is one segment
+            seg = np.concatenate([seg[stay], np.zeros(len(new_lo), dtype=int) if rings
+                                  else np.tile(seg[halve], 2)])
             lo = np.concatenate([lo[stay], new_lo])
             width = np.concatenate([width[stay], new_width])
             value, err, axis = (np.concatenate([old[stay], n])

@@ -10,8 +10,10 @@ streams are never shared across workers.
 The grid and smooth samplers draw whole arrays: a grid pattern takes one
 ``choice`` of cells and one uniform array per axis, and smooth thinning
 (Lewis and Shedler, 1979) draws all proposals and their uniforms at once
-and calls the density once on them.  These streams replaced per-point
-draws, so a seed now gives another pattern than under the per-point code.
+and calls the density once on them, for one pattern or a block of them.
+Marks take one uniform array for all points.  These streams replaced
+per-point draws, so a seed now gives another pattern than under the
+per-point code.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InfiniteWindowMass, OutOfWindow, ThinningBoundMissing)
+from .extended import INF, ext_fsum
 from .measure import (DiscreteIntensity, GridIntensity, IntensityModel,
                       MarkedModel, PointPattern, SmoothIntensity,
                       _normalize_box, density_values)
@@ -99,7 +102,9 @@ def _sample_grid(m: GridIntensity, window, rng) -> PointPattern:
     box = _window_box(m, window)
     lows, highs = m._cells_in(box)
     masses = m._masses_in(box)
-    total = math.fsum(masses.tolist())
+    total = ext_fsum(masses.tolist())
+    if total == INF:
+        raise InfiniteWindowMass("window mass is not finite")
     n = int(rng.poisson(total)) if total > 0.0 else 0
     if n == 0:
         return PointPattern((), window=box)
@@ -129,16 +134,34 @@ def _density_bound(m: SmoothIntensity, box) -> float:
 
 def _sample_smooth(m: SmoothIntensity, window, rng) -> PointPattern:
     box = _window_box(m, window)
+    coords, _ = _thin(m, box, rng, 1)
+    return PointPattern(_points(coords), window=box)
+
+
+def _proposal_rate(m: SmoothIntensity, box) -> tuple[float, float]:
+    """The thinning bound of ``m`` on the bounded ``box`` and the expected
+    number of proposals of one pattern."""
     if any(math.isinf(hi) for _, hi in box):
         raise InfiniteWindowMass(
             "smooth sampling needs a bounded window on an unbounded domain")
     bound = _density_bound(m, box)
-    if bound == 0.0:
-        return PointPattern((), window=box)
-    volume = math.prod(hi - lo for lo, hi in box)
-    if not math.isfinite(bound * volume):
+    mean = bound * math.prod(hi - lo for lo, hi in box)
+    if not math.isfinite(mean):
         raise InfiniteWindowMass("window mass is not finite")
-    n = int(rng.poisson(bound * volume))
+    return bound, mean
+
+
+def _thin(m: SmoothIntensity, box, rng, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Thinning (Lewis and Shedler, 1979) of ``size`` independent patterns
+    on ``box``: their Poisson proposal counts, then one uniform array of
+    proposals and one of acceptance levels under the bound, and one call of
+    the density.  Returns the accepted ``(n, d)`` coordinates, pattern by
+    pattern, and the index of the pattern of each row."""
+    bound, mean = _proposal_rate(m, box)
+    if bound == 0.0:
+        return np.empty((0, len(box))), np.empty(0, dtype=np.int64)
+    counts = rng.poisson(mean, size=size)
+    n = int(counts.sum())
     lo, hi = np.array(box).T
     proposals = rng.uniform(lo, hi, size=(n, len(box)))
     u = rng.uniform(0.0, bound, size=n)
@@ -148,32 +171,38 @@ def _sample_smooth(m: SmoothIntensity, window, rng) -> PointPattern:
         raise ThinningBoundMissing(
             f"density {float(dens[over][0])!r} exceeds the thinning bound "
             f"{bound!r}; supply density_bound")
-    return PointPattern(_points(proposals[u < dens]), window=box)
+    keep = u < dens
+    return proposals[keep], np.repeat(np.arange(size), counts)[keep]
 
 
 def sample_marked(marked: MarkedModel, window=None, seed=0) -> PointPattern:
     """Draw one marked pattern: locations from the base intensity, then
-    one conditionally independent mark per point from the kernel."""
+    one conditionally independent mark per point from the kernel, by
+    inverse CDF on the kernel's cumulative mark masses at the point (and,
+    on a grid of marks, uniformly inside the drawn cell)."""
     base_rng, mark_rng = spawn_streams(seed, 2)
     base = sample_pp(marked.base, window=window, seed=base_rng)
     ref = marked.mark_reference
-    table = marked.mark_table([loc for loc, _ in base.points])
-    out: dict = {}
-    for (loc, mult), dens in zip(base.points, table):
-        for _ in range(mult):
-            mark = _draw_mark(ref, dens, mark_rng)
-            key = (loc, mark)
-            out[key] = out.get(key, 0) + 1
-    return PointPattern(tuple(out.items()), window=None)
-
-
-def _draw_mark(ref, dens, rng):
-    masses = dens * ref.masses
-    idx = int(rng.choice(len(masses), p=masses / masses.sum()))
+    locs = [loc for loc, _ in base.points]
+    # one row per point, repeated by its multiplicity
+    rows = np.repeat(np.arange(len(locs)), [m for _, m in base.points])
+    cdf = np.cumsum(marked.mark_table(locs) * ref.masses, axis=1)[rows]
+    total = cdf[:, -1]
+    if not (total > 0.0).all():
+        raise ValueError("mark kernel has no mass at a sampled location")
+    # u < total, so the first mark whose cumulative mass passes u exists and
+    # has positive mass
+    u = np.minimum(mark_rng.uniform(size=len(rows)) * total, np.nextafter(total, 0.0))
+    idx = np.argmax(u[:, None] < cdf, axis=1)
     if isinstance(ref, DiscreteIntensity):
-        return ref.ids[idx]
-    edges = ref.edges[0]
-    return float(rng.uniform(edges[idx], edges[idx + 1]))
+        marks = [ref.ids[i] for i in idx.tolist()]
+    else:
+        edges = ref.edges[0]
+        marks = mark_rng.uniform(edges[idx], edges[idx + 1]).tolist()
+    out: dict = {}
+    for key in zip([locs[r] for r in rows.tolist()], marks):
+        out[key] = out.get(key, 0) + 1
+    return PointPattern(tuple(out.items()), window=None)
 
 
 @dataclass(frozen=True)

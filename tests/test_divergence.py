@@ -16,6 +16,7 @@ from ppdiv import (AcRelation, DensityPair, DiscreteIntensity, GridIntensity,
                    dominating_intensity, hellinger_measures, hellinger_pp,
                    kl_pp, renyi_poisson, renyi_pp, tsallis,
                    tsallis_sanity_bound, total_mass)
+from ppdiv.extended import ext_fsum
 from ppdiv.model_io import compile_density
 from ppdiv.quadrature import _Adaptive
 
@@ -146,6 +147,53 @@ class TestHellinger:
         pair = common_reference(lam, mu)
         assert hellinger_measures(pair) == INF
         assert hellinger_pp(pair) == 1.0
+
+
+class TestHellingerOrdering:
+    """The distance reads T_1/2 first; the one-infinite-mass certificate
+    only settles a smooth pair whose order-1/2 quadrature fails."""
+
+    def test_exact_pair_with_an_overflowing_mass(self):
+        # lambda(S) = 2e308 leaves the float range; H^2 = 1e308 / 2 does not
+        pair = common_reference(DiscreteIntensity([("a", 1e308), ("b", 1e308)]),
+                                DiscreteIntensity([("a", 1e308), ("b", 0.0)]))
+        assert hellinger_measures(pair) == pytest.approx(math.sqrt(0.5e308),
+                                                         rel=1e-12)
+
+    def test_finite_distance_computes_no_mass(self):
+        # both masses are infinite here; a smooth pair with exactly one
+        # infinite mass is TestHellinger.test_pp_saturates_at_infinite_distance
+        lam = SmoothIntensity([(0.0, INF)], compile_density("1 + exp(-x)", ("x",)))
+        mu = SmoothIntensity([(0.0, INF)], compile_density("1", ("x",)))
+        pair = common_reference(lam, mu)
+        assert hellinger_measures(pair) < INF
+        assert not {"lambda", "mu"} & pair._memo.keys()
+
+
+class TestOverflowingSums:
+    """An exact sum past the float range is inf, not an OverflowError."""
+
+    BIG = DiscreteIntensity([("a", 1e308), ("b", 1e308)])
+    ONES = DiscreteIntensity([("a", 1.0), ("b", 1.0)])
+
+    def test_tsallis(self):
+        assert tsallis(common_reference(self.BIG, self.ONES), 0.5).value == INF
+
+    def test_masses(self):
+        pair = common_reference(self.BIG, self.ONES)
+        assert (pair.lambda_mass(), pair.mu_mass()) == (INF, 2.0)
+        assert total_mass(self.BIG) == INF
+        assert total_mass(GridIntensity([(0, 2)], [2], [1.6e308, 1.6e308])) == INF
+
+    def test_classify(self):
+        verdict = classify_pp_relation(common_reference(self.BIG, self.ONES))
+        assert (verdict.t0_forward, verdict.t0_backward) == (0.0, 0.0)
+
+    def test_mixed_signs_still_raise(self):
+        # such a sum may be finite, so its overflow is not read as inf
+        with pytest.raises(OverflowError):
+            ext_fsum([1e308, 1e308, -1e308])
+        assert ext_fsum([1e308, 1e308]) == INF
 
 
 class TestPropertyIdentities:

@@ -16,9 +16,11 @@ from ppdiv import (DiscreteIntensity, GridIntensity, InfiniteHellinger,
                    TruncatedLogLikelihood,
                    common_reference, log_lr_finite, log_lr_sigma_finite,
                    mc_divergence_estimate, sample_pp, tsallis)
-from ppdiv import measure
+from ppdiv import likelihood, measure
 from ppdiv.extended import log_ratios
-from ppdiv.likelihood import _sum_stat
+from ppdiv.likelihood import _smooth_loglr_batch, _sum_stat
+from ppdiv.model_io import compile_density
+from ppdiv.quadrature import _Adaptive, integrate_box
 
 INF = math.inf
 UNIT_2 = GridIntensity([(0, 1)], [1], [2.0])
@@ -227,25 +229,54 @@ def _split_smooth_levels(pair, eta, levels, edge):
     return out
 
 
+# Half-line pairs of finite Hellinger distance: 1 + e^-x, 1 + (1 + x)^-2
+# and 1 + e^-|x - 2.5| (a kink inside a chunk) against 1.
+_HALF_LINE = ("1 + exp(-x)", "1 + (1 + x)**-2", "1 + exp(-abs(x - 2.5))")
+
+
 class TestOneIntegralPerLevel:
-    """Each truncation level adds ``mu(S_n) - lambda(S_n)``: one quadrature
-    of ``g - f``, equal at every level to the paper's compensated split."""
+    """Each truncation level adds ``mu(S_n) - lambda(S_n)``, the integral of
+    ``g - f`` over its unit segment, equal at every level to the paper's
+    compensated split; the segments are integrated in chunks of doubling
+    length, one adaptive run per chunk."""
 
-    def test_one_quadrature_per_level(self, monkeypatch):
-        lam = SmoothIntensity([(0.0, INF)], lambda x: 1.0 + math.exp(-x))
-        mu = SmoothIntensity([(0.0, INF)], lambda x: 1.0)
+    def test_one_quadrature_per_chunk(self, monkeypatch):
+        lam = SmoothIntensity([(0.0, INF)], lambda x: 1.0 + np.exp(-x))
+        mu = SmoothIntensity([(0.0, INF)], lambda x: 1.0 + 0.0 * x)
         evaluator = TruncatedLogLikelihood(common_reference(lam, mu), n_max=7)
-        segments = []
-        real = measure.integrate_box
-
-        def counted(func, bounds, spec):
-            segments.append(tuple(bounds))
-            return real(func, bounds, spec)
-
-        monkeypatch.setattr(measure, "integrate_box", counted)
+        runs = []
+        run = _Adaptive.run
+        monkeypatch.setattr(_Adaptive, "run",
+                            lambda self: runs.append(self.bounds) or run(self))
         result = evaluator.evaluate(PointPattern([(0.5, 1)]), tol=0.0)
         assert len(result.truncation_trace) == 7
-        assert segments == [((n - 1.0, float(n)),) for n in range(1, 8)]
+        assert runs == [((0.0, 1.0),), ((1.0, 2.0),), ((2.0, 4.0),), ((4.0, 7.0),)]
+
+    @pytest.mark.parametrize("expression", _HALF_LINE)
+    def test_chunked_levels_match_one_run_per_level(self, expression):
+        lam = SmoothIntensity([(0.0, INF)], compile_density(expression, ("x",)))
+        mu = SmoothIntensity([(0.0, INF)], compile_density("1", ("x",)))
+        pair = common_reference(lam, mu)
+        trace = TruncatedLogLikelihood(pair, n_max=40).evaluate(
+            PointPattern(()), tol=0.0).truncation_trace
+        assert [n for n, _ in trace] == list(range(1, 41))
+        gap = 0.0
+        for n, value in trace:
+            inc, _ = integrate_box(lambda x: pair.g(x) - pair.f(x),
+                                   [(n - 1.0, float(n))], lam.quadrature)
+            gap += inc
+            assert abs(value - gap) <= 1e-9
+
+    def test_constructor_runs_no_mass_integral(self, monkeypatch):
+        # T_1/2 is finite, so the hellinger check needs neither mass
+        runs = []
+        run = _Adaptive.run
+        monkeypatch.setattr(_Adaptive, "run",
+                            lambda self: runs.append(self.bounds) or run(self))
+        lam = SmoothIntensity([(0.0, INF)], compile_density(_HALF_LINE[0], ("x",)))
+        mu = SmoothIntensity([(0.0, INF)], compile_density("1", ("x",)))
+        TruncatedLogLikelihood(common_reference(lam, mu))
+        assert runs == [((0.0, INF),)]
 
     @pytest.mark.parametrize("scale", [1.0, 3.0])
     @pytest.mark.parametrize("swap", [False, True])
@@ -369,6 +400,64 @@ class TestMonteCarlo:
         assert a == b
 
 
+def _smooth_mc_pair():
+    lam = SmoothIntensity([(0.0, 2.0)], compile_density("6*(2 + sin(3*x))", ("x",)))
+    mu = SmoothIntensity([(0.0, 2.0)], compile_density("8 + 4*x", ("x",)))
+    return common_reference(lam, mu)
+
+
+class TestSmoothMonteCarlo:
+    """The smooth Monte Carlo thins all patterns of a block at once."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_estimate_matches_tsallis(self, alpha):
+        pair = _smooth_mc_pair()
+        est, se = mc_divergence_estimate(pair, alpha, 4_000, seed=21)
+        assert abs(est - tsallis(pair, alpha).value) <= 4.0 * se
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_one_pattern_batch_is_sample_pp(self, first):
+        # a batch of one pattern draws what sample_pp draws from the same
+        # stream, and its log ratio is log_lr_finite's
+        pair = _smooth_mc_pair()
+        base = pair.mu_mass() - pair.lambda_mass()
+        model = measure.intensity_from_density(pair.reference,
+                                               pair.f if first else pair.g)
+        for seed in range(10):
+            got, = _smooth_loglr_batch(pair, base, 1, np.random.default_rng(seed), first)
+            eta = sample_pp(model, seed=np.random.default_rng(seed))
+            assert len(eta) > 0
+            want = log_lr_finite(pair, eta).log_lr
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_blocks_are_reproducible(self, monkeypatch):
+        # one pattern per block: the blocks draw, in turn, what sample_pp
+        # draws from the one stream
+        pair = _smooth_mc_pair()
+        base = pair.mu_mass() - pair.lambda_mass()
+        model = measure.intensity_from_density(pair.reference, pair.f)
+        monkeypatch.setattr(likelihood, "_BLOCK_PROPOSALS", 1)
+        blocks = _smooth_loglr_batch(pair, base, 30, np.random.default_rng(5), True)
+        assert (blocks == _smooth_loglr_batch(pair, base, 30,
+                                              np.random.default_rng(5), True)).all()
+        rng = np.random.default_rng(5)
+        want = [log_lr_finite(pair, sample_pp(model, seed=rng)).log_lr
+                for _ in range(30)]
+        np.testing.assert_allclose(blocks, want, rtol=1e-12, atol=0.0)
+        a = mc_divergence_estimate(pair, 1.0, 50, seed=4)
+        assert a == mc_divergence_estimate(pair, 1.0, 50, seed=4)
+
+    def test_infinite_ratio_at_a_point_raises(self):
+        # mu vanishes on [1, 2], where lambda does not; called directly, the
+        # batch has no domination probe before it and must see the drawn
+        # points' infinite ratios itself
+        lam = SmoothIntensity([(0.0, 2.0)], lambda x: 5.0 + 0.0 * x)
+        mu = SmoothIntensity([(0.0, 2.0)], lambda x: np.where(x < 1.0, 5.0, 0.0))
+        pair = common_reference(lam, mu)
+        with pytest.raises(NotAbsolutelyContinuous, match="infinite at"):
+            _smooth_loglr_batch(pair, 0.0, 5, np.random.default_rng(0), True)
+
+
 # (first densities, second densities, box, point, sigma-finite?): pairs
 # whose density ratio at the point leaves the float range although both
 # densities are positive there.
@@ -475,6 +564,19 @@ class TestCrossPath:
                                                        abs=1e-12)
         assert checked >= 20
 
+    def test_sigma_finite_grid_left_of_zero_matches_finite(self):
+        # S_1 reaches down to the domain's left end, here below 0
+        rng = np.random.default_rng(32)
+        for lo, hi in ((-2.5, 3.2), (-4.0, -1.0)):
+            n = 5
+            pair = common_reference(
+                GridIntensity([(lo, hi)], [n], rng.uniform(0.5, 4.0, n)),
+                GridIntensity([(lo, hi)], [n], rng.uniform(0.5, 4.0, n)))
+            eta = PointPattern([(float(x), 1) for x in rng.uniform(lo, hi, 4)])
+            sigma = log_lr_sigma_finite(pair, eta, tol=0.0)
+            assert sigma.log_lr == pytest.approx(log_lr_finite(pair, eta).log_lr,
+                                                 rel=1e-12, abs=1e-12)
+
     def test_sigma_finite_grid_matches_finite(self):
         # Cells that straddle the unit truncation levels exercise the
         # overlap weights of the grid segment integrals.
@@ -494,7 +596,8 @@ class TestCrossPath:
             assert sigma.log_lr == pytest.approx(finite.log_lr, rel=1e-12,
                                                  abs=1e-12)
 
-    @pytest.mark.parametrize("bounds", [(0.5, 3.7), (1.25, 2.6), (0.0, 4.0)])
+    @pytest.mark.parametrize("bounds", [(0.5, 3.7), (1.25, 2.6), (0.0, 4.0),
+                                        (-1.5, 2.2), (-1.9, -0.4)])
     def test_sigma_finite_smooth_matches_finite(self, bounds):
         # The unit truncation levels are cut to a domain whose ends need not
         # be integers, as a grid's cells are.

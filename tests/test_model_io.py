@@ -16,7 +16,7 @@ import ppdiv
 from helpers import math_density
 from ppdiv import (DiscreteIntensity, MarkedModel, ParseError, PointPattern,
                    SmoothIntensity, ThinningBoundMissing, common_reference,
-                   log_lr_finite, sample_pp)
+                   log_lr_finite, mc_divergence_estimate, sample_pp)
 from ppdiv.measure import density_values
 from ppdiv.model_io import _EXPR_NAMES, compile_density, model_from_dict
 
@@ -176,14 +176,15 @@ class TestAllowList:
     def test_only_the_integral_entries_name_the_integrator(self):
         """Pointwise terms of a pair are integrated through
         ``DensityPair._integrals``: besides ``quadrature``, which defines
-        ``integrate_box``, only ``measure`` (that entry and the single-model
-        masses) and ``disintegration`` (the mark integrand) name it."""
+        ``integrate_box`` and ``integrate_segments``, only ``measure`` (that
+        entry and the single-model masses) and ``disintegration`` (the mark
+        integrand) name them."""
         users = set()
         for path in sorted(pathlib.Path(ppdiv.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 name = (getattr(node, "name", None) if isinstance(node, ast.alias)
                         else getattr(node, "attr", getattr(node, "id", None)))
-                if name == "integrate_box":
+                if name in ("integrate_box", "integrate_segments"):
                     users.add(path.name)
         assert users - {"quadrature.py"} <= {"measure.py", "disintegration.py"}
 
@@ -247,3 +248,16 @@ class TestNoPerPointCalls:
             scalar_calls.append((f.scalar_calls, g.scalar_calls))
         # the mass integrals and the domination probes do not see the pattern
         assert scalar_calls[0] == scalar_calls[1]
+
+    def test_smooth_monte_carlo_calls_do_not_grow_with_samples(self):
+        calls = []
+        for n_samples in (2, 20, 400):
+            f = _Counted(compile_density("100*(2 + sin(3*x))", ("x",)))
+            g = _Counted(compile_density("150 + 20*x", ("x",)))
+            pair = common_reference(SmoothIntensity([(0, 2)], f),
+                                    SmoothIntensity([(0, 2)], g))
+            for alpha in (1.0, 0.5):
+                mc_divergence_estimate(pair, alpha, n_samples, seed=6)
+            calls.append((f.array_calls, f.scalar_calls, g.array_calls, g.scalar_calls))
+        assert calls[0] == calls[1] == calls[2]
+        assert calls[0][1] == calls[0][3] == 0

@@ -18,7 +18,7 @@ from ppdiv.divergence import _require_ac
 from ppdiv.extended import ext_mul, ext_muls
 from ppdiv.model_io import compile_density
 from ppdiv.quadrature import (QuadratureSpec, _wynn_epsilon, integrate_box,
-                              probe_points)
+                              integrate_segments, probe_points)
 
 INF = math.inf
 SPEC = QuadratureSpec()
@@ -162,6 +162,38 @@ class TestRegressions:
     def test_unbounded_box_rejected(self):
         with pytest.raises(ValueError):
             integrate_box(lambda x, y: x, [(0.0, INF), (0.0, 1.0)], SPEC)
+
+
+class TestSegments:
+    """One adaptive run over break points gives each segment's integral."""
+
+    def test_segments_against_quadpack(self):
+        fn = lambda x: 1.0 + np.exp(-np.abs(x - 2.5)) + np.sqrt(x)
+        edges = [0.0, 0.5, 0.5, 1.0, 2.0, 4.0, 7.25]
+        values, errors = integrate_segments(fn, edges, SPEC)
+        assert values[1] == errors[1] == 0.0
+        assert sum(errors) <= max(SPEC.abs_tol, 1e-10 * abs(sum(values)))
+        for (lo, hi), value in zip(zip(edges, edges[1:]), values):
+            want = integrate.quad(fn, lo, hi, points=[2.5] if lo < 2.5 < hi else None,
+                                  epsabs=1e-13, epsrel=1e-13)[0] if hi > lo else 0.0
+            assert value == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+    def test_one_segment_is_integrate_box(self):
+        fn = lambda x: np.sin(3.0 * x) + 2.0
+        value, error = integrate_box(fn, [(0.25, 3.0)], SPEC)
+        assert integrate_segments(fn, [0.25, 3.0], SPEC) == ([value], [error])
+
+    def test_one_call_per_round(self):
+        counted = _Counted(lambda x: np.exp(-x))
+        values, _ = integrate_segments(counted, np.arange(9.0), SPEC)
+        assert counted.calls == 1
+        np.testing.assert_allclose(values, np.exp(-np.arange(8.0)) * (1 - math.exp(-1)),
+                                   rtol=1e-13)
+
+    @pytest.mark.parametrize("edges", [[0.0, INF], [1.0, 0.5], [0.0, math.nan]])
+    def test_bad_edges_rejected(self, edges):
+        with pytest.raises(ValueError):
+            integrate_segments(lambda x: x, edges, SPEC)
 
 
 def _family(kind, a, b, c):

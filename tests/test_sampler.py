@@ -131,6 +131,12 @@ class TestSamplePP:
         with pytest.raises(InfiniteWindowMass):
             sample_pp(model, seed=0)
 
+    def test_grid_mass_past_the_float_range_rejected(self):
+        # each cell's mass is finite, their sum is not
+        model = GridIntensity([(0, 2)], [2], [1.6e308, 1.6e308])
+        with pytest.raises(InfiniteWindowMass):
+            sample_pp(model, seed=0)
+
     def test_wrong_bound_detected(self):
         model = SmoothIntensity([(0, 1)], lambda x: 10.0 * (x > 0.9),
                                 density_bound=1.0)
