@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergence import _half_order
+from .errors import InfiniteMass
 from .extended import INF, log_ratios
 from .kernel import _renyi_poisson_array
 from .likelihood import _sum_stat
@@ -63,7 +64,7 @@ def chernoff_info(pair: DensityPair, alpha_tol: float = 1e-9) -> ChernoffResult:
 
     def slope(a: float) -> list[float]:
         evals.append(a)  # np.sum, not the slower fsum: the slope only steers
-        terms = pair._integrals(lambda f, g: _slope_terms(f, g, a), 2, exact=False)
+        terms = pair._integrals(lambda f, g, *_: _slope_terms(f, g, a), 2, exact=False)
         return [v for v, _ in terms]
 
     # by concavity 1/2 is the maximiser if h'(1/2) = 0, and otherwise only
@@ -82,7 +83,7 @@ def chernoff_info(pair: DensityPair, alpha_tol: float = 1e-9) -> ChernoffResult:
         step, a = target - a, target
         if abs(step) > alpha_tol:
             d1, d2 = slope(a)
-    (value, _), = pair._integrals(lambda f, g: _objective_terms(f, g, a)[None])
+    (value, _), = pair._integrals(lambda f, g, *_: _objective_terms(f, g, a)[None])
     return ChernoffResult(max(value, 0.0), a, len(evals), abs(step))
 
 
@@ -122,17 +123,19 @@ def bayes_risk_sim(pair: DensityPair, prior0: float, n: int, trials: int,
     if not isinstance(pair.reference, DiscreteIntensity):
         raise TypeError("the risk simulator works on discrete intensities "
                         "(independent Poisson vectors)")
-    w, f, g = pair.support_terms()
-    lam = w * f
-    mu = w * g
     n = int(n)
     trials = int(trials)
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
+    lam_mass, mu_mass = pair.lambda_mass(), pair.mu_mass()
+    if n * lam_mass == INF or n * mu_mass == INF:
+        raise InfiniteMass("n observations need finite intensity masses")
+    w, f, g = pair.support_terms()
+    lam, mu = w * f, w * g
 
     logratio = log_ratios(f, g)
     threshold = _log_prior_ratio(prior0)
-    const = -float(n * (lam.sum() - mu.sum()))
+    const = -float(n * (lam_mass - mu_mass))
 
     rng = _sampler.spawn_streams(seed, 1)[0]
     theta = rng.uniform(size=trials) >= prior0  # True -> hypothesis 1

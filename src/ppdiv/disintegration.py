@@ -6,6 +6,10 @@ base term plus a mark term: the per-location divergence of the two mark
 kernels integrated with an order-dependent weight.  The same split gives
 Renyi divergences of jump (compound) process laws, where the base holds
 the event times and the kernel the jump sizes.
+
+The mark term is summed or integrated by ``DensityPair._integrals``, as
+every pair term is.  On a discrete or grid base the kernels are read only
+where the term can be nonzero, so each need only be defined on its own base.
 """
 
 from __future__ import annotations
@@ -20,36 +24,39 @@ from .errors import (InvalidAlpha, KernelMismatch, NonDiffuseBase,
                      ZeroMarkAtom)
 from .extended import INF, ext_muls
 from .kernel import _renyi_poisson_array
-from .measure import (DensityPair, DiscreteIntensity, MarkedModel, _weighted_sums,
-                      density_values)
-from .quadrature import integrate_box, probe_columns
+from .measure import DensityPair, DiscreteIntensity, MarkedModel, _weighted_sums
+from .quadrature import probe_columns
 
 
-class _MarkDivergence:
-    """Per-location divergence of two mark kernels, by the array kernel:
-    over the coordinate arrays of quadrature nodes with one kernel call
-    per mark id, or over the locations of a finite support."""
+def _mark_terms(pair: DensityPair, K: MarkedModel, L: MarkedModel, alpha: float):
+    """Pointwise mark terms of ``pair`` for ``pair._integrals``: the mark
+    kernels' divergence at each location times :func:`_mark_weight`.  On an
+    exact pair the kernels are read only where the weight and the reference
+    mass are nonzero (the term is 0 elsewhere), on a smooth one at the nodes."""
+    if K.mark_reference != L.mark_reference:
+        raise KernelMismatch("mark kernels must share a mark reference")
+    if K.base.domain_class != L.base.domain_class:
+        raise KernelMismatch("mark kernels must share a base domain class")
+    masses = K.mark_reference.masses
+    if not pair.is_exact:
+        pos = masses > 0.0
 
-    def __init__(self, K: MarkedModel, L: MarkedModel, alpha: float):
-        if K.mark_reference != L.mark_reference:
-            raise KernelMismatch("mark kernels must share a mark reference")
-        if K.base.domain_class != L.base.domain_class:
-            raise KernelMismatch("mark kernels must share a base domain class")
-        self.K, self.L = K, L
-        self.masses = K.mark_reference.masses
-        self.alpha = alpha
+        def at_nodes(f, g, *x):
+            k, l = (M.mark_densities_on(x)[:, pos] for M in (K, L))
+            return ext_muls(_renyi_poisson_array(k, l, alpha) @ masses[pos],
+                            _mark_weight(f, g, alpha))[None]
+        return at_nodes
 
-    def on(self, cols) -> np.ndarray:
-        """Divergences at the locations with coordinate arrays ``cols``."""
-        pos = self.masses > 0.0
-        k = self.K.mark_densities_on(cols)[:, pos]
-        l = self.L.mark_densities_on(cols)[:, pos]
-        return _renyi_poisson_array(k, l, self.alpha) @ self.masses[pos]
-
-    def over(self, locations) -> list[float]:
-        """Divergences at every location of ``locations``."""
-        return _weighted_sums(self.masses, _renyi_poisson_array(
-            self.K.mark_table(locations), self.L.mark_table(locations), self.alpha))
+    def at_cells(f, g):
+        w, locs = pair.reference.masses, pair.reference.support_locations()
+        weight = _mark_weight(f, g, alpha)
+        cells = np.flatnonzero((w != 0.0) & (weight != 0.0))
+        at = [locs[i] for i in cells]
+        out = np.zeros_like(weight)
+        out[cells] = ext_muls(_weighted_sums(masses, _renyi_poisson_array(
+            K.mark_table(at), L.mark_table(at), alpha)), weight[cells])
+        return out[None]
+    return at_cells
 
 
 def tsallis_product(base_pair: DensityPair, K: MarkedModel, L: MarkedModel,
@@ -69,38 +76,23 @@ def tsallis_product(base_pair: DensityPair, K: MarkedModel, L: MarkedModel,
     When both parts are finite the report notes the split into the base
     part and the added mark information.
     """
-    inner = _MarkDivergence(K, L, alpha)
+    terms = _mark_terms(base_pair, K, L, alpha)
     base = tsallis(base_pair, alpha)
     if base.value == INF:
         base.notes.append("base divergence infinite; mark term not added")
         return base
 
-    if base_pair.is_exact:
-        w, f, g = base_pair.support_terms()
-        locs = base_pair.reference.support_locations()
-        weight = _mark_weight(f, g, alpha)
-        cells = np.flatnonzero((w != 0.0) & (weight != 0.0))
-        marks = np.array(inner.over([locs[i] for i in cells]))
-        terms = w[cells] * ext_muls(marks, weight[cells])
-        if (terms == INF).any():
-            return DivergenceReport(alpha, INF, 0.0,
-                                    ["mark term infinite on positive mass"])
-        extra, abserr = math.fsum(terms.tolist()), 0.0
-    else:
-        ref = base_pair.reference
-        densities = base_pair.f, base_pair.g, ref.density
-
-        def terms(cols, f, g, r):
-            return ext_muls(inner.on(cols), _mark_weight(f, g, alpha)) * r
-
-        probes = terms(probe_columns(ref.bounds), *base_pair._probe_densities)
+    if not base_pair.is_exact:
+        f, g, r = base_pair._probe_densities
+        probes = terms(f, g, *probe_columns(base_pair.reference.bounds))[0] * r
         if (probes == INF).any():
             return DivergenceReport(alpha, INF, 0.0,
                                     ["mark integrand infinite at probe points"])
-        extra, abserr = integrate_box(
-            lambda *x: terms(x, *(density_values(d, x) for d in densities)),
-            ref.bounds, ref.quadrature)
-        extra = max(extra, 0.0)
+    (extra, abserr), = base_pair._integrals(terms)
+    if extra == INF:
+        return DivergenceReport(alpha, INF, 0.0,
+                                ["mark term infinite on positive mass"])
+    extra = max(extra, 0.0)
     return DivergenceReport(
         alpha, base.value + extra, base.quadrature_error_estimate + abserr,
         base.notes + [f"base part {base.value!r}; mark information {extra!r}"])

@@ -89,7 +89,7 @@ def _tsallis(pair: DensityPair, alpha: float) -> DivergenceReport:
         if ((f > 0.0) & (g == 0.0) & (r > 0.0)).any():
             return DivergenceReport(alpha, INF, 0.0,
                                     ["integrand infinite at probe points"])
-    (value, err), = pair._integrals(lambda f, g: _renyi_poisson_array(f, g, alpha)[None])
+    (value, err), = pair._integrals(lambda f, g, *_: _renyi_poisson_array(f, g, alpha)[None])
     if value == INF:
         return DivergenceReport(alpha, INF, 0.0,
                                 ["integrand infinite on positive mass"])
@@ -148,6 +148,18 @@ def _half_order(pair: DensityPair) -> float:
         if (pair.lambda_mass() == INF) == (pair.mu_mass() == INF):
             raise
         return INF
+
+
+def _require_finite_hellinger(pair: DensityPair, message: str):
+    """Raise :class:`InfiniteHellinger`, with ``message`` where the distance
+    is inf, unless the pair's Hellinger distance is certifiably finite."""
+    try:
+        h = hellinger_measures(pair)
+    except QuadratureFailure as exc:
+        raise InfiniteHellinger(
+            "hellinger distance is not certifiably finite") from exc
+    if h == INF:
+        raise InfiniteHellinger(message)
 
 
 def hellinger_pp(pair: DensityPair) -> float:
@@ -210,13 +222,7 @@ def dominating_intensity(pair: DensityPair) -> IntensityModel:
     reference; the construction halves the Hellinger distance to the
     first measure.  Requires a finite Hellinger distance.
     """
-    try:
-        h = hellinger_measures(pair)
-    except QuadratureFailure as exc:
-        raise InfiniteHellinger(
-            "hellinger distance is not certifiably finite") from exc
-    if h == INF:
-        raise InfiniteHellinger("hellinger distance is infinite")
+    _require_finite_hellinger(pair, "hellinger distance is infinite")
 
     def dens(f, g):
         # the formula reduces to f exactly where the densities agree

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergence import _require_ac, hellinger_measures
-from .errors import (InfiniteHellinger, InfiniteMass, InvalidAlpha,
-                     NonConvergent, NotAbsolutelyContinuous, QuadratureFailure)
+from .divergence import _require_ac, _require_finite_hellinger
+from .errors import (InfiniteMass, InvalidAlpha, NonConvergent,
+                     NotAbsolutelyContinuous)
 from .extended import INF, log_ratios
 from .measure import (DensityPair, GridIntensity, PointPattern,
                       SmoothIntensity, intensity_from_density)
@@ -111,14 +111,8 @@ class TruncatedLogLikelihood:
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
         _require_ac(pair)
-        try:
-            h = hellinger_measures(pair)
-        except QuadratureFailure as exc:
-            raise InfiniteHellinger(
-                "hellinger distance is not certifiably finite") from exc
-        if h == INF:
-            raise InfiniteHellinger(
-                "the likelihood ratio needs a finite hellinger distance")
+        _require_finite_hellinger(
+            pair, "the likelihood ratio needs a finite hellinger distance")
         self.pair = pair
         self.n_max = int(n_max)
         self.hi = ref.bounds[0][1]
@@ -138,7 +132,7 @@ class TruncatedLogLikelihood:
             last = max(first, min(2 * (first - 1), self._top))
             cuts = [-INF if first == 1 else first - 1.0]
             cuts += [float(level) for level in range(first, last + 1)]
-            (incs, _), = self.pair._integrals(lambda f, g: (g - f)[None], cuts=cuts)
+            (incs, _), = self.pair._integrals(lambda f, g, *_: (g - f)[None], cuts=cuts)
             for inc in incs:
                 self._gap.append(self._gap[-1] + inc)
 

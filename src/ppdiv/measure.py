@@ -352,8 +352,8 @@ class SmoothIntensity(IntensityModel):
         try:
             value, _ = integrate_box(lambda *x: density_values(self.density, x),
                                      self.bounds, self.quadrature)
-        except QuadratureFailure as exc:
-            if self.has_unbounded_domain and exc.possibly_infinite:
+        except QuadratureFailure:
+            if self.has_unbounded_domain:
                 return INF
             raise
         return ensure_extended(value, "total mass")
@@ -634,9 +634,10 @@ class DensityPair:
 
     def _integrals(self, terms, rows: int = 1, exact: bool = True, cuts=None):
         """``(value, error_estimate)`` per row of the ``(rows, n)`` pointwise
-        terms ``terms(f, g)`` against the reference: :func:`_weighted_sums`
-        with the reference masses of the atoms or cells on exact pairs, one
-        adaptive quadrature per row on smooth ones.  With ``cuts``,
+        terms against the reference: :func:`_weighted_sums` of ``terms(f,
+        g)`` with the reference masses of the atoms or cells on exact pairs,
+        one adaptive quadrature per row of ``terms(f, g, *x)`` at the node
+        coordinate arrays ``x`` on smooth ones.  With ``cuts``,
         increasing break points on the axis of a 1-d pair, value and error
         are lists with one entry per segment between consecutive cuts, cut
         to the domain: one sum per segment over the cells cut to it, or one
@@ -651,8 +652,8 @@ class DensityPair:
             return [(list(row), [0.0] * len(sums)) for row in zip(*sums)]
 
         def row(i):
-            return lambda *x: (terms(density_values(self.f, x), density_values(self.g, x))[i]
-                               * density_values(ref.density, x))
+            return lambda *x: (terms(density_values(self.f, x), density_values(self.g, x),
+                                     *x)[i] * density_values(ref.density, x))
         if cuts is None:
             return [integrate_box(row(i), ref.bounds, ref.quadrature) for i in range(rows)]
         edges = np.clip(cuts, *ref.bounds[0])

@@ -89,7 +89,9 @@ def _sample_discrete(m: DiscreteIntensity, window, rng) -> PointPattern:
         win = frozenset(window)
         keep = [i for i, pid in enumerate(ids) if pid in win]
         ids, weights = tuple(ids[i] for i in keep), weights[keep]
-    total = float(weights.sum())
+    total = ext_fsum(weights.tolist())
+    if total == INF:
+        raise InfiniteWindowMass("window mass is not finite")
     if total == 0.0:
         return PointPattern((), window=win)
     n = int(rng.poisson(total))

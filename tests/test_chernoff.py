@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from helpers import golden_chernoff, random_pair
 from ppdiv import chernoff
-from ppdiv import (DensityPair, DiscreteIntensity, QuadratureFailure,
-                   SmoothIntensity, bayes_risk_sim, chernoff_info,
-                   common_reference)
+from ppdiv import (DensityPair, DiscreteIntensity, InfiniteMass,
+                   QuadratureFailure, SmoothIntensity, bayes_risk_sim,
+                   chernoff_info, common_reference)
 from ppdiv.model_io import compile_density
 
 
@@ -240,3 +240,13 @@ class TestBayesRisk:
                  for n in (5, 10, 20)]
         exponents = [-math.log(r) for r in risks]
         assert exponents[0] < exponents[1] < exponents[2]
+
+    @pytest.mark.parametrize("lam, mu, n", [
+        ([1e308, 1e308], [1.0, 1.0], 1),
+        ([1.0, 1.0], [1e308, 1e308], 1),
+        ([1e308], [1.0], 2),
+        ([1.0], [1e308], 2),
+    ])
+    def test_infinite_mass_over_n_observations_rejected(self, lam, mu, n):
+        with pytest.raises(InfiniteMass):
+            bayes_risk_sim(pair_of(lam, mu), 0.5, n, 10, seed=1)

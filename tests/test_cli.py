@@ -264,6 +264,14 @@ class TestSample:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    def test_mass_past_the_float_range_is_an_input_error(self, files, capsys):
+        write, _ = files
+        big = {"type": "discrete", "atoms": [["a", 1e308], ["b", 1e308]]}
+        assert main(["sample", write("m.json", big), "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: window mass is not finite\n"
+
     @pytest.mark.parametrize("density", ["sqrt(x - 2)", "1/(x-x)", "x - 0.5",
                                          "-1", "(x - 2)**0.5"])
     def test_domain_error_is_a_numeric_failure(self, files, capsys, density):
@@ -321,6 +329,19 @@ class TestChernoffCommand:
         code = main(["chernoff", write("a.json", GRID_2),
                      write("b.json", GRID_1),
                      "--simulate", "5", "1000", "7"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_simulated_mass_past_the_float_range_is_an_input_error(
+            self, files, capsys):
+        write, _ = files
+        big = {"type": "discrete", "atoms": [["a", 1e308], ["b", 1e308]]}
+        ones = {"type": "discrete", "atoms": [["a", 1.0], ["b", 1.0]]}
+        code = main(["chernoff", write("a.json", big), write("b.json", ones),
+                     "--simulate", "2", "10", "1"])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -118,6 +118,37 @@ class TestTsallisProduct:
         with pytest.raises(KernelMismatch):
             tsallis_product(pair, K, L, 0.5)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    def test_kernel_read_only_on_its_own_base(self, alpha):
+        # the first kernel is a table over its own base {a}; the pair also
+        # holds b, where the first density is 0 and so is the mark weight
+        marks = DiscreteIntensity([("m1", 1.0), ("m2", 1.0)])
+        rows_k = {"a": {"m1": 0.5, "m2": 0.5}}
+        rows_l = {"a": {"m1": 0.25, "m2": 0.75}, "b": {"m1": 0.9, "m2": 0.1}}
+        base_a = DiscreteIntensity([("a", 1.0)])
+        base_b = DiscreteIntensity([("a", 1.0), ("b", 2.0)])
+        K = MarkedModel(base_a, marks, lambda t, x: rows_k[t][x])
+        L = MarkedModel(base_b, marks, lambda t, x: rows_l[t][x])
+        pair = common_reference(base_a, base_b)
+        value = tsallis_product(pair, K, L, alpha).value
+        assert math.isfinite(value)
+        # any kernel row at b flattens to the same product pair
+        rows_k["b"] = {"m1": 1.0, "m2": 0.0}
+        flat = tsallis(flatten_product(pair, K, L), alpha).value
+        assert value == pytest.approx(flat, abs=1e-12)
+
+    def test_mark_term_past_the_float_range_is_inf(self):
+        # each atom's order-1 mark term is finite, their sum is not
+        base = DiscreteIntensity([("a", 1e308), ("b", 1e308)])
+        marks = DiscreteIntensity([("m1", 1.0), ("m2", 1.0)])
+        K = MarkedModel(base, marks, _pmf_kernel({"m1": 0.5, "m2": 0.5}))
+        L = MarkedModel(base, marks, _pmf_kernel({"m1": 0.01, "m2": 0.99}))
+        pair = common_reference(base, base)
+        rep = tsallis_product(pair, K, L, 1.0)
+        assert rep.value == INF
+        assert rep.notes == ["mark term infinite on positive mass"]
+        assert tsallis(flatten_product(pair, K, L), 1.0).value == INF
+
     def test_grid_base_product(self):
         base = GridIntensity([(0, 1)], [4], [1.0] * 4)
         marks = DiscreteIntensity([("u", 1.0), ("v", 1.0)])

@@ -174,11 +174,11 @@ class TestAllowList:
         assert calls == []
 
     def test_only_the_integral_entries_name_the_integrator(self):
-        """Pointwise terms of a pair are integrated through
-        ``DensityPair._integrals``: besides ``quadrature``, which defines
-        ``integrate_box`` and ``integrate_segments``, only ``measure`` (that
-        entry and the single-model masses) and ``disintegration`` (the mark
-        integrand) name them."""
+        """Pointwise terms of a pair, the mark term among them, are
+        integrated through ``DensityPair._integrals``: besides
+        ``quadrature``, which defines ``integrate_box`` and
+        ``integrate_segments``, only ``measure`` (that entry and the
+        single-model masses) names them."""
         users = set()
         for path in sorted(pathlib.Path(ppdiv.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -186,7 +186,7 @@ class TestAllowList:
                         else getattr(node, "attr", getattr(node, "id", None)))
                 if name in ("integrate_box", "integrate_segments"):
                     users.add(path.name)
-        assert users - {"quadrature.py"} <= {"measure.py", "disintegration.py"}
+        assert users - {"quadrature.py"} <= {"measure.py"}
 
 
 class TestBatchedThinning:

@@ -137,6 +137,11 @@ class TestSamplePP:
         with pytest.raises(InfiniteWindowMass):
             sample_pp(model, seed=0)
 
+    def test_discrete_mass_past_the_float_range_rejected(self):
+        model = DiscreteIntensity([("a", 1e308), ("b", 1e308)])
+        with pytest.raises(InfiniteWindowMass):
+            sample_pp(model, seed=0)
+
     def test_wrong_bound_detected(self):
         model = SmoothIntensity([(0, 1)], lambda x: 10.0 * (x > 0.9),
                                 density_bound=1.0)
