@@ -115,8 +115,12 @@ def bayes_risk_sim(pair: DensityPair, prior0: float, n: int, trials: int,
     Each trial draws the true hypothesis from the prior, then ``n``
     independent Poisson vectors under it, and applies the likelihood-ratio
     threshold test at ``log(prior1 / prior0)``.  Per-component counts are
-    summed first (they are sufficient for the ratio), so a trial costs one
-    Poisson vector draw.  Returns ``(risk, standard_error)``.
+    summed first (they are sufficient for the ratio), so a trial is one
+    vector of Poisson counts with ``n`` times the means.  The number of
+    trials under the second hypothesis is one binomial draw, and the count
+    vectors of each hypothesis are drawn column by column, each column from
+    one multinomial histogram (:func:`sampler._poisson_rows`).  Returns
+    ``(risk, standard_error)``.
     """
     if not 0.0 <= prior0 <= 1.0:
         raise ValueError("prior0 must lie in [0, 1]")
@@ -131,18 +135,20 @@ def bayes_risk_sim(pair: DensityPair, prior0: float, n: int, trials: int,
     if n * lam_mass == INF or n * mu_mass == INF:
         raise InfiniteMass("n observations need finite intensity masses")
     w, f, g = pair.support_terms()
-    lam, mu = w * f, w * g
+    lam, mu = n * (w * f), n * (w * g)
+    _sampler._require_drawable(np.concatenate([lam, mu]), InfiniteMass)
 
     logratio = log_ratios(f, g)
     threshold = _log_prior_ratio(prior0)
     const = -float(n * (lam_mass - mu_mass))
 
     rng = _sampler.spawn_streams(seed, 1)[0]
-    theta = rng.uniform(size=trials) >= prior0  # True -> hypothesis 1
-    means = np.where(theta[:, None], mu[None, :], lam[None, :])
-    counts = rng.poisson(n * means)
-    stat = _sum_stat(counts, logratio) + const
-    errors = int(np.sum((stat < threshold) != theta))
+    trials1 = int(rng.binomial(trials, 1.0 - prior0))
+    # the test decides for the second hypothesis below the threshold
+    stat0 = _sum_stat(_sampler._poisson_rows(lam, trials - trials1, rng), logratio)
+    stat1 = _sum_stat(_sampler._poisson_rows(mu, trials1, rng), logratio)
+    errors = int(np.count_nonzero(stat0 + const < threshold)
+                 + np.count_nonzero(stat1 + const >= threshold))
     risk = errors / trials
     se = math.sqrt(max(risk * (1.0 - risk), 1.0 / trials) / trials)
     return risk, se

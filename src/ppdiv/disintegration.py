@@ -118,7 +118,9 @@ def flatten_product(base_pair: DensityPair, K: MarkedModel,
 
     Atoms are (location, mark) pairs with weights ``f_t k_t(x)`` against
     ``g_t l_t(x)``; divergences of this pair must agree with
-    :func:`tsallis_product`.
+    :func:`tsallis_product`.  Each kernel is read only at the atoms where
+    its own density is positive (the other rows carry weight 0), so it need
+    only be defined on its own base.
     """
     if not isinstance(base_pair.reference, DiscreteIntensity):
         raise TypeError("flattening needs a discrete base")
@@ -129,10 +131,15 @@ def flatten_product(base_pair: DensityPair, K: MarkedModel,
     w, f, g = base_pair.support_terms()
     locs = base_pair.reference.support_locations()
     marks = K.mark_reference
-    kd, ld = K.mark_table(locs), L.mark_table(locs)
+
+    def weighted(M, dens):
+        rows = np.flatnonzero(dens > 0.0)
+        out = np.zeros((len(locs), len(marks.ids)))
+        out[rows] = M.mark_table([locs[i] for i in rows]) * dens[rows, None]
+        return out
     reference = DiscreteIntensity._of(itertools.product(locs, marks.ids),
                                       np.multiply.outer(w, marks.weights))
-    return DensityPair(reference, kd * f[:, None], ld * g[:, None])
+    return DensityPair(reference, weighted(K, f), weighted(L, g))
 
 
 def compound_renyi(event_pair: DensityPair, K: MarkedModel, L: MarkedModel,

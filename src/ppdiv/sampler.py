@@ -13,7 +13,9 @@ The grid and smooth samplers draw whole arrays: a grid pattern takes one
 and calls the density once on them, for one pattern or a block of them.
 Marks take one uniform array for all points.  These streams replaced
 per-point draws, so a seed now gives another pattern than under the
-per-point code.
+per-point code.  Batches of independent Poisson count vectors, which the
+exact Monte Carlo and Bayes-risk simulators read, are drawn column by
+column from one histogram each (:func:`_poisson_rows`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InfiniteWindowMass, OutOfWindow, ThinningBoundMissing)
-from .extended import INF, ext_fsum
+from .extended import ext_fsum
 from .measure import (DiscreteIntensity, GridIntensity, IntensityModel,
                       MarkedModel, PointPattern, SmoothIntensity,
                       _normalize_box, density_values)
@@ -47,6 +49,79 @@ def spawn_streams(seed, k: int) -> list[np.random.Generator]:
     root = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(int(seed))
     return [np.random.default_rng(child) for child in root.spawn(k)]
+
+
+# numpy's largest Poisson mean: the int64 maximum less ten of its square roots
+_POISSON_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+
+def _require_drawable(means, error=InfiniteWindowMass):
+    """Raise ``error`` before any draw when a Poisson mean in ``means`` is
+    infinite or above numpy's Poisson limit."""
+    top = float(np.max(means, initial=0.0))
+    if not math.isfinite(top):
+        raise error("window mass is not finite")
+    if top > _POISSON_MAX:
+        raise error(f"Poisson mean {top!r} exceeds numpy's Poisson limit "
+                    f"{_POISSON_MAX:.6g}")
+
+
+def _poisson_rows(means, k: int, rng) -> np.ndarray:
+    """``(k, len(means))`` int64 counts: k rows of independent Poisson
+    counts with the given means, which must pass :func:`_require_drawable`.
+
+    Each column is drawn whole from its histogram (Devroye, 1986, the
+    histogram-then-shuffle method): one multinomial draw of k over the
+    Poisson pmf on its window (:func:`_poisson_column`), whose counts are
+    repeated in order.  Columns after the first are then shuffled
+    independently: the rows are k iid rows sorted by their first count, so
+    callers read symmetric functions of the rows only.  A mean of
+    0 gives zeros, and a column whose window is wider than its k draws is
+    cheaper drawn directly with ``rng.poisson``.
+    """
+    out = np.empty((len(means), k), dtype=np.int64)
+    for j, m in enumerate(np.asarray(means, dtype=float).tolist()):
+        hi = int(m + 12.0 * math.sqrt(m)) + 30
+        if m == 0.0:
+            out[j] = 0
+        elif hi > k:
+            out[j] = rng.poisson(m, k)
+        else:
+            out[j] = _poisson_column(m, k, hi, rng)
+    rng.permuted(out[1:], axis=1, out=out[1:])
+    return out.T
+
+
+def _poisson_column(m: float, k: int, hi: int, rng) -> np.ndarray:
+    """k Poisson(m) counts in increasing order: one multinomial histogram
+    over the pmf on ``[0, hi)`` and its upper tail, whose few counts (none
+    but with probability about ``k`` times the tail mass) are drawn from the
+    tail by :func:`_poisson_tail`."""
+    x = np.arange(hi)
+    log_fact = np.fromiter(map(math.lgamma, range(1, hi + 1)), float, hi)
+    pmf = np.exp(x * math.log(m) - m - log_fact)
+    # numpy gives the last category what the others leave: the upper tail
+    hist = rng.multinomial(k, np.append(pmf, 0.0))
+    col = np.repeat(np.arange(hi + 1), hist)
+    if hist[-1]:
+        col[k - hist[-1]:] = _poisson_tail(m, hi, int(hist[-1]), rng)
+    return col
+
+
+def _poisson_tail(m: float, hi: int, size: int, rng) -> np.ndarray:
+    """``size`` draws of a Poisson(m) count conditioned on being at least
+    ``hi``, by inversion of the tail's cumulative sums.  The terms follow
+    the pmf recursion ``p(x + 1) = p(x) m / (x + 1)`` relative to ``p(hi)``;
+    past ``m`` the ratios fall below 1, so the terms shrink geometrically
+    and the sums end once a term no longer moves them."""
+    term, x, cdf = 1.0, hi, [1.0]
+    while x < m or term > 1e-17 * cdf[-1]:
+        x += 1
+        term *= m / x
+        cdf.append(cdf[-1] + term)
+    cdf = np.array(cdf)
+    at = np.searchsorted(cdf, rng.uniform(0.0, cdf[-1], size), side="right")
+    return hi + np.minimum(at, len(cdf) - 1)  # a uniform rounded up to the end
 
 
 def _window_box(model, window):
@@ -90,8 +165,7 @@ def _sample_discrete(m: DiscreteIntensity, window, rng) -> PointPattern:
         keep = [i for i, pid in enumerate(ids) if pid in win]
         ids, weights = tuple(ids[i] for i in keep), weights[keep]
     total = ext_fsum(weights.tolist())
-    if total == INF:
-        raise InfiniteWindowMass("window mass is not finite")
+    _require_drawable([total])
     if total == 0.0:
         return PointPattern((), window=win)
     n = int(rng.poisson(total))
@@ -105,8 +179,7 @@ def _sample_grid(m: GridIntensity, window, rng) -> PointPattern:
     lows, highs = m._cells_in(box)
     masses = m._masses_in(box)
     total = ext_fsum(masses.tolist())
-    if total == INF:
-        raise InfiniteWindowMass("window mass is not finite")
+    _require_drawable([total])
     n = int(rng.poisson(total)) if total > 0.0 else 0
     if n == 0:
         return PointPattern((), window=box)
@@ -148,8 +221,7 @@ def _proposal_rate(m: SmoothIntensity, box) -> tuple[float, float]:
             "smooth sampling needs a bounded window on an unbounded domain")
     bound = _density_bound(m, box)
     mean = bound * math.prod(hi - lo for lo, hi in box)
-    if not math.isfinite(mean):
-        raise InfiniteWindowMass("window mass is not finite")
+    _require_drawable([mean])
     return bound, mean
 
 

@@ -250,3 +250,33 @@ class TestBayesRisk:
     def test_infinite_mass_over_n_observations_rejected(self, lam, mu, n):
         with pytest.raises(InfiniteMass):
             bayes_risk_sim(pair_of(lam, mu), 0.5, n, 10, seed=1)
+
+    def test_mean_past_the_poisson_limit_rejected(self):
+        # finite masses, but n times the first is beyond numpy's Poisson limit
+        with pytest.raises(InfiniteMass, match="Poisson limit"):
+            bayes_risk_sim(pair_of([1e300], [1.0]), 0.5, 2, 10, seed=1)
+
+
+def exact_bayes_risk(lam, mu, prior0, n):
+    """``sum min(prior0 P0(c), prior1 P1(c))`` over the count vectors ``c``
+    of two atoms, with ``P0``, ``P1`` the laws of independent Poisson counts
+    with means ``n lam`` and ``n mu``, cut where the tail is below 1e-15."""
+    def log_pmf(m, top):
+        return np.array([x * math.log(m) - m - math.lgamma(x + 1) for x in range(top)])
+    top = int(n * max(lam + mu) + 12.0 * math.sqrt(n * max(lam + mu))) + 30
+    p0 = np.exp(np.add.outer(log_pmf(n * lam[0], top), log_pmf(n * lam[1], top)))
+    p1 = np.exp(np.add.outer(log_pmf(n * mu[0], top), log_pmf(n * mu[1], top)))
+    assert 1.0 - p0.sum() < 1e-15 and 1.0 - p1.sum() < 1e-15
+    return float(np.minimum(prior0 * p0, (1.0 - prior0) * p1).sum())
+
+
+class TestBayesRiskOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("prior0", [0.5, 0.3])
+    def test_simulated_risk_against_exact_sum(self, n, prior0):
+        lam, mu = [1.0, 2.5], [2.0, 0.8]
+        want = exact_bayes_risk(lam, mu, prior0, n)
+        risk, se = bayes_risk_sim(pair_of(lam, mu), prior0, n, 200_000,
+                                  seed=30 + n)
+        assert abs(risk - want) <= 4.0 * se
+

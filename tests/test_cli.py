@@ -348,6 +348,21 @@ class TestChernoffCommand:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [["sample", "--seed", "1"],
+                                         ["chernoff", "--simulate", "2", "10", "1"]])
+    def test_mass_past_the_poisson_limit_is_an_input_error(self, files, capsys,
+                                                           command):
+        write, _ = files
+        files_ = [write("a.json", {"type": "discrete", "atoms": [["a", 1e300]]})]
+        if command[0] == "chernoff":
+            files_.append(write("b.json", {"type": "discrete", "atoms": [["a", 1.0]]}))
+        assert main([command[0], *files_, *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Poisson limit" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_bad_simulation_count_is_a_parse_error(self, files, capsys):
         write, _ = files
         code = main(["chernoff", write("a.json", POISSON_1),

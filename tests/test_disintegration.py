@@ -132,7 +132,11 @@ class TestTsallisProduct:
         pair = common_reference(base_a, base_b)
         value = tsallis_product(pair, K, L, alpha).value
         assert math.isfinite(value)
-        # any kernel row at b flattens to the same product pair
+        # flattening reads the first kernel only where the first density is
+        # positive, so it needs no row at b
+        flat = tsallis(flatten_product(pair, K, L), alpha).value
+        assert value == pytest.approx(flat, abs=1e-12)
+        # and any kernel row at b flattens to the same product pair
         rows_k["b"] = {"m1": 1.0, "m2": 0.0}
         flat = tsallis(flatten_product(pair, K, L), alpha).value
         assert value == pytest.approx(flat, abs=1e-12)

@@ -393,6 +393,12 @@ class TestMonteCarlo:
         with pytest.raises(NonConvergent, match="support"):
             mc_divergence_estimate(pair, 0.5, 20, seed=0)
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_mean_past_the_poisson_limit_rejected(self, alpha):
+        big = DiscreteIntensity([("a", 1e300)])
+        with pytest.raises(InfiniteMass, match="Poisson limit"):
+            mc_divergence_estimate(common_reference(big, big), alpha, 10, seed=0)
+
     def test_same_seed_is_reproducible(self):
         pair = common_reference(UNIT_2, UNIT_1)
         a = mc_divergence_estimate(pair, 1.0, 5_000, seed=3)

@@ -10,6 +10,7 @@ from ppdiv import (DiscreteIntensity, GridIntensity, InfiniteWindowMass,
                    MarkedModel, PointPattern, SmoothIntensity,
                    SummedIntensity, ThinningBoundMissing, compound_path,
                    count, counting_path, sample_marked, sample_pp)
+from ppdiv.sampler import _poisson_column, _poisson_rows, _poisson_tail
 
 INF = math.inf
 
@@ -218,6 +219,91 @@ class TestSampleMarked:
         u = sum(m for (t, x), m in eta.points if x == "u")
         want = sum(m * (0.25 + 0.5 * t) for (t, _), m in eta.points)
         assert abs(u - want) <= 4.0 * math.sqrt(want)
+
+
+def assert_poisson_law(draws, m, pvalue=1e-3):
+    """Chi-square of ``draws`` against Poisson(m) over about twenty
+    quantile bins, or all zeros at ``m = 0``."""
+    if m == 0.0:
+        assert (draws == 0).all()
+        return
+    # bin i holds the draws in (edges[i-1], edges[i]], the last those above
+    edges = np.unique(stats.poisson.ppf(np.linspace(0.0, 1.0, 21)[1:-1], m))
+    probs = np.diff(np.concatenate([[0.0], stats.poisson.cdf(edges, m), [1.0]]))
+    observed = np.bincount(np.searchsorted(edges, draws), minlength=len(probs))
+    assert stats.chisquare(observed, probs * len(draws)).pvalue > pvalue
+
+
+class TestPoissonRows:
+    K = 20_000
+    # the last mean's window (about m + 12 sqrt(m) + 30) is wider than K
+    MEANS = [0.0, 0.3, 4.0, 40.0, 25_000.0]
+
+    def rows(self, seed=21):
+        return _poisson_rows(np.array(self.MEANS), self.K, np.random.default_rng(seed))
+
+    def test_shape_and_dtype(self):
+        rows = self.rows()
+        assert rows.shape == (self.K, len(self.MEANS))
+        assert rows.dtype == np.int64
+        assert _poisson_rows(np.array(self.MEANS), 0, np.random.default_rng(1)).shape == (0, 5)
+        assert _poisson_rows(np.array([]), 3, np.random.default_rng(1)).shape == (3, 0)
+
+    def test_each_column_is_poisson(self):
+        rows = self.rows()
+        for j, m in enumerate(self.MEANS):
+            assert_poisson_law(rows[:, j], m)
+
+    def test_columns_are_independent(self):
+        rows = self.rows()
+        corr = np.corrcoef(rows[:, 1:].T)
+        assert np.all(np.abs(corr[np.triu_indices(4, 1)]) <= 4.0 / math.sqrt(self.K))
+        # a sum of independent Poisson counts is Poisson; columns left in
+        # their histogram order would make it overdispersed
+        assert_poisson_law(rows[:, 1:4].sum(axis=1), 44.3)
+
+    def test_same_generator_state_gives_same_rows(self):
+        assert np.array_equal(self.rows(seed=5), self.rows(seed=5))
+
+    @pytest.mark.parametrize("m, hi", [(4.0, 3), (0.3, 1), (40.0, 2)])
+    def test_column_with_a_short_window_keeps_the_law(self, m, hi):
+        # most draws fall in the upper tail and are drawn by its inversion
+        col = _poisson_column(m, self.K, hi, np.random.default_rng(22))
+        assert len(col) == self.K
+        assert_poisson_law(col, m)
+
+    @pytest.mark.parametrize("m, hi", [(4.0, 6), (40.0, 2), (2.0, 30)])
+    def test_tail_draws_follow_the_conditional_law(self, m, hi):
+        draws = _poisson_tail(m, hi, self.K, np.random.default_rng(23))
+        assert draws.min() >= hi
+        # P(X = x | X >= hi) up to the last value with 5 expected draws
+        x = np.arange(hi, hi + 200)
+        probs = stats.poisson.pmf(x, m) / stats.poisson.sf(hi - 1, m)
+        top = max(1, int(np.sum(probs * self.K >= 5.0)))
+        observed = np.bincount(np.minimum(draws - hi, top - 1), minlength=top)
+        want = np.append(probs[:top - 1], 1.0 - probs[:top - 1].sum()) * self.K
+        if top > 1:
+            assert stats.chisquare(observed, want).pvalue > 1e-3
+        else:  # a tail this far out puts nearly every draw on hi
+            assert np.mean(draws == hi) > 0.9
+
+
+class TestPoissonLimit:
+    """A finite mean above numpy's Poisson limit is refused before any draw."""
+
+    @pytest.mark.parametrize("model", [
+        DiscreteIntensity([("a", 1e300)]),
+        DiscreteIntensity([("a", 1e19)]),
+        GridIntensity([(0, 1)], [1], [1e300]),
+        SmoothIntensity([(0, 1)], lambda x: 1e300, density_bound=1e300),
+    ])
+    def test_sampler_refuses_with_the_limit(self, model):
+        with pytest.raises(InfiniteWindowMass, match="Poisson limit"):
+            sample_pp(model, seed=0)
+
+    def test_mean_just_below_the_limit_is_drawn(self):
+        eta = sample_pp(DiscreteIntensity([("a", 9e18)]), seed=0)
+        assert abs(count(eta, {"a"}) - 9e18) < 1e11
 
 
 class TestPaths:
