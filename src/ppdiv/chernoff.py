@@ -118,9 +118,11 @@ def bayes_risk_sim(pair: DensityPair, prior0: float, n: int, trials: int,
     summed first (they are sufficient for the ratio), so a trial is one
     vector of Poisson counts with ``n`` times the means.  The number of
     trials under the second hypothesis is one binomial draw, and the count
-    vectors of each hypothesis are drawn column by column, each column from
-    one multinomial histogram (:func:`sampler._poisson_rows`).  Returns
-    ``(risk, standard_error)``.
+    vectors of each hypothesis are drawn column by column, a column with a
+    mean of at least 0.5 and enough trials for its window from one
+    multinomial histogram (:func:`sampler._poisson_rows`).  Returns
+    ``(risk, standard_error)``; raises :class:`InfiniteMass` when ``n``
+    times a mean is infinite or past numpy's Poisson limit.
     """
     if not 0.0 <= prior0 <= 1.0:
         raise ValueError("prior0 must lie in [0, 1]")
@@ -132,11 +134,11 @@ def bayes_risk_sim(pair: DensityPair, prior0: float, n: int, trials: int,
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
     lam_mass, mu_mass = pair.lambda_mass(), pair.mu_mass()
+    # a finite n times each mass keeps n times every mean from overflowing
     if n * lam_mass == INF or n * mu_mass == INF:
         raise InfiniteMass("n observations need finite intensity masses")
     w, f, g = pair.support_terms()
     lam, mu = n * (w * f), n * (w * g)
-    _sampler._require_drawable(np.concatenate([lam, mu]), InfiniteMass)
 
     logratio = log_ratios(f, g)
     threshold = _log_prior_ratio(prior0)

@@ -193,8 +193,8 @@ def mc_divergence_estimate(pair: DensityPair, alpha: float, n_samples: int,
     ``n_samples`` must be at least 2 for the standard error.  Raises
     :class:`NonConvergent` when no pattern drawn under the second law is in
     the first law's support, as the ratio power then averages to 0.
-    Discrete and grid pairs draw the counts of all patterns at once, one
-    histogram per atom or cell (:func:`sampler._poisson_rows`); smooth
+    Discrete and grid pairs draw the counts of all patterns at once,
+    column by column (:func:`sampler._poisson_rows`); smooth
     pairs thin the patterns in blocks of at most about 2^20 expected
     proposals, with one density call per block for the thinning and one
     per density for the log ratios.  Reproducible given
@@ -234,10 +234,9 @@ def mc_divergence_estimate(pair: DensityPair, alpha: float, n_samples: int,
 
 def _exact_loglr_batch(pair, base, size, rng, sample_from_first):
     # Counts per atom/cell are sufficient for the log ratio, so a batch is
-    # one histogram draw per support element.
+    # one row of Poisson counts per pattern.
     w, f, g = pair.support_terms()
     means = w * (f if sample_from_first else g)
-    _sampler._require_drawable(means, InfiniteMass)
     counts = _sampler._poisson_rows(means, size, rng)
     return base + _sum_stat(counts, log_ratios(f, g))
 

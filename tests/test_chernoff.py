@@ -280,3 +280,21 @@ class TestBayesRiskOracle:
                                   seed=30 + n)
         assert abs(risk - want) <= 4.0 * se
 
+    def test_large_means_against_the_total_count(self):
+        # n times each mean is 2540 or 2590.8, with about 60,000 trials per
+        # hypothesis: every column takes the histogram draw, and at 2540
+        # the rounded pmf terms sum past 1.  One ratio on every atom makes
+        # the total count sufficient: Poisson(10160) against Poisson(10363.2)
+        lam, mu, n = [1270.0] * 4, [1295.4] * 4, 2
+        risk, se = bayes_risk_sim(pair_of(lam, mu), 0.5, n, 120_000, seed=34)
+        c = np.arange(9000, 11600)
+        log_fact = np.array([math.lgamma(x + 1.0) for x in c])
+        p0, p1 = (np.exp(c * math.log(m) - m - log_fact)
+                  for m in (n * sum(lam), n * sum(mu)))
+        # the terms carry rounding errors of about 1e-12 at these counts
+        assert abs(1.0 - p0.sum()) < 1e-10 and abs(1.0 - p1.sum()) < 1e-10
+        decide0 = c * math.log(lam[0] / mu[0]) + n * (sum(mu) - sum(lam)) >= 0.0
+        want = 0.5 * p0[~decide0].sum() + 0.5 * p1[decide0].sum()
+        assert 0.1 < want < 0.25
+        assert abs(risk - want) <= 4.0 * se
+

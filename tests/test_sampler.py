@@ -236,7 +236,8 @@ def assert_poisson_law(draws, m, pvalue=1e-3):
 
 class TestPoissonRows:
     K = 20_000
-    # the last mean's window (about m + 12 sqrt(m) + 30) is wider than K
+    # 4 and 40 take the histogram; 0 and 0.3 are below its smallest mean,
+    # and the last mean's window (about m + 12 sqrt(m) + 30) is wider than K
     MEANS = [0.0, 0.3, 4.0, 40.0, 25_000.0]
 
     def rows(self, seed=21):
@@ -261,6 +262,22 @@ class TestPoissonRows:
         # a sum of independent Poisson counts is Poisson; columns left in
         # their histogram order would make it overdispersed
         assert_poisson_law(rows[:, 1:4].sum(axis=1), 44.3)
+
+    @pytest.mark.parametrize("m", [1e3, 1e4, 20_001.0])
+    def test_large_mean_column_keeps_the_law(self, m):
+        # the rounded pmf terms of 1e4 and 20,001 sum past 1 + 1e-12
+        hi = int(m + 12.0 * math.sqrt(m)) + 30
+        col = _poisson_column(m, 30_000, hi, np.random.default_rng(24))
+        assert len(col) == 30_000
+        assert_poisson_law(col, m)
+
+    def test_large_means_in_rows(self):
+        # 30,000 rows take the histogram at 1e3, the direct draw above it
+        means = np.array([1e3, 1e4, 2e4])
+        rows = _poisson_rows(means, 30_000, np.random.default_rng(25))
+        for j, m in enumerate(means):
+            assert_poisson_law(rows[:, j], m)
+        assert_poisson_law(rows.sum(axis=1), means.sum())
 
     def test_same_generator_state_gives_same_rows(self):
         assert np.array_equal(self.rows(seed=5), self.rows(seed=5))
