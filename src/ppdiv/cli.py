@@ -119,15 +119,10 @@ def cmd_sample(args) -> int:
         raise ParseError("--marked must match the model file kind")
     if args.seed < 0:
         raise ParseError(f"--seed must be >= 0, got {args.seed}")
-    patterns = []
-    for rep in range(args.count):
-        root = np.random.SeedSequence(entropy=args.seed, spawn_key=(rep,))
-        if args.marked:
-            patterns.append(_sampler.sample_marked(model, window=window,
-                                                   seed=root))
-        else:
-            patterns.append(_sampler.sample_pp(model, window=window,
-                                               seed=root))
+    sample = _sampler.sample_marked if args.marked else _sampler.sample_pp
+    patterns = [sample(model, window=window,
+                       seed=np.random.SeedSequence(entropy=args.seed, spawn_key=(rep,)))
+                for rep in range(args.count)]
     buf = io.StringIO()
     _io.patterns_to_csv(patterns, buf)
     _emit(args, buf.getvalue())

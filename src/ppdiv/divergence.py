@@ -28,8 +28,9 @@ from .errors import (InfiniteHellinger, NotAbsolutelyContinuous,
                      QuadratureFailure)
 from .extended import INF
 from .kernel import _renyi_poisson_array, _validate_alpha
-from .measure import (DensityPair, IntensityModel, density_values,
-                      intensity_from_density, probe_locations)
+from .measure import (DensityPair, IntensityModel, _as_ids, _coords,
+                      density_values, intensity_from_density)
+from .quadrature import probe_points
 
 _ZERO_TOL = 1e-12
 
@@ -271,14 +272,15 @@ def _require_ac(pair: DensityPair, locations=()) -> np.ndarray:
             raise NotAbsolutelyContinuous(
                 "first intensity has mass where the second density vanishes")
         return pair.log_ratio_at(locations)
-    probes = probe_locations(pair.reference.bounds)
+    probes = np.array(probe_points(pair.reference.bounds))
     try:
-        ratios = pair.log_ratio_at(probes + list(locations))
+        ratios = pair.log_ratio_at(np.concatenate(
+            [probes, _coords(locations, probes.shape[1])]))
     except OverflowError as exc:
         raise QuadratureFailure(f"a density overflows at a probe: {exc}",
                                 possibly_infinite=True) from exc
     bad = np.flatnonzero(ratios[:len(probes)] == INF)
     if len(bad):
         raise NotAbsolutelyContinuous(
-            f"density ratio infinite near {probes[bad[0]]!r}")
+            f"density ratio infinite near {_as_ids(probes)[bad[0]]!r}")
     return ratios[len(probes):]

@@ -17,6 +17,7 @@ between likelihood ratios and divergences.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (InfiniteMass, InvalidAlpha, NonConvergent,
                      NotAbsolutelyContinuous)
 from .extended import INF, log_ratios
 from .measure import (DensityPair, GridIntensity, PointPattern,
-                      SmoothIntensity, intensity_from_density)
+                      SmoothIntensity, _as_ids, _coords, intensity_from_density)
 from . import sampler as _sampler
 
 # Expected thinning proposals per block of Monte Carlo patterns.
@@ -44,27 +45,18 @@ class LogLikelihoodResult:
     notes: list[str] = field(default_factory=list)
 
 
-def _point_terms(eta: PointPattern, ratios: np.ndarray) -> np.ndarray:
-    """``mult * log phi`` at each point of ``eta`` from the log ratios
-    ``ratios`` at its locations; ``-inf`` marks a point in the zero set of
-    the ratio, and a point where it is infinite raises."""
-    mult = np.array([m for _, m in eta.points], dtype=float)
-    return _dominated(mult * ratios, lambda i: eta.points[i][0])
-
-
-def _dominated(terms: np.ndarray, location) -> np.ndarray:
-    """``terms`` unless one is ``+inf``, where the first intensity is not
-    dominated: that raises, naming the point ``location(i)``."""
+def _point_terms(ratios: np.ndarray, locations, mult=1) -> np.ndarray:
+    """``mult * log phi`` at ``locations`` from their log ratios ``ratios``:
+    ``-inf`` marks a point in the zero set of the ratio, and an infinite
+    ratio, where the first intensity is not dominated, raises."""
+    terms = mult * ratios
     hit = np.flatnonzero(terms == INF)
     if len(hit):
+        i = int(hit[0])
         raise NotAbsolutelyContinuous(
-            f"density ratio infinite at {location(int(hit[0]))!r}; "
+            f"density ratio infinite at {_as_ids(locations[i:i + 1])[0]!r}; "
             "the first intensity is not dominated there")
     return terms
-
-
-def _locations(eta: PointPattern) -> list:
-    return [loc for loc, _ in eta.points]
 
 
 def log_lr_finite(pair: DensityPair, eta: PointPattern) -> LogLikelihoodResult:
@@ -79,7 +71,7 @@ def log_lr_finite(pair: DensityPair, eta: PointPattern) -> LogLikelihoodResult:
     if lam == INF or mu == INF:
         raise InfiniteMass("intensity masses must be finite; "
                            "use the sigma-finite evaluator")
-    terms = _point_terms(eta, _require_ac(pair, _locations(eta)))
+    terms = _point_terms(_require_ac(pair, eta.locations), eta.locations, eta.mult)
     if -INF in terms:
         return LogLikelihoodResult(False, -INF)
     return LogLikelihoodResult(True, (mu - lam) + math.fsum(terms.tolist()))
@@ -143,23 +135,21 @@ class TruncatedLogLikelihood:
         last pattern point differ by less than ``tol``, the truncation
         covers the whole domain, or ``n_max`` is hit (then
         ``converged=False`` with the trace kept)."""
-        terms = _point_terms(eta, self.pair.log_ratio_at(_locations(eta)))
+        terms = _point_terms(self.pair.log_ratio_at(eta.locations), eta.locations,
+                             eta.mult)
         if -INF in terms:
             return LogLikelihoodResult(False, -INF, truncation_trace=[],
                                        converged=True)
-        locs = np.array([float(loc) for loc, _ in eta.points])
+        locs = _coords(eta.locations, 1)[:, 0]
         order = np.lexsort((terms, locs))
-        locs, contribs = locs[order].tolist(), terms[order].tolist()
+        # the sorted points and the pattern sums over the first k of them
+        locs, sums = locs[order].tolist(), [0.0] + np.cumsum(terms[order]).tolist()
 
         trace: list[tuple[int, float]] = []
-        prev, pat, inside = None, 0.0, 0
+        prev = None
         for n in range(1, self.n_max + 1):
             self._extend_to(n)
-            # the pattern sum over S_n, point by point in sorted order
-            while inside < len(locs) and locs[inside] <= n:
-                pat += contribs[inside]
-                inside += 1
-            ell = pat + self._gap[n]
+            ell = sums[bisect_right(locs, n)] + self._gap[n]
             trace.append((n, ell))
             if self.hi <= n:
                 return LogLikelihoodResult(True, ell, trace, True)
@@ -265,6 +255,6 @@ def _smooth_loglr_batch(pair, base, size, rng, sample_from_first):
     for start in range(0, size, block):
         k = min(block, size - start)
         coords, which = _sampler._thin(model, model.bounds, rng, k)
-        ratios = _dominated(pair.log_ratio_at(coords), lambda i: coords[i].tolist())
+        ratios = _point_terms(pair.log_ratio_at(coords), coords)
         out[start:start + k] = base + np.bincount(which, weights=ratios, minlength=k)
     return out

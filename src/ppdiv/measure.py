@@ -232,7 +232,7 @@ class GridIntensity(IntensityModel):
 
     def cell_indices(self, locations) -> np.ndarray:
         """``(n, d)`` array of the :meth:`cell_index` of each location."""
-        pts = _coords_array(locations, self.bounds)
+        pts = _coords(locations, self.ndim, self.bounds)
         return np.stack([np.clip(np.searchsorted(e, pts[:, d]) - 1, 0, len(e) - 2)
                          for d, e in enumerate(self.edges)], axis=-1)
 
@@ -267,9 +267,7 @@ class GridIntensity(IntensityModel):
 
     @cached_property
     def _centres(self) -> tuple:
-        centres = self.cell_centers()
-        return tuple(centres[:, 0].tolist() if self.ndim == 1
-                     else map(tuple, centres.tolist()))
+        return tuple(_as_ids(self.cell_centers()))
 
     def support_locations(self) -> tuple:
         return self._centres
@@ -336,7 +334,7 @@ class SmoothIntensity(IntensityModel):
         return any(math.isinf(hi) for _, hi in self.bounds)
 
     def density_at(self, location) -> float:
-        loc = _coords_array([location], self.bounds)[0].tolist()
+        loc = _coords([location], self.ndim, self.bounds)[0].tolist()
         return ensure_extended(self.density(*loc), "smooth density value")
 
     def truncated(self, n: float) -> "SmoothIntensity":
@@ -584,13 +582,13 @@ class DensityPair:
         ref = self.reference
         if isinstance(ref, DiscreteIntensity):
             # index -1 picks the zero appended to each density
-            idx = [ref.index.get(loc, -1) for loc in locations]
+            idx = [ref.index.get(loc, -1) for loc in _as_ids(locations)]
             return log_ratios(np.append(self.f, 0.0)[idx],
                               np.append(self.g, 0.0)[idx])
         if isinstance(ref, GridIntensity):
             idx = np.ravel_multi_index(tuple(ref.cell_indices(locations).T), ref.shape)
             return log_ratios(self.f[idx], self.g[idx])
-        cols = _coords_array(locations, ref.bounds).T
+        cols = _coords(locations, ref.ndim, ref.bounds).T
         return log_ratios(density_values(self.f, cols),
                           density_values(self.g, cols))
 
@@ -741,55 +739,42 @@ def common_reference(a: IntensityModel, b: IntensityModel) -> DensityPair:
 # Point patterns
 # ---------------------------------------------------------------------------
 
-def _as_coords(location, ndim: int) -> tuple[float, ...]:
-    if isinstance(location, (tuple, list, np.ndarray)):
-        loc = tuple(float(x) for x in location)
-    else:
-        loc = (float(location),)
-    if len(loc) != ndim:
-        raise PointOutsideDomain(
-            f"location {location!r} has dimension {len(loc)}, expected {ndim}")
-    return loc
-
-
-def _coords(locations, ndim: int) -> np.ndarray:
-    """``(n, ndim)`` coordinates of ``locations`` (floats in one dimension,
-    coordinate sequences otherwise): one array conversion when they are
-    uniform, else one :func:`_as_coords` per location."""
+def _coords(locations, ndim: int, bounds=None) -> np.ndarray:
+    """``(n, ndim)`` float64 coordinates of ``locations``, an array or floats
+    (one axis) and coordinate sequences; points of another dimension, or off
+    ``bounds`` if given, raise :class:`PointOutsideDomain`."""
+    if not len(locations):
+        return np.empty((0, ndim))
     try:
-        pts = np.array(locations, dtype=float)
-        if pts.shape == (len(locations), ndim):
-            return pts
-        if ndim == 1 and pts.shape == (len(locations),):
-            return pts[:, None]
-    except (TypeError, ValueError):
-        pass
-    return np.array([_as_coords(loc, ndim) for loc in locations],
-                    dtype=float).reshape(-1, ndim)
-
-
-def _coords_array(locations, bounds) -> np.ndarray:
-    """``(n, d)`` coordinates of ``locations``, which must lie in ``bounds``."""
-    pts = _coords(locations, len(bounds))
-    lo, hi = np.array(bounds).T
-    outside = np.argwhere(~((pts >= lo) & (pts <= hi)))  # NaN is outside too
-    if len(outside):
-        i, d = outside[0]
-        raise PointOutsideDomain(f"coordinate {pts[i, d]} outside [{lo[d]}, {hi[d]}]")
+        pts = np.asarray(locations, dtype=float)
+    except ValueError:  # ragged, as 0.25 and (0.75,)
+        pts = np.array([np.ravel(loc) for loc in locations], dtype=float)
+    pts = pts.reshape(len(pts), -1)
+    if pts.shape[1] != ndim:
+        raise PointOutsideDomain(f"location {_as_ids(pts[:1])[0]!r} has dimension "
+                                 f"{pts.shape[1]}, expected {ndim}")
+    if bounds is not None:
+        lo, hi = np.array(bounds).T
+        outside = np.argwhere(~((pts >= lo) & (pts <= hi)))  # NaN is outside too
+        if len(outside):
+            i, d = outside[0]
+            raise PointOutsideDomain(f"coordinate {pts[i, d]} outside [{lo[d]}, {hi[d]}]")
     return pts
 
 
-def probe_locations(bounds) -> list:
-    """:func:`~ppdiv.quadrature.probe_points` as pattern locations: floats
-    in one dimension, coordinate tuples otherwise."""
-    points = probe_points(bounds)
-    return [p[0] for p in points] if len(bounds) == 1 else points
+def _as_ids(locations):
+    """Hashable locations: the rows of a coordinate array as floats (one
+    axis) or tuples of floats, any other locations as given."""
+    if not isinstance(locations, np.ndarray):
+        return locations
+    return (locations[:, 0].tolist() if locations.shape[1] == 1
+            else list(map(tuple, locations.tolist())))
 
 
 def _inside(locations, region) -> np.ndarray:
     """Which of ``locations`` lie in ``region``, a set of ids or a box."""
     if isinstance(region, (set, frozenset)):
-        return np.array([loc in region for loc in locations], dtype=bool)
+        return np.array([loc in region for loc in _as_ids(locations)], dtype=bool)
     lo, hi = np.array(_normalize_box(region)).T
     pts = _coords(locations, len(lo))
     return ((pts >= lo) & (pts <= hi)).all(axis=1)
@@ -805,60 +790,96 @@ def _normalize_box(region):
 def _region_inside(region, window) -> bool:
     if isinstance(window, (set, frozenset)):
         return isinstance(region, (set, frozenset)) and region <= window
-    wbox = _normalize_box(window)
-    rbox = _normalize_box(region)
-    if len(rbox) != len(wbox):
-        return False
-    return all(wlo <= rlo and rhi <= whi
-               for (rlo, rhi), (wlo, whi) in zip(rbox, wbox))
+    wbox, rbox = _normalize_box(window), _normalize_box(region)
+    return len(rbox) == len(wbox) and all(
+        wlo <= rlo and rhi <= whi for (rlo, rhi), (wlo, whi) in zip(rbox, wbox))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointPattern:
-    """Finite multiset of points with multiplicities.
-
-    Locations are atom ids for discrete models, floats for 1-d continuous
-    models, and coordinate tuples otherwise.  ``window`` records where the
-    pattern was observed (a box, or a set of ids).
+    """Finite multiset of points, built from ``(location, multiplicity)``
+    pairs.  Float locations (floats for 1-d continuous models, tuples of
+    floats otherwise) are the rows of ``coords``, a read-only ``(n, d)``
+    float64 array; other locations, such as atom ids (strings and ints
+    stay ids), are the tuple ``ids`` as given.  The other one, and
+    ``coords`` of an empty pattern, is None.  ``mult`` is the read-only
+    int64 array of the multiplicities, integers of at least 1.  ``window``
+    records where the pattern was observed (a box, or a set of ids).
     """
 
-    points: tuple[tuple[Any, int], ...]
+    coords: np.ndarray | None
+    ids: tuple | None
+    mult: np.ndarray
     window: Any = None
 
     def __init__(self, points, window=None):
-        pts = []
-        for loc, mult in points:
-            m = int(mult)
-            if m < 1:
-                raise ValueError("multiplicities must be positive integers")
-            if isinstance(loc, list):
-                loc = tuple(loc)
-            pts.append((loc, m))
-        if window is not None and not isinstance(window, (set, frozenset)):
-            window = _normalize_box(window)
-        elif isinstance(window, set):
-            window = frozenset(window)
-        if window is not None:
-            outside = np.flatnonzero(~_inside([loc for loc, _ in pts], window))
-            if len(outside):
-                raise ValueError(
-                    f"point {pts[outside[0]][0]!r} lies outside the window")
-        object.__setattr__(self, "points", tuple(pts))
-        object.__setattr__(self, "window", window)
+        pairs = list(points)
+        self._fill([tuple(loc) if isinstance(loc, list) else loc for loc, _ in pairs],
+                   [m for _, m in pairs], window)
 
-    def total_count(self) -> int:
-        return sum(m for _, m in self.points)
+    @classmethod
+    def _of(cls, locations, mult, window=None) -> "PointPattern":
+        """Pattern of an ``(n, d)`` array or a sequence of locations."""
+        out = cls.__new__(cls)
+        out._fill(locations, mult, window)
+        return out
+
+    def _fill(self, locations, mult, window):
+        floats = (float, np.floating)  # float locations: floats or tuples of floats
+        if len(locations) and (isinstance(locations, np.ndarray) or all(
+                isinstance(loc, floats) or isinstance(loc, tuple) and len(loc) > 0
+                and all(isinstance(v, floats) for v in loc) for loc in locations)):
+            locations = _coords(locations, np.size(locations[0]))
+            locations.flags.writeable = False
+        else:
+            locations = tuple(locations)
+        mult = np.asarray(mult)
+        if (mult.shape != (len(locations),) or len(mult) and mult.dtype.kind not in "iu"
+                or (mult < 1).any()):
+            raise ValueError("multiplicities must be integers >= 1, one per location")
+        mult = mult.astype(np.int64)
+        mult.flags.writeable = False
+        if window is not None:
+            window = (frozenset(window) if isinstance(window, (set, frozenset))
+                      else _normalize_box(window))
+            outside = np.flatnonzero(~_inside(locations, window))
+            if len(outside):
+                raise ValueError(f"point {_as_ids(locations)[outside[0]]!r} "
+                                 "lies outside the window")
+        coords = locations if isinstance(locations, np.ndarray) else None
+        self.__dict__.update(coords=coords, ids=None if coords is not None else locations,
+                             mult=mult, window=window)
+
+    @property
+    def locations(self):
+        """``coords``, or ``ids`` if that is the one set."""
+        return self.ids if self.coords is None else self.coords
+
+    @property
+    def points(self) -> tuple:
+        """``(location, multiplicity)`` pairs, as the constructor takes."""
+        return tuple(zip(_as_ids(self.locations), self.mult.tolist()))
 
     def __len__(self) -> int:
-        return self.total_count()
+        return int(self.mult.sum())
+
+    total_count = __len__
+
+    def __eq__(self, other):
+        return (isinstance(other, PointPattern) and self.ids == other.ids
+                and self.window == other.window
+                and np.array_equal(self.coords, other.coords)
+                and np.array_equal(self.mult, other.mult))
+
+    def __hash__(self):
+        return hash((self.ids, _array_key(self.coords), _array_key(self.mult), self.window))
 
 
 def count(pattern: PointPattern, region) -> int:
     """Number of pattern points (with multiplicity) inside ``region``."""
     if pattern.window is not None and not _region_inside(region, pattern.window):
         raise OutOfWindow("region exceeds the pattern's observation window")
-    inside = _inside([loc for loc, _ in pattern.points], region)
-    return sum(m for (_, m), ok in zip(pattern.points, inside.tolist()) if ok)
+    return int(pattern.mult[_inside(pattern.locations, region)].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -904,7 +925,7 @@ class MarkedModel:
         base = self.base.flattened()
         if isinstance(base, _EXACT):
             return base.support_locations()
-        return probe_locations(base.bounds)
+        return _as_ids(np.array(probe_points(base.bounds)))
 
     def mark_table(self, locations) -> np.ndarray:
         """``(len(locations), marks)`` kernel densities at base locations:
@@ -913,7 +934,8 @@ class MarkedModel:
         base = self.base.flattened()
         if isinstance(base, DiscreteIntensity):
             marks = self.mark_reference.support_locations()
-            return np.array([[self.mark_density(t, x) for x in marks] for t in locations],
+            return np.array([[self.mark_density(t, x) for x in marks]
+                             for t in _as_ids(locations)],
                             dtype=float).reshape(len(locations), len(marks))
         return self.mark_densities_on(_coords(locations, base.ndim).T)
 

@@ -229,35 +229,31 @@ def save_model(model, path):
 # Point-pattern CSV
 # ---------------------------------------------------------------------------
 
-def _location_cells(loc):
-    return [v if isinstance(v, str) else repr(float(v)) if isinstance(v, float)
-            else repr(v) for v in (loc if isinstance(loc, tuple) else (loc,))]
+def _location_cells(pat) -> list:
+    """CSV cells per location of ``pat``: strings as they are, else reprs."""
+    if pat.coords is not None:
+        return [list(map(repr, row)) for row in pat.coords.tolist()]
+    return [[v if isinstance(v, str) else repr(float(v)) if isinstance(v, float)
+             else repr(v) for v in (loc if isinstance(loc, tuple) else (loc,))]
+            for loc in pat.ids]
 
 
 def patterns_to_csv(patterns, fh):
     """Write patterns with a replicate id column."""
-    dims = 1
-    for pat in patterns:
-        for loc, _ in pat.points:
-            dims = max(dims, len(loc) if isinstance(loc, tuple) else 1)
+    cells = [_location_cells(pat) for pat in patterns]
+    dims = max([1] + [len(row) for rows in cells for row in rows])
     writer = csv.writer(fh)
     writer.writerow(["replicate"] + [f"loc_{i + 1}" for i in range(dims)]
                     + ["multiplicity"])
-    for rep, pat in enumerate(patterns):
-        for loc, mult in pat.points:
-            cells = _location_cells(loc)
-            cells += [""] * (dims - len(cells))
-            writer.writerow([rep] + cells + [mult])
+    for rep, (pat, rows) in enumerate(zip(patterns, cells)):
+        for row, mult in zip(rows, pat.mult.tolist()):
+            writer.writerow([rep] + row + [""] * (dims - len(row)) + [mult])
 
 
 def pattern_from_csv(fh, discrete: bool = False) -> PointPattern:
     """Read one pattern; a replicate column, if present, is ignored."""
     reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        return PointPattern(())
-    header = [h.strip() for h in header]
+    header = [h.strip() for h in next(reader, ["loc_1"])]  # an empty file has no points
     loc_cols = [i for i, h in enumerate(header) if h.startswith("loc_")]
     if not loc_cols:
         raise ParseError("pattern file needs loc_1..loc_d columns")
@@ -267,15 +263,8 @@ def pattern_from_csv(fh, discrete: bool = False) -> PointPattern:
         if not row or all(not c.strip() for c in row):
             continue
         raw = [row[i].strip() for i in loc_cols if i < len(row) and row[i].strip() != ""]
-        if discrete:
-            loc: Any = raw[0]
-        else:
-            coords = tuple(float(v) for v in raw)
-            loc = coords[0] if len(coords) == 1 else coords
-        mult = 1
-        if mult_col is not None and mult_col < len(row) and row[mult_col].strip():
-            mult = int(row[mult_col])
-        points.append((loc, mult))
+        mult = row[mult_col].strip() if mult_col is not None and mult_col < len(row) else ""
+        points.append((raw[0] if discrete else tuple(map(float, raw)), int(mult or 1)))
     return PointPattern(tuple(points))
 
 

@@ -22,16 +22,17 @@ column, from one histogram each where that is the cheaper draw
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (InfiniteMass, InfiniteWindowMass, OutOfWindow,
-                     ThinningBoundMissing)
+                     PointOutsideDomain, ThinningBoundMissing)
 from .extended import ext_fsum
 from .measure import (DiscreteIntensity, GridIntensity, IntensityModel,
-                      MarkedModel, PointPattern, SmoothIntensity,
-                      _normalize_box, density_values)
+                      MarkedModel, PointPattern, SmoothIntensity, _as_ids,
+                      _coords, _normalize_box, density_values)
 
 _BOUND_PROBE = 512
 _BOUND_SAFETY = 1.2
@@ -149,11 +150,17 @@ def _poisson_tail(m: float, hi: int, size: int, rng) -> np.ndarray:
 
 
 def _window_box(model, window):
+    """The part of the model's box inside ``window``, a box with one
+    ``(lo, hi)`` axis per model axis."""
     if window is None:
         return model.bounds
-    box = _normalize_box(window)
-    if len(box) != len(model.bounds):
-        raise OutOfWindow("window dimension does not match the model")
+    try:
+        box = () if isinstance(window, (set, frozenset)) else _normalize_box(window)
+    except (TypeError, ValueError):
+        box = ()
+    if len(box) != len(model.bounds) or not all(lo < hi for lo, hi in box):  # NaN too
+        raise OutOfWindow(f"a {len(model.bounds)}-d model needs a box window of "
+                          f"{len(model.bounds)} lo:hi axes with lo < hi")
     out = []
     for (lo, hi), (wlo, whi) in zip(model.bounds, box):
         out.append((max(lo, wlo), min(hi, whi)))
@@ -184,6 +191,8 @@ def sample_pp(model: IntensityModel, window=None, seed=0) -> PointPattern:
 
 def _sample_discrete(m: DiscreteIntensity, window, rng) -> PointPattern:
     ids, weights, win = m.ids, m.weights, None
+    if isinstance(window, tuple):
+        raise OutOfWindow("a discrete model's window is a set of atom ids, not a box")
     if window is not None:
         win = frozenset(window)
         keep = [i for i, pid in enumerate(ids) if pid in win]
@@ -194,8 +203,8 @@ def _sample_discrete(m: DiscreteIntensity, window, rng) -> PointPattern:
         return PointPattern((), window=win)
     n = int(rng.poisson(total))
     counts = rng.multinomial(n, weights / total)
-    points = tuple((pid, int(c)) for pid, c in zip(ids, counts) if c > 0)
-    return PointPattern(points, window=win)
+    drawn = np.flatnonzero(counts)
+    return PointPattern._of([ids[i] for i in drawn.tolist()], counts[drawn], window=win)
 
 
 def _sample_grid(m: GridIntensity, window, rng) -> PointPattern:
@@ -210,13 +219,7 @@ def _sample_grid(m: GridIntensity, window, rng) -> PointPattern:
     cells = np.unravel_index(rng.choice(masses.size, size=n, p=masses / total),
                              m.shape)
     cols = [rng.uniform(lo[i], hi[i]) for lo, hi, i in zip(lows, highs, cells)]
-    return PointPattern(_points(np.stack(cols, axis=-1)), window=box)
-
-
-def _points(coords: np.ndarray) -> list:
-    """Points of multiplicity one at the rows of ``coords`` (floats in 1-d)."""
-    locs = coords[:, 0] if coords.shape[1] == 1 else coords
-    return [(loc, 1) for loc in locs.tolist()]
+    return PointPattern._of(np.stack(cols, axis=-1), np.ones(n, dtype=np.int64), window=box)
 
 
 def _density_bound(m: SmoothIntensity, box) -> float:
@@ -234,7 +237,7 @@ def _density_bound(m: SmoothIntensity, box) -> float:
 def _sample_smooth(m: SmoothIntensity, window, rng) -> PointPattern:
     box = _window_box(m, window)
     coords, _ = _thin(m, box, rng, 1)
-    return PointPattern(_points(coords), window=box)
+    return PointPattern._of(coords, np.ones(len(coords), dtype=np.int64), window=box)
 
 
 def _proposal_rate(m: SmoothIntensity, box) -> tuple[float, float]:
@@ -281,10 +284,9 @@ def sample_marked(marked: MarkedModel, window=None, seed=0) -> PointPattern:
     base_rng, mark_rng = spawn_streams(seed, 2)
     base = sample_pp(marked.base, window=window, seed=base_rng)
     ref = marked.mark_reference
-    locs = [loc for loc, _ in base.points]
     # one row per point, repeated by its multiplicity
-    rows = np.repeat(np.arange(len(locs)), [m for _, m in base.points])
-    cdf = np.cumsum(marked.mark_table(locs) * ref.masses, axis=1)[rows]
+    rows = np.repeat(np.arange(len(base.mult)), base.mult)
+    cdf = np.cumsum(marked.mark_table(base.locations) * ref.masses, axis=1)[rows]
     total = cdf[:, -1]
     if not (total > 0.0).all():
         raise ValueError("mark kernel has no mass at a sampled location")
@@ -297,10 +299,9 @@ def sample_marked(marked: MarkedModel, window=None, seed=0) -> PointPattern:
     else:
         edges = ref.edges[0]
         marks = mark_rng.uniform(edges[idx], edges[idx + 1]).tolist()
-    out: dict = {}
-    for key in zip([locs[r] for r in rows.tolist()], marks):
-        out[key] = out.get(key, 0) + 1
-    return PointPattern(tuple(out.items()), window=None)
+    locs = _as_ids(base.locations)
+    # equal (location, mark) pairs merge, in the order they first come
+    return PointPattern(Counter(zip([locs[r] for r in rows.tolist()], marks)).items())
 
 
 @dataclass(frozen=True)
@@ -322,43 +323,40 @@ class StepPath:
         return list(zip(self.times, self.values))
 
 
+def _path_coords(eta: PointPattern, marked: bool) -> np.ndarray:
+    """``(n, d)`` coordinates of a temporal pattern, ``d > 1`` iff ``marked``."""
+    try:
+        d = np.size(eta.locations[0]) if len(eta.mult) else 1 + marked
+        if (d > 1) == marked:
+            return _coords(eta.locations, d)
+    except (TypeError, ValueError, PointOutsideDomain):
+        pass
+    raise ValueError("compound_path needs (t, mark, ...) locations of numbers" if marked
+                     else "counting_path needs a one-dimensional pattern of numeric times")
+
+
+def _step_path(times: np.ndarray, values: np.ndarray, initial) -> StepPath:
+    """Path of the cumulative sums of ``values`` (or of its rows) in the
+    stable order of ``times``, with one step per distinct time."""
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    last = np.append(times[1:] != times[:-1], True)[:len(times)]
+    sums = np.cumsum(values[order], axis=0)[last].tolist()
+    return StepPath(tuple(times[last].tolist()),
+                    tuple(map(tuple, sums) if values.ndim > 1 else sums), initial)
+
+
 def counting_path(eta: PointPattern) -> StepPath:
     """Step function ``t -> number of points up to and including t`` for a
     one-dimensional temporal pattern."""
-    jumps = sorted((float(loc), m) for loc, m in eta.points)
-    times, counts, running = [], [], 0
-    for t, m in jumps:
-        running += m
-        if times and times[-1] == t:
-            counts[-1] = running
-        else:
-            times.append(t)
-            counts.append(running)
-    return StepPath(tuple(times), tuple(counts), initial=0)
+    return _step_path(_path_coords(eta, False)[:, 0], eta.mult, 0)
 
 
 def compound_path(eta: PointPattern) -> StepPath:
     """Cumulative sum of marks up to each time for a marked temporal
     pattern with locations ``(t, mark...)``."""
-    jumps = []
-    for loc, m in eta.points:
-        t = float(loc[0])
-        mark = loc[1] if len(loc) == 2 else tuple(loc[1:])
-        jumps.append((t, mark, m))
-    jumps.sort(key=lambda j: j[0])
-    times, values = [], []
-    running = None
-    for t, mark, m in jumps:
-        inc = (np.asarray(mark, dtype=float) * m
-               if isinstance(mark, tuple) else float(mark) * m)
-        running = inc if running is None else running + inc
-        val = tuple(running) if isinstance(running, np.ndarray) else float(running)
-        if times and times[-1] == t:
-            values[-1] = val
-        else:
-            times.append(t)
-            values.append(val)
-    zero = 0.0
-    if values and isinstance(values[0], tuple):
-        zero = tuple(0.0 for _ in values[0])
-    return StepPath(tuple(times), tuple(values), initial=zero)
+    pts = _path_coords(eta, True)
+    if pts.shape[1] == 2:
+        return _step_path(pts[:, 0], pts[:, 1] * eta.mult, 0.0)
+    return _step_path(pts[:, 0], pts[:, 1:] * eta.mult[:, None],
+                      (0.0,) * (pts.shape[1] - 1))

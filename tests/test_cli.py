@@ -283,6 +283,23 @@ class TestSample:
         assert captured.err.startswith(f"numeric failure: density {density!r}")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("model, window", [
+        (GRID_2, "a,b"),
+        ({"type": "smooth", "bounds": [[0, 1]], "density": "1 + x"}, "0.2,0.1"),
+        (GRID_2, "0:1:2"),
+        ({"type": "smooth", "bounds": [[0, 1]], "density": "1 + x"}, "0:nan"),
+        (POISSON_4, "0:1"),
+    ])
+    def test_window_of_the_wrong_kind_is_an_input_error(self, files, capsys,
+                                                        model, window):
+        write, _ = files
+        assert main(["sample", write("m.json", model), "--seed", "1",
+                     "--window", window]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "window" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_marked_sampling(self, files, capsys):
         write, _ = files
         model = {"type": "marked", "base": GRID_2,

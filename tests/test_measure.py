@@ -1,21 +1,24 @@
 """Intensity models, the common-reference reduction, point patterns, and
 mark kernels."""
 
+import io
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_pair
 from ppdiv import (DensityPair, DiscreteIntensity, DomainMismatch,
                    GridIntensity, MarkedModel, OutOfWindow, PointPattern,
                    ScaledIntensity, SmoothIntensity, SummedIntensity,
-                   common_reference, count, total_mass)
+                   common_reference, count, log_lr_finite, sample_marked,
+                   sample_pp, total_mass)
 from ppdiv.measure import _SNAP_ULPS, _join_axis
+from ppdiv.model_io import pattern_from_csv, patterns_to_csv
 
 INF = math.inf
 
@@ -486,6 +489,101 @@ class TestPointPattern:
     def test_positive_multiplicity(self):
         with pytest.raises(ValueError):
             PointPattern([(0.5, 0)])
+
+    @pytest.mark.parametrize("mult", [2.9, 2.0, "2", None])
+    def test_multiplicities_are_integers(self, mult):
+        with pytest.raises(ValueError):
+            PointPattern([(0.5, 1), (0.3, mult)])
+
+
+# The pattern kinds of the property test below: atom ids with the weights
+# of two discrete models, and boxes with two smooth densities.
+_ATOMS = {"str": {"a": (1.0, 2.0), "b": (2.0, 1.0), "c": (0.5, 1.5), "d": (3.0, 0.25)},
+          "int": {0: (1.0, 2.0), 1: (2.0, 1.0), 2: (0.5, 1.5), 7: (3.0, 0.25)}}
+_BOXES = {"1d": ((0.0, 1.0),), "2d": ((0.0, 1.0), (0.0, 2.0))}
+_DENSITIES = {"1d": (lambda x: 1.0 + x, lambda x: 2.0 - x),
+              "2d": (lambda x0, x1: 1.0 + x0 * x1, lambda x0, x1: 1.0 + x0)}
+_PAIRS = {**{k: common_reference(*(DiscreteIntensity({i: w[j] for i, w in atoms.items()})
+                                   for j in (0, 1)))
+             for k, atoms in _ATOMS.items()},
+          **{k: common_reference(*(SmoothIntensity(_BOXES[k], d) for d in _DENSITIES[k]))
+             for k in _BOXES}}
+
+
+@st.composite
+def _patterns(draw):
+    """``(kind, pairs, window)``: pairs of string or int ids, 1-d floats or
+    2-d float tuples with multiplicities 1 to 3, and no window or one
+    holding every point."""
+    kind = draw(st.sampled_from(["str", "int", "1d", "2d"]))
+    if kind in _ATOMS:
+        loc = st.sampled_from(sorted(_ATOMS[kind]))
+    else:
+        axes = [st.floats(lo, hi) for lo, hi in _BOXES[kind]]
+        loc = axes[0] if kind == "1d" else st.tuples(*axes)
+    pairs = draw(st.lists(st.tuples(loc, st.integers(1, 3)), max_size=12))
+    window = None
+    if draw(st.booleans()):
+        window = frozenset([*_ATOMS[kind], "z"]) if kind in _ATOMS else _BOXES[kind]
+    return kind, pairs, window
+
+
+class TestPatternArrays:
+    """Patterns held as arrays against the tuple path they replaced, which
+    kept the pairs as given and summed over them point by point."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_patterns())
+    @example(("str", [("a", 2), ("c", 1), ("a", 3)], None))
+    @example(("int", [(7, 1), (0, 3)], frozenset([0, 1, 2, 7, "z"])))
+    @example(("1d", [(0.0, 1), (1.0, 2), (0.5, 3), (0.5, 1)], ((0.0, 1.0),)))
+    @example(("2d", [((0.25, 1.5), 2), ((1.0, 0.0), 1)], None))
+    @example(("1d", [], ((0.0, 1.0),)))
+    def test_matches_the_tuple_path(self, case):
+        kind, pairs, window = case
+        eta = PointPattern(pairs, window)
+        assert repr(eta.points) == repr(tuple(pairs))
+        again = PointPattern(eta.points, eta.window)
+        assert again == eta and hash(again) == hash(eta)
+        assert len(eta) == eta.total_count() == sum(m for _, m in pairs)
+
+        if kind in _ATOMS:
+            region = set(sorted(_ATOMS[kind])[:2])
+            inside = [loc in region for loc, _ in pairs]
+        else:
+            region = ((0.0, 0.5),) + _BOXES[kind][1:]
+            inside = [all(lo <= x <= hi for x, (lo, hi) in zip(np.atleast_1d(loc), region))
+                      for loc, _ in pairs]
+        assert count(eta, region) == sum(m for (_, m), ok in zip(pairs, inside) if ok)
+
+        buf = io.StringIO()
+        patterns_to_csv([eta], buf)
+        buf.seek(0)
+        read = pattern_from_csv(buf, discrete=kind in _ATOMS)
+        as_text = str if kind == "int" else (lambda loc: loc)
+        assert repr(read.points) == repr(tuple((as_text(loc), m) for loc, m in pairs))
+
+        pair = _PAIRS[kind]
+        if kind in _ATOMS:
+            f, g = (lambda loc, j=j: _ATOMS[kind][loc][j] for j in (0, 1))
+        else:
+            f, g = (lambda loc, d=d: d(*np.atleast_1d(loc)) for d in _DENSITIES[kind])
+        want = pair.mu_mass() - pair.lambda_mass() + math.fsum(
+            m * math.log(f(loc) / g(loc)) for loc, m in pairs)
+        assert abs(log_lr_finite(pair, eta).log_lr - want) <= 1e-12 * (1.0 + abs(want))
+
+    def test_sampled_patterns_rebuild_from_their_points(self):
+        grid = GridIntensity([(0, 1), (0, 2)], [2, 2], [1.0, 2.0, 3.0, 4.0])
+        marked = MarkedModel(GridIntensity([(0, 1)], [1], [6.0]),
+                             DiscreteIntensity([("u", 1.0), ("v", 1.0)]), lambda t, x: 0.5)
+        for seed in range(5):
+            for eta in (sample_pp(grid, window=((0.0, 0.5), (0.0, 2.0)), seed=seed),
+                        sample_pp(DiscreteIntensity([("a", 3.0), (1, 2.0)]), seed=seed),
+                        sample_pp(SmoothIntensity([(0, 1)], lambda x: 1 + x), seed=seed),
+                        sample_marked(marked, seed=seed)):
+                assert PointPattern(eta.points, eta.window) == eta
+                assert not eta.mult.flags.writeable
+                assert eta.coords is None or not eta.coords.flags.writeable
 
 
 class TestMarkKernel:

@@ -361,3 +361,44 @@ class TestPaths:
         path = compound_path(eta)
         assert path(0.4) == (1.0, 0.0)
         assert path(1.0) == (1.5, 2.0)
+
+    @pytest.mark.parametrize("helper, eta, needs", [
+        (counting_path, PointPattern([((0.3, 2.0), 1)]), "one-dimensional"),
+        (counting_path, PointPattern([("a", 1), ("b", 2)]), "one-dimensional"),
+        (compound_path, PointPattern([(0.3, 1), (0.7, 2)]), r"\(t, mark"),
+        (compound_path, PointPattern([((0.3, "u"), 1)]), r"\(t, mark"),
+    ])
+    def test_wrong_pattern_kind_names_the_kind_needed(self, helper, eta, needs):
+        with pytest.raises(ValueError, match=needs):
+            helper(eta)
+
+    def test_paths_match_the_point_loop(self):
+        # the per-point loops the array paths replaced, on ties, integer
+        # times and marks (atom-id patterns) and multiplicities
+        def loop_path(pairs, marked):
+            jumps = sorted(((float(loc[0] if marked else loc), i), loc, m)
+                           for i, (loc, m) in enumerate(pairs))
+            times, values, running = [], [], None
+            for (t, _), loc, m in jumps:
+                inc = (np.asarray(loc[1:], dtype=float) * m if marked else m)
+                running = inc if running is None else running + inc
+                val = (tuple(running.tolist()) if marked and len(loc) > 2
+                       else float(running[0]) if marked else running)
+                if times and times[-1] == t:
+                    values[-1] = val
+                else:
+                    times.append(t)
+                    values.append(val)
+            return tuple(times), tuple(values)
+
+        rng = np.random.default_rng(4)
+        for d in (1, 2, 3):
+            for ints in (False, True):
+                t = rng.integers(0, 5, 30)
+                marks = rng.integers(-3, 4, (30, d - 1))
+                locs = [tuple(float(v) for v in row) if not ints else tuple(row.tolist())
+                        for row in np.column_stack([t, marks])]
+                locs = [loc[0] if d == 1 else loc for loc in locs]
+                pairs = list(zip(locs, rng.integers(1, 4, 30).tolist()))
+                path = (compound_path if d > 1 else counting_path)(PointPattern(pairs))
+                assert (path.times, path.values) == loop_path(pairs, d > 1)
