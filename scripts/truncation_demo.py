@@ -1,8 +1,8 @@
 """Truncated evaluation of the log-likelihood ratio for infinite-mass
 intensities: ratio 1 + exp(-x) against Lebesgue on the half-line.
 
-Shows one truncation trace, then checks that the exponentiated ratio
-averages to one under the dominating law.
+Shows one value beside its truncation trace, then checks that the
+exponentiated ratio averages to one under the dominating law.
 
 Usage: python scripts/truncation_demo.py [n_samples] [seed]
 """
@@ -33,9 +33,9 @@ def main():
 
     eta = sample_pp(window, seed=rng)
     result = evaluator.evaluate(eta, tol=1e-10)
-    print(f"one pattern with {len(eta)} points; trace:")
+    print(f"one pattern with {len(eta)} points; value {result.log_lr:+.10f}; trace:")
     for n, value in result.truncation_trace:
-        print(f"  n = {n:2d}   l = {value:+.10f}")
+        print(f"  n = {n:2d}   l = {value:+.10f}   l - value = {value - result.log_lr:+.1e}")
     print(f"converged: {result.converged}\n")
 
     ratios = np.empty(n_samples)

@@ -26,7 +26,7 @@ from . import model_io as _io
 from . import sampler as _sampler
 from .errors import PPDivError, ParseError, QuadratureFailure
 from .extended import fmt_extended
-from .measure import DiscreteIntensity, MarkedModel, common_reference
+from .measure import DiscreteIntensity, MarkedModel, PointPattern, common_reference
 
 _KINDS = ("tsallis", "renyi", "kl", "hellinger", "hellinger_pp")
 
@@ -62,15 +62,11 @@ def cmd_divergence(args) -> int:
         elif args.kind == "kl":
             rep = _divergence.kl_pp(pair)
         elif args.kind == "hellinger":
-            value = _divergence.hellinger_measures(pair)
-            rep = _divergence.DivergenceReport(0.5, value, 0.0,
-                                               ["hellinger distance of the "
-                                                "intensities"])
+            rep = _divergence.DivergenceReport(0.5, _divergence.hellinger_measures(pair), 0.0,
+                                               ["hellinger distance of the intensities"])
         else:
-            value = _divergence.hellinger_pp(pair)
-            rep = _divergence.DivergenceReport(0.5, value, 0.0,
-                                               ["hellinger distance of the "
-                                                "pattern laws"])
+            rep = _divergence.DivergenceReport(0.5, _divergence.hellinger_pp(pair), 0.0,
+                                               ["hellinger distance of the pattern laws"])
         rows.append({"alpha": rep.alpha, "value": fmt_extended(rep.value),
                      "error_estimate": rep.quadrature_error_estimate,
                      "notes": rep.notes})
@@ -95,9 +91,11 @@ def cmd_loglr(args) -> int:
         raise ParseError(f"--n-max must be >= 1, got {args.n_max}")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ParseError(f"--tol must be finite and >= 0, got {args.tol}")
-    pair, a, _ = _load_pair(args.model_a, args.model_b)
+    pair, _, _ = _load_pair(args.model_a, args.model_b)
     eta = _io.load_pattern(args.pattern,
-                           discrete=isinstance(a.flattened(), DiscreteIntensity))
+                           discrete=isinstance(pair.reference, DiscreteIntensity))
+    if eta.ids:  # atom ids, read as text
+        eta = PointPattern(zip(_model_ids(eta.ids, pair.reference), eta.mult.tolist()))
     if args.sigma_finite:
         result = _likelihood.log_lr_sigma_finite(pair, eta, n_max=args.n_max,
                                                  tol=args.tol)
@@ -114,7 +112,7 @@ def cmd_loglr(args) -> int:
 
 def cmd_sample(args) -> int:
     model = _io.load_model(args.model)
-    window = _parse_window(args.window) if args.window else None
+    window = _parse_window(args.window, model) if args.window else None
     if isinstance(model, MarkedModel) != args.marked:
         raise ParseError("--marked must match the model file kind")
     if args.seed < 0:
@@ -129,6 +127,13 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _model_ids(texts, model):
+    """Each text as the atom id of ``model`` (or its base) whose ``str()`` it is, if any."""
+    model = (model.base if isinstance(model, MarkedModel) else model).flattened()
+    ids = {str(pid): pid for pid in model.ids} if isinstance(model, DiscreteIntensity) else {}
+    return [ids.get(text, text) for text in texts]
+
+
 def _parse_number(kind, text: str, what: str):
     try:
         return kind(text)
@@ -136,12 +141,12 @@ def _parse_number(kind, text: str, what: str):
         raise ParseError(f"bad {what} {text!r}") from None
 
 
-def _parse_window(text: str):
+def _parse_window(text: str, model):
     try:
         parts = text.split(",")
         if all(":" in p for p in parts):
             return tuple(tuple(float(v) for v in p.split(":")) for p in parts)
-        return frozenset(parts)
+        return frozenset(_model_ids(parts, model))
     except ValueError as exc:
         raise ParseError(f"bad window {text!r}: {exc}") from exc
 
@@ -162,10 +167,7 @@ def cmd_chernoff(args) -> int:
     out = {"C": fmt_extended(result.value),
            "alpha_star": result.argmax_alpha}
     if args.simulate:
-        risk, se = _chernoff.bayes_risk_sim(pair, args.prior0, n, trials,
-                                            seed)
-        out["risk"] = risk
-        out["se"] = se
+        out["risk"], out["se"] = _chernoff.bayes_risk_sim(pair, args.prior0, n, trials, seed)
     _emit(args, json.dumps(out, allow_nan=False, indent=2) + "\n")
     return 0
 
@@ -228,10 +230,7 @@ def main(argv=None) -> int:
         # or sqrt(x - 2)
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    except PPDivError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (PPDivError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

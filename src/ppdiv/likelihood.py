@@ -3,14 +3,13 @@
 For finite intensities the log ratio of the two pattern laws at a pattern
 is the mass difference plus the summed log density ratio over the points;
 a pattern with a point where the ratio vanishes is outside the support
-and gets ``-inf``.  For infinite-mass (sigma-finite) intensities the
-exponent is evaluated on growing truncations ``S_n`` until the value
-stabilises.  At each level it is exactly the finite formula on ``S_n``,
-``sum log phi + mu(S_n) - lambda(S_n)``: the paper's compensated split
-over the band ``|log phi| <= 1`` and its complement has the same value
-at every finite level (on the band the compensator and the band term sum
-to ``g - f``, off it the tail term is ``g - f``), and matters only for
-the existence of the limit.  A Monte Carlo estimator closes the loop
+and gets ``-inf``.  For infinite-mass (sigma-finite) intensities it is the
+limit over growing truncations ``S_n`` of the finite formula on ``S_n``,
+``sum log phi + mu(S_n) - lambda(S_n)``; a pattern is finite, so the
+limit is its point sum plus the integral of ``g - f`` over the domain.
+The paper's compensated split over the band ``|log phi| <= 1`` has the
+same value at every level and matters only for the existence of the
+limit on infinite patterns.  A Monte Carlo estimator closes the loop
 between likelihood ratios and divergences.
 """
 
@@ -19,12 +18,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .divergence import _require_ac, _require_finite_hellinger
 from .errors import (InfiniteMass, InvalidAlpha, NonConvergent,
-                     NotAbsolutelyContinuous)
+                     NotAbsolutelyContinuous, QuadratureFailure)
 from .extended import INF, log_ratios
 from .measure import (DensityPair, GridIntensity, PointPattern,
                       SmoothIntensity, _as_ids, _coords, intensity_from_density)
@@ -80,16 +80,15 @@ def log_lr_finite(pair: DensityPair, eta: PointPattern) -> LogLikelihoodResult:
 class TruncatedLogLikelihood:
     """Evaluator of the sigma-finite log-likelihood exponent.
 
-    Keeps, per truncation level ``n``, the one deterministic term
-    ``mu(S_n) - lambda(S_n)``, so that many patterns can be evaluated
-    against one pair cheaply.  ``S_n`` is the domain up to ``n``; its
-    increments are the integrals of ``g - f`` over the unit segments, taken
-    in chunks of doubling length (levels 1, 2, 3-4, 5-8, ...), each one
-    sum per segment over the cells of a grid, or one adaptive quadrature
-    whose first panels are the segments.  Finite Hellinger distance is
-    required: it is what makes the levels converge, and its check computes
-    no mass.  Works on one-dimensional grid or smooth references whose
-    domain starts at a finite left end.
+    ``S_n`` is the domain up to ``n``.  The value at a pattern is the point
+    sum plus one integral of ``g - f`` over the domain, improper on a
+    half-line; the trace of levels ``1..n_max`` comes from one run whose
+    first panels are the unit segments (a sum per segment over the cells
+    of a grid), and where it covers the domain its last level is that
+    integral.  Both are computed on first use and serve every pattern.
+    Finite Hellinger distance is required; its check computes no mass.
+    Works on one-dimensional grid or smooth references whose domain starts
+    at a finite left end.
     """
 
     def __init__(self, pair: DensityPair, n_max: int = 100):
@@ -107,34 +106,36 @@ class TruncatedLogLikelihood:
             pair, "the likelihood ratio needs a finite hellinger distance")
         self.pair = pair
         self.n_max = int(n_max)
-        self.hi = ref.bounds[0][1]
-        # the last level evaluate() can reach
-        self._top = self.n_max if math.isinf(self.hi) else min(self.n_max, math.ceil(self.hi))
-        # mu(S_n) - lambda(S_n) at index n, from the empty S_0
-        self._gap: list[float] = [0.0]
+        hi = ref.bounds[0][1]
+        # the last level of the trace, and whether S_top is the whole domain
+        self._top = self.n_max if math.isinf(hi) else max(1, min(self.n_max, math.ceil(hi)))
+        self._covers = hi <= self._top
 
-    # -- deterministic integrals ------------------------------------------
-
-    def _extend_to(self, n: int):
-        # levels 1, 2, 3-4, 5-8, ... up to n_max and the domain's end, one
-        # chunk per pass: mu - lambda of each unit segment cut to the domain,
-        # S_1 from the domain's left end (which may be negative)
-        while len(self._gap) <= n:
-            first = len(self._gap)
-            last = max(first, min(2 * (first - 1), self._top))
-            cuts = [-INF if first == 1 else first - 1.0]
-            cuts += [float(level) for level in range(first, last + 1)]
-            (incs, _), = self.pair._integrals(lambda f, g, *_: (g - f)[None], cuts=cuts)
-            for inc in incs:
-                self._gap.append(self._gap[-1] + inc)
-
-    # -- evaluation --------------------------------------------------------
+    @cached_property
+    def _gaps(self):
+        """``mu(S_n) - lambda(S_n)`` for ``n = 1..top``, ``S_1`` from the
+        domain's left end, and ``mu - lambda`` or its QuadratureFailure."""
+        gap = lambda f, g, *_: (g - f)[None]
+        (incs, _), = self.pair._integrals(gap, cuts=[-INF, *map(float, range(1, self._top + 1))])
+        levels = np.cumsum(incs).tolist()
+        if self._covers:
+            return levels, levels[-1]
+        try:
+            (limit, _), = self.pair._integrals(gap)
+        except QuadratureFailure as exc:
+            limit = exc.with_traceback(None)
+        return levels, limit
 
     def evaluate(self, eta: PointPattern, tol: float = 1e-8) -> LogLikelihoodResult:
-        """Iterate the truncated exponent until successive levels past the
-        last pattern point differ by less than ``tol``, the truncation
-        covers the whole domain, or ``n_max`` is hit (then
-        ``converged=False`` with the trace kept)."""
+        """The limit of the truncated exponent at ``eta``, with its trace.
+
+        The trace ends at the first level holding every point whose value
+        is less than ``tol`` from the limit, or at the domain's end; either
+        gives ``converged=True``.  Otherwise it ends at ``n_max`` with
+        ``converged=False`` and a note.  If the integral over the domain
+        fails, the value is the last level, with ``converged=False`` and a
+        note: the integral may diverge even where the levels converge, their
+        unit-segment integrals cancelling."""
         terms = _point_terms(self.pair.log_ratio_at(eta.locations), eta.locations,
                              eta.mult)
         if -INF in terms:
@@ -144,25 +145,22 @@ class TruncatedLogLikelihood:
         order = np.lexsort((terms, locs))
         # the sorted points and the pattern sums over the first k of them
         locs, sums = locs[order].tolist(), [0.0] + np.cumsum(terms[order]).tolist()
-
+        levels, limit = self._gaps
+        failed = isinstance(limit, QuadratureFailure)
+        value = math.nan if failed else sums[-1] + limit  # no level is near a nan
         trace: list[tuple[int, float]] = []
-        prev = None
-        for n in range(1, self.n_max + 1):
-            self._extend_to(n)
-            ell = sums[bisect_right(locs, n)] + self._gap[n]
-            trace.append((n, ell))
-            if self.hi <= n:
-                return LogLikelihoodResult(True, ell, trace, True)
-            # The step from the previous level is trusted only once that
-            # level held every pattern point: a point's log-ratio can cancel
-            # the compensator increment of the level it falls in.
-            settled = not locs or locs[-1] <= n - 1
-            if prev is not None and settled and abs(ell - prev) < tol:
-                return LogLikelihoodResult(True, ell, trace, True)
-            prev = ell
-        return LogLikelihoodResult(
-            True, trace[-1][1], trace, False,
-            notes=[f"no convergence within n_max={self.n_max}"])
+        for n, gap in enumerate(levels, 1):
+            k = bisect_right(locs, n)
+            trace.append((n, sums[k] + gap))
+            if k == len(locs) and abs(trace[-1][1] - value) < tol:
+                return LogLikelihoodResult(True, value, trace, True)
+        if self._covers:
+            return LogLikelihoodResult(True, value, trace, True)
+        if failed:
+            return LogLikelihoodResult(True, trace[-1][1], trace, False, notes=[
+                f"the integral over the domain failed; the value is the last level: {limit}"])
+        return LogLikelihoodResult(True, value, trace, False, notes=[
+            f"the trace did not come within tol={tol} of the limit by n_max={self.n_max}"])
 
 
 def log_lr_sigma_finite(pair: DensityPair, eta: PointPattern,

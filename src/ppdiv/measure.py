@@ -788,8 +788,9 @@ def _normalize_box(region):
 
 
 def _region_inside(region, window) -> bool:
-    if isinstance(window, (set, frozenset)):
-        return isinstance(region, (set, frozenset)) and region <= window
+    sets = (set, frozenset)
+    if isinstance(window, sets) or isinstance(region, sets):
+        return isinstance(window, sets) and isinstance(region, sets) and region <= window
     wbox, rbox = _normalize_box(window), _normalize_box(region)
     return len(rbox) == len(wbox) and all(
         wlo <= rlo and rhi <= whi for (rlo, rhi), (wlo, whi) in zip(rbox, wbox))

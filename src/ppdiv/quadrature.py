@@ -101,7 +101,7 @@ class QuadratureSpec:
     """Tolerances for adaptive integration of smooth densities.
 
     ``max_subdivisions`` bounds the number of panels (boxes in two or more
-    dimensions) of the final partition.
+    dimensions) of the final partition, plus one per segment after the first.
     """
 
     abs_tol: float = 1e-10
@@ -221,8 +221,9 @@ class _Adaptive:
                 new_lo = np.concatenate([new_lo, ends[1:, None], np.zeros((rings, 1))])
                 new_width = np.concatenate([new_width, (ends[:-1] - ends[1:])[:, None],
                                             ends[1:, None]])
-            if len(value) - len(split) + len(new_lo) > self.spec.max_subdivisions:
-                self._fail(f"{self.spec.max_subdivisions} subdivisions do not "
+            budget = self.spec.max_subdivisions + len(self.edges) - 2
+            if len(value) - len(split) + len(new_lo) > budget:
+                self._fail(f"{budget} subdivisions do not "
                            "meet the tolerance", total, total_err)
             new = self._rules(new_lo, new_width)
             if rings:

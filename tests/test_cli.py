@@ -26,6 +26,7 @@ GRID_2 = {"type": "grid", "bounds": [[0, 1]], "shape": [1], "values": [2.0]}
 GRID_1 = {"type": "grid", "bounds": [[0, 1]], "shape": [1], "values": [1.0]}
 POISSON_1 = {"type": "discrete", "atoms": [["k", 1.0]]}
 POISSON_4 = {"type": "discrete", "atoms": [["k", 4.0]]}
+INT_IDS = {"type": "discrete", "atoms": [[1, 3.0], [2, 1.5], [7, 0.5]]}
 
 
 @pytest.fixture
@@ -178,6 +179,15 @@ class TestLogLr:
         assert len(out["trace"]) >= 2
 
 
+    def test_integer_ids_of_a_sampled_pattern(self, files, capsys, tmp_path):
+        write, _ = files
+        model = write("m.json", INT_IDS)
+        main(["sample", model, "--seed", "1", "--output", str(tmp_path / "eta.csv")])
+        capsys.readouterr()
+        main(["loglr", model, model, str(tmp_path / "eta.csv")])
+        assert json.loads(capsys.readouterr().out) == {
+            "in_support": True, "log_lr": 0.0, "converged": True}
+
     @pytest.mark.parametrize("extra", [
         ["--n-max", "0"], ["--n-max", "-3"],
         ["--tol", "nan"], ["--tol", "inf"], ["--tol", "-0.5"],
@@ -299,6 +309,13 @@ class TestSample:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "window" in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_integer_id_window(self, files, capsys):
+        write, _ = files
+        main(["sample", write("m.json", INT_IDS), "--seed", "2", "--count", "5",
+              "--window", "1,7"])
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert rows and {row.split(",")[1] for row in rows} <= {"1", "7"}
 
     def test_marked_sampling(self, files, capsys):
         write, _ = files

@@ -178,6 +178,72 @@ class TestSigmaFinite:
         assert len(result.truncation_trace) == 3
 
 
+def _half_line_pair(expression):
+    lam = SmoothIntensity([(0.0, INF)], compile_density(expression, ("x",)))
+    mu = SmoothIntensity([(0.0, INF)], compile_density("1", ("x",)))
+    return common_reference(lam, mu)
+
+
+class TestLimit:
+    """The sigma-finite value is the point sum plus the integral of ``g - f``
+    over the whole domain, whatever the trace does."""
+
+    POINTS = (0.5, 2.0, 3.7)
+
+    def closed_form(self, phi, integral, points=POINTS):
+        return math.fsum(math.log(phi(x)) for x in points) + integral
+
+    def test_slow_exponential_tail(self):
+        # stepping by levels once stopped at 554 with an error of 2.9e-7
+        eta = PointPattern([(x, 1) for x in self.POINTS])
+        result = log_lr_sigma_finite(_half_line_pair("1 + exp(-x/30)"), eta,
+                                     n_max=1000, tol=1e-8)
+        want = self.closed_form(lambda x: 1.0 + math.exp(-x / 30.0), -30.0)
+        assert result.converged
+        assert abs(result.log_lr - want) <= 1e-12
+        assert abs(result.truncation_trace[-1][1] - want) < 1e-8
+
+    @pytest.mark.parametrize("n_max", [100, 20_000])
+    def test_power_tail_is_exact_but_not_converged(self, n_max):
+        # the trace's tail is 1/(1 + n), never below tol; stepping by levels
+        # once claimed convergence at n = 10^4 with an error of 1e-4
+        eta = PointPattern([(x, 1) for x in self.POINTS])
+        result = log_lr_sigma_finite(_half_line_pair("1 + (1 + x)**-2"), eta,
+                                     n_max=n_max, tol=1e-8)
+        want = self.closed_form(lambda x: 1.0 + (1.0 + x) ** -2, -1.0)
+        assert not result.converged and result.notes
+        assert len(result.truncation_trace) == n_max
+        assert abs(result.log_lr - want) <= 1e-12
+
+    def test_kink_past_the_panel_budget(self):
+        # 20000 unit segments start the levels' run with 20000 panels, past
+        # the 10000 of the default spec, and the kink at 2.5 must still split
+        result = log_lr_sigma_finite(_half_line_pair("1 + exp(-abs(x - 2.5))"),
+                                     PointPattern([(0.5, 1)]), n_max=20_000)
+        want = math.log1p(math.exp(-2.0)) - (2.0 - math.exp(-2.5))
+        assert result.converged
+        assert abs(result.log_lr - want) <= 1e-12
+
+    def test_seeded_patterns_out_to_15(self):
+        evaluator = TruncatedLogLikelihood(_half_line_pair("1 + exp(-x)"))
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            points = rng.uniform(0.0, 15.0, int(rng.integers(1, 30))).tolist()
+            result = evaluator.evaluate(PointPattern([(x, 1) for x in points]))
+            want = self.closed_form(lambda x: 1.0 + math.exp(-x), -1.0, points)
+            assert result.converged
+            assert abs(result.log_lr - want) <= 1e-12
+
+    def test_divergent_integral_is_reported(self):
+        # H is finite, as (1/(1 + x))^2 is integrable, but g - f is not
+        result = log_lr_sigma_finite(_half_line_pair("1 + 1/(1 + x)"),
+                                     PointPattern([(0.5, 1)]), n_max=50)
+        assert not result.converged
+        assert result.notes and "failed" in result.notes[0]
+        assert result.log_lr == result.truncation_trace[-1][1]
+        assert len(result.truncation_trace) == 50
+
+
 def _pattern_sums(pair, eta, levels):
     """Sum of ``log phi`` over the points of ``eta`` up to each level."""
     locs = np.array([float(loc) for loc, _ in eta.points])
@@ -230,15 +296,16 @@ def _split_smooth_levels(pair, eta, levels, edge):
 
 
 # Half-line pairs of finite Hellinger distance: 1 + e^-x, 1 + (1 + x)^-2
-# and 1 + e^-|x - 2.5| (a kink inside a chunk) against 1.
+# and 1 + e^-|x - 2.5| (a kink inside a unit segment) against 1.
 _HALF_LINE = ("1 + exp(-x)", "1 + (1 + x)**-2", "1 + exp(-abs(x - 2.5))")
 
 
 class TestOneIntegralPerLevel:
     """Each truncation level adds ``mu(S_n) - lambda(S_n)``, the integral of
     ``g - f`` over its unit segment, equal at every level to the paper's
-    compensated split; the segments are integrated in chunks of doubling
-    length, one adaptive run per chunk."""
+    compensated split; all the levels come from one adaptive run whose
+    first panels are the segments, and the limit from one more run over
+    the whole domain."""
 
     def test_one_quadrature_per_chunk(self, monkeypatch):
         lam = SmoothIntensity([(0.0, INF)], lambda x: 1.0 + np.exp(-x))
@@ -250,7 +317,7 @@ class TestOneIntegralPerLevel:
                             lambda self: runs.append(self.bounds) or run(self))
         result = evaluator.evaluate(PointPattern([(0.5, 1)]), tol=0.0)
         assert len(result.truncation_trace) == 7
-        assert runs == [((0.0, 1.0),), ((1.0, 2.0),), ((2.0, 4.0),), ((4.0, 7.0),)]
+        assert runs == [((0.0, 7.0),), ((0.0, INF),)]
 
     @pytest.mark.parametrize("expression", _HALF_LINE)
     def test_chunked_levels_match_one_run_per_level(self, expression):

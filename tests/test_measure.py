@@ -482,6 +482,14 @@ class TestPointPattern:
         with pytest.raises(OutOfWindow):
             count(eta, {"z"})
 
+    @pytest.mark.parametrize("eta, region", [
+        (PointPattern([(0.3, 1)], window=(0.0, 1.0)), {"a"}),
+        (PointPattern([("a", 1)], window=frozenset("ab")), (0.0, 1.0)),
+    ])
+    def test_region_of_the_other_kind_is_out_of_window(self, eta, region):
+        with pytest.raises(OutOfWindow):
+            count(eta, region)
+
     def test_window_containment_enforced(self):
         with pytest.raises(ValueError):
             PointPattern([(1.5, 1)], window=(0.0, 1.0))

@@ -190,6 +190,14 @@ class TestSegments:
         np.testing.assert_allclose(values, np.exp(-np.arange(8.0)) * (1 - math.exp(-1)),
                                    rtol=1e-13)
 
+    def test_budget_counts_panels_past_one_per_segment(self):
+        # 40 segments start from 40 panels, past a budget of 20, and the
+        # kink at 2.5 still splits
+        fn = lambda x: np.exp(-np.abs(x - 2.5))
+        values, _ = integrate_segments(fn, np.arange(41.0), QuadratureSpec(max_subdivisions=20))
+        want = 2.0 - math.exp(-2.5) - math.exp(-37.5)
+        assert math.fsum(values) == pytest.approx(want, rel=0.0, abs=1e-10)
+
     @pytest.mark.parametrize("edges", [[0.0, INF], [1.0, 0.5], [0.0, math.nan]])
     def test_bad_edges_rejected(self, edges):
         with pytest.raises(ValueError):
