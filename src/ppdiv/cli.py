@@ -26,7 +26,7 @@ from . import model_io as _io
 from . import sampler as _sampler
 from .errors import PPDivError, ParseError, QuadratureFailure
 from .extended import fmt_extended
-from .measure import DiscreteIntensity, MarkedModel, PointPattern, common_reference
+from .measure import DiscreteIntensity, MarkedModel, common_reference
 
 _KINDS = ("tsallis", "renyi", "kl", "hellinger", "hellinger_pp")
 
@@ -92,10 +92,8 @@ def cmd_loglr(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ParseError(f"--tol must be finite and >= 0, got {args.tol}")
     pair, _, _ = _load_pair(args.model_a, args.model_b)
-    eta = _io.load_pattern(args.pattern,
+    eta = _io.load_pattern(args.pattern, model=pair.reference,
                            discrete=isinstance(pair.reference, DiscreteIntensity))
-    if eta.ids:  # atom ids, read as text
-        eta = PointPattern(zip(_model_ids(eta.ids, pair.reference), eta.mult.tolist()))
     if args.sigma_finite:
         result = _likelihood.log_lr_sigma_finite(pair, eta, n_max=args.n_max,
                                                  tol=args.tol)
@@ -127,13 +125,6 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _model_ids(texts, model):
-    """Each text as the atom id of ``model`` (or its base) whose ``str()`` it is, if any."""
-    model = (model.base if isinstance(model, MarkedModel) else model).flattened()
-    ids = {str(pid): pid for pid in model.ids} if isinstance(model, DiscreteIntensity) else {}
-    return [ids.get(text, text) for text in texts]
-
-
 def _parse_number(kind, text: str, what: str):
     try:
         return kind(text)
@@ -146,7 +137,7 @@ def _parse_window(text: str, model):
         parts = text.split(",")
         if all(":" in p for p in parts):
             return tuple(tuple(float(v) for v in p.split(":")) for p in parts)
-        return frozenset(_model_ids(parts, model))
+        return frozenset(_io.model_ids(parts, model))
     except ValueError as exc:
         raise ParseError(f"bad window {text!r}: {exc}") from exc
 

@@ -98,7 +98,9 @@ def compile_density(expression: str, variables: tuple[str, ...]):
     ``a if c else b`` and the ``_EXPR_NAMES`` (functions called by bare name)
     compile; anything else is a :class:`ParseError`.  A domain error or a
     negative or NaN value raises ``FloatingPointError`` naming the
-    expression, an overflow :class:`_Overflow`."""
+    expression, an overflow :class:`_Overflow`.  The function is marked
+    ``reads_floats``: a number and its float64 give it the same value, so
+    a discrete base may pass its numeric atom ids as one array."""
     slots: dict[str, int] = {}
     try:
         root = _build(ast.parse(expression, mode="eval").body, variables, slots)
@@ -125,6 +127,7 @@ def compile_density(expression: str, variables: tuple[str, ...]):
                                      f"{float(out.flat[bad])!r} is not a nonnegative real")
         return out if shape else float(out)
 
+    density.reads_floats = True
     return density
 
 
@@ -250,8 +253,18 @@ def patterns_to_csv(patterns, fh):
             writer.writerow([rep] + row + [""] * (dims - len(row)) + [mult])
 
 
-def pattern_from_csv(fh, discrete: bool = False) -> PointPattern:
-    """Read one pattern; a replicate column, if present, is ignored."""
+def model_ids(texts, model) -> list:
+    """Each text as the atom id of ``model`` (or of a marked model's base)
+    whose ``str()`` it is, if any, else as it is."""
+    model = (model.base if isinstance(model, MarkedModel) else model).flattened()
+    ids = {str(pid): pid for pid in model.ids} if isinstance(model, DiscreteIntensity) else {}
+    return [ids.get(text, text) for text in texts]
+
+
+def pattern_from_csv(fh, discrete: bool = False, model=None) -> PointPattern:
+    """Read one pattern; a replicate column, if present, is ignored.  A
+    ``discrete`` pattern's locations are atom ids: with ``model``, the ids
+    of that model whose ``str()`` they are (:func:`model_ids`), else text."""
     reader = csv.reader(fh)
     header = [h.strip() for h in next(reader, ["loc_1"])]  # an empty file has no points
     loc_cols = [i for i, h in enumerate(header) if h.startswith("loc_")]
@@ -265,13 +278,16 @@ def pattern_from_csv(fh, discrete: bool = False) -> PointPattern:
         raw = [row[i].strip() for i in loc_cols if i < len(row) and row[i].strip() != ""]
         mult = row[mult_col].strip() if mult_col is not None and mult_col < len(row) else ""
         points.append((raw[0] if discrete else tuple(map(float, raw)), int(mult or 1)))
+    if discrete and model is not None:
+        points = list(zip(model_ids([loc for loc, _ in points], model),
+                          [m for _, m in points]))
     return PointPattern(tuple(points))
 
 
-def load_pattern(path, discrete: bool = False) -> PointPattern:
+def load_pattern(path, discrete: bool = False, model=None) -> PointPattern:
     try:
         with open(path, newline="") as fh:
-            return pattern_from_csv(fh, discrete=discrete)
+            return pattern_from_csv(fh, discrete=discrete, model=model)
     except OSError as exc:
         raise ParseError(f"cannot read pattern file {path}: {exc}") from exc
     except (ValueError, IndexError) as exc:

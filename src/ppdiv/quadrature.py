@@ -18,11 +18,14 @@ between them from the panels that bisection made of it.
 The half-line ``[lo, inf)`` is mapped onto ``(0, 1]`` by ``x = lo + t/(1-t)``
 with ``s = 1 - t`` carried as the variable (QUADPACK's ``qk15i`` map), so
 the tail panel next to ``s = 0`` can shrink far below the float spacing
-near 1.  Halving the tail panel leaves a geometric ring and a new tail
-panel; while the rings shrink, Wynn's epsilon algorithm extrapolates the
-tail from them (QUADPACK's ``qelg``), which settles slowly decaying power
-tails.  A tail still in error at the depth where QUADPACK evaluated a
-slow exponential tail means a divergent integral.
+near 1.  It starts from the initial panels of a bounded interval, eight
+in ``s``, so the tail panel is first ``[0, 1/8]`` and a smooth tail such
+as ``exp(-x)`` settles in one or two rounds.  Halving the tail panel
+leaves a geometric ring and a new tail panel; while the rings shrink,
+Wynn's epsilon algorithm extrapolates the tail from them (QUADPACK's
+``qelg``), which settles slowly decaying power tails.  A tail still in
+error at the depth where QUADPACK evaluated a slow exponential tail means
+a divergent integral.
 
 A request the integrator cannot satisfy raises :class:`QuadratureFailure`
 instead of returning a silent best effort, always with
@@ -50,10 +53,11 @@ _PROBES_PER_AXIS = 17
 _BOX_PROBES_PER_AXIS = 9
 _GOLDEN = 0.381966
 
-# Initial panels of a bounded 1-d interval, shared evenly among its
-# segments (at least one each).  A round costs about the same for 15 or 120
-# nodes, and the finer start resolves features down to about a hundredth of
-# the interval.  A half-line starts from the one panel (0, 1] of qk15i.
+# Initial panels of a 1-d run, shared evenly among its segments (at least
+# one each), or one per segment on a smaller budget.  A round costs about
+# the same for 15 or 120 nodes, and the finer start resolves features down
+# to about a hundredth of the interval.  A half-line cuts (0, 1] in s into
+# as many, so a power of two keeps its tail panel at [0, 2^-depth].
 _INITIAL_PANELS = 8
 
 # The tail panel [0, 2^-depth] of a half-line is cut no deeper than this:
@@ -174,20 +178,24 @@ class _Adaptive:
     def run(self):
         """The values and error estimates of the segments, once the
         panels of all of them meet the tolerance together."""
-        if len(self.bounds) > 1 or self.half_line:
-            width = np.array([[1.0 if self.half_line else hi - a for a, hi in self.bounds]])
+        if len(self.bounds) > 1:
+            width = np.array([[hi - a for a, hi in self.bounds]])
             lo, seg = np.zeros_like(width), np.zeros(1, dtype=int)
         else:
-            # each segment cut evenly, into the share of the initial panels
+            # each segment cut evenly, into its share of the initial panels
+            # (a power of two) or, on a smaller budget, one panel; a
+            # half-line is the segment (0, 1] in s, its tail box [0, 1/per]
             n_seg = len(self.edges) - 1
-            per = max(1, min(_INITIAL_PANELS, self.spec.max_subdivisions) // n_seg)
+            per = (max(1, _INITIAL_PANELS // n_seg)
+                   if self.spec.max_subdivisions >= _INITIAL_PANELS else 1)
+            ends = np.array([0.0, 1.0]) if self.half_line else self.edges
             seg = np.repeat(np.arange(n_seg), per)
-            step = np.diff(self.edges) / per
+            step = np.diff(ends) / per
             width = step[seg][:, None]
-            lo = (self.edges[:-1][seg] - self.origin[0]
+            lo = (ends[:-1][seg] - ends[0]
                   + np.tile(np.arange(per), n_seg) * step[seg])[:, None]
         value, err, axis = self._rules(lo, width)
-        tail = _Tail(float(value[0])) if self.half_line else None
+        tail = _Tail(float(value[0]), per.bit_length() - 1) if self.half_line else None
         while True:
             total, total_err = math.fsum(value.tolist()), float(err.sum())
             if not (math.isfinite(total) and math.isfinite(total_err)):
@@ -320,7 +328,9 @@ class _Adaptive:
 
 class _Tail:
     """The tail box ``[0, 2^-depth]`` of a half-line in ``s``, cut into
-    rings ``[w/2, w]`` from the outside in.
+    rings ``[w/2, w]`` from the outside in.  It starts as the initial panel
+    next to ``s = 0``: ``[0, 1/8]`` at depth 3, or ``[0, 1]`` at depth 0 on
+    a budget below the initial panels.
 
     The rings cut so far plus the rule's value on the box left over form a
     sequence with one entry per depth, which converges to the integral over
@@ -333,8 +343,8 @@ class _Tail:
     a divergent tail reaches the depth limit in a few rounds.
     """
 
-    def __init__(self, value: float):
-        self.depth = 0
+    def __init__(self, value: float, depth: int):
+        self.depth = depth
         self.size = 1  # rings in the next cut
         self.rings: list[float] = []
         self.seq = [value]

@@ -13,7 +13,7 @@ from scipy import integrate
 
 from ppdiv import (DiscreteIntensity, MarkedModel, PointPattern,
                    QuadratureFailure, SmoothIntensity, common_reference,
-                   count, tsallis)
+                   count, quadrature, tsallis)
 from ppdiv.divergence import _require_ac
 from ppdiv.extended import ext_mul, ext_muls
 from ppdiv.model_io import compile_density
@@ -162,6 +162,63 @@ class TestRegressions:
     def test_unbounded_box_rejected(self):
         with pytest.raises(ValueError):
             integrate_box(lambda x, y: x, [(0.0, INF), (0.0, 1.0)], SPEC)
+
+
+class TestHalfLineStart:
+    """A half-line starts from the initial panels of a bounded interval,
+    the tail box [0, 1/8] in s, so a smooth tail settles in a round or two."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The panel count of each rule pass of every run."""
+        passes = []
+        rules = quadrature._Adaptive._rules
+
+        def counted(self, lo, width):
+            passes.append(len(lo))
+            return rules(self, lo, width)
+
+        monkeypatch.setattr(quadrature._Adaptive, "_rules", counted)
+        return passes
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    def test_tsallis_orders_settle_in_one_round(self, passes, alpha):
+        pair = common_reference(
+            *(SmoothIntensity([(0.0, INF)], compile_density(e, ("x",)))
+              for e in ("1 + exp(-x)", "1")))
+        tsallis(pair, alpha)
+        assert passes == [8]
+
+    def test_exponential_settles_in_two_rounds(self, passes):
+        value, _ = integrate_box(lambda x: np.exp(-x), [(0.0, INF)], SPEC)
+        assert value == pytest.approx(1.0, rel=1e-13)
+        assert passes[0] == 8 and len(passes) <= 2
+
+    @pytest.mark.parametrize("expression, lo, budget, want", [
+        ("exp(-x)", 0.0, 1, None),
+        ("exp(-x)", 0.0, 3, None),
+        ("exp(-x)", 0.0, 5, 1.0),
+        ("exp(-x)", 1.875, 5, math.exp(-1.875)),
+        ("(1+x)**-2", 0.0, 1, 1.0),
+        ("(1+x)**-2", 0.0, 3, 1.0),
+        ("(1+x)**-2", 1.875, 1, None),
+        ("(1+x)**-2", 1.875, 3, 1.0 / 2.875),
+        ("1/(1+x*x)", 0.0, 5, None),
+        ("1/(1+x*x)", 1.875, 3, math.atan2(1.0, 1.875)),
+    ])
+    def test_small_budget_starts_from_one_panel(self, passes, expression, lo,
+                                                budget, want):
+        # a budget below the initial panels keeps the one-panel start, with
+        # the values and failures it had
+        density = compile_density(expression, ("x",))
+        spec = QuadratureSpec(max_subdivisions=budget)
+        if want is None:
+            with pytest.raises(QuadratureFailure, match=f"{budget} subdivisions"):
+                integrate_box(density, [(lo, INF)], spec)
+        else:
+            value, _ = integrate_box(density, [(lo, INF)], spec)
+            assert value == pytest.approx(want, rel=1e-10)
+        assert passes[0] == 1
 
 
 class TestSegments:
