@@ -92,8 +92,7 @@ def cmd_loglr(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ParseError(f"--tol must be finite and >= 0, got {args.tol}")
     pair, _, _ = _load_pair(args.model_a, args.model_b)
-    eta = _io.load_pattern(args.pattern, model=pair.reference,
-                           discrete=isinstance(pair.reference, DiscreteIntensity))
+    eta = _io.load_pattern(args.pattern, model=pair.reference)
     if args.sigma_finite:
         result = _likelihood.log_lr_sigma_finite(pair, eta, n_max=args.n_max,
                                                  tol=args.tol)

@@ -930,20 +930,15 @@ class MarkedModel:
 
     def mark_table(self, locations) -> np.ndarray:
         """``(len(locations), marks)`` kernel densities at base locations:
-        one :meth:`mark_densities_on` on the coordinates of a diffuse base,
-        or on the atom ids of a discrete base where they are all numbers and
-        the kernel reads its arguments as floats (``reads_floats``, as a
-        compiled density does); else one kernel call per atom id and mark."""
+        one kernel call per atom id and mark of a discrete base, one
+        :meth:`mark_densities_on` on the coordinates of a diffuse base."""
         base = self.base.flattened()
-        if not isinstance(base, DiscreteIntensity):
-            return self.mark_densities_on(_coords(locations, base.ndim).T)
-        ids = _as_ids(locations)
-        if (getattr(self.mark_density, "reads_floats", False)
-                and all(type(t) in (int, float) for t in ids)):
-            return self.mark_densities_on([np.array(ids, dtype=float)])
-        marks = self.mark_reference.support_locations()
-        return np.array([[self.mark_density(t, x) for x in marks] for t in ids],
-                        dtype=float).reshape(len(ids), len(marks))
+        if isinstance(base, DiscreteIntensity):
+            marks = self.mark_reference.support_locations()
+            return np.array([[self.mark_density(t, x) for x in marks]
+                             for t in _as_ids(locations)],
+                            dtype=float).reshape(len(locations), len(marks))
+        return self.mark_densities_on(_coords(locations, base.ndim).T)
 
     def mark_densities_on(self, cols) -> np.ndarray:
         """``(n, marks)`` kernel densities at the diffuse-base locations

@@ -98,9 +98,7 @@ def compile_density(expression: str, variables: tuple[str, ...]):
     ``a if c else b`` and the ``_EXPR_NAMES`` (functions called by bare name)
     compile; anything else is a :class:`ParseError`.  A domain error or a
     negative or NaN value raises ``FloatingPointError`` naming the
-    expression, an overflow :class:`_Overflow`.  The function is marked
-    ``reads_floats``: a number and its float64 give it the same value, so
-    a discrete base may pass its numeric atom ids as one array."""
+    expression, an overflow :class:`_Overflow`."""
     slots: dict[str, int] = {}
     try:
         root = _build(ast.parse(expression, mode="eval").body, variables, slots)
@@ -127,7 +125,6 @@ def compile_density(expression: str, variables: tuple[str, ...]):
                                      f"{float(out.flat[bad])!r} is not a nonnegative real")
         return out if shape else float(out)
 
-    density.reads_floats = True
     return density
 
 
@@ -261,10 +258,18 @@ def model_ids(texts, model) -> list:
     return [ids.get(text, text) for text in texts]
 
 
-def pattern_from_csv(fh, discrete: bool = False, model=None) -> PointPattern:
+def pattern_from_csv(fh, discrete: bool | None = None, model=None) -> PointPattern:
     """Read one pattern; a replicate column, if present, is ignored.  A
-    ``discrete`` pattern's locations are atom ids: with ``model``, the ids
-    of that model whose ``str()`` they are (:func:`model_ids`), else text."""
+    ``discrete`` pattern's locations are atom ids, read as text.  Given
+    ``model`` instead, the pattern is discrete when the model is (a
+    :class:`DiscreteIntensity` once flattened; a marked pattern is read as
+    coordinates), and its ids are the model's whose ``str()`` they are
+    (:func:`model_ids`)."""
+    if model is not None:
+        if discrete is not None:
+            raise TypeError("pattern_from_csv takes discrete or model, not both")
+        discrete = (not isinstance(model, MarkedModel)
+                    and isinstance(model.flattened(), DiscreteIntensity))
     reader = csv.reader(fh)
     header = [h.strip() for h in next(reader, ["loc_1"])]  # an empty file has no points
     loc_cols = [i for i, h in enumerate(header) if h.startswith("loc_")]
@@ -284,7 +289,7 @@ def pattern_from_csv(fh, discrete: bool = False, model=None) -> PointPattern:
     return PointPattern(tuple(points))
 
 
-def load_pattern(path, discrete: bool = False, model=None) -> PointPattern:
+def load_pattern(path, discrete: bool | None = None, model=None) -> PointPattern:
     try:
         with open(path, newline="") as fh:
             return pattern_from_csv(fh, discrete=discrete, model=model)

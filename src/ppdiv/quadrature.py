@@ -18,9 +18,11 @@ between them from the panels that bisection made of it.
 The half-line ``[lo, inf)`` is mapped onto ``(0, 1]`` by ``x = lo + t/(1-t)``
 with ``s = 1 - t`` carried as the variable (QUADPACK's ``qk15i`` map), so
 the tail panel next to ``s = 0`` can shrink far below the float spacing
-near 1.  It starts from the initial panels of a bounded interval, eight
-in ``s``, so the tail panel is first ``[0, 1/8]`` and a smooth tail such
-as ``exp(-x)`` settles in one or two rounds.  Halving the tail panel
+near 1.  On a budget of at least 32 panels it starts from the initial
+panels of a bounded interval, eight in ``s``, so the tail panel is first
+``[0, 1/8]`` and a smooth tail such as ``exp(-x)`` settles in one or two
+rounds; on a smaller budget it starts from the one panel ``(0, 1]`` of
+``qk15i``, which leaves the budget to bisection.  Halving the tail panel
 leaves a geometric ring and a new tail panel; while the rings shrink,
 Wynn's epsilon algorithm extrapolates the tail from them (QUADPACK's
 ``qelg``), which settles slowly decaying power tails.  A tail still in
@@ -53,12 +55,18 @@ _PROBES_PER_AXIS = 17
 _BOX_PROBES_PER_AXIS = 9
 _GOLDEN = 0.381966
 
-# Initial panels of a 1-d run, shared evenly among its segments (at least
-# one each), or one per segment on a smaller budget.  A round costs about
-# the same for 15 or 120 nodes, and the finer start resolves features down
-# to about a hundredth of the interval.  A half-line cuts (0, 1] in s into
-# as many, so a power of two keeps its tail panel at [0, 2^-depth].
+# Initial panels of a bounded 1-d interval, shared evenly among its
+# segments (at least one each).  A round costs about the same for 15 or 120
+# nodes, and the finer start resolves features down to about a hundredth of
+# the interval.  A half-line cuts (0, 1] in s into as many, so a power of
+# two keeps its tail panel at [0, 2^-depth].
 _INITIAL_PANELS = 8
+
+# A half-line starts from the initial panels only on a budget of at least
+# this, else from the one panel (0, 1] of qk15i: the start spends panels
+# that a slow tail such as exp(-x/1e4) needs at the far end, and on budgets
+# 8 to 29 it made such tails run out where one panel settled.
+_HALF_LINE_START_BUDGET = 4 * _INITIAL_PANELS
 
 # The tail panel [0, 2^-depth] of a half-line is cut no deeper than this:
 # its smallest node is then x = lo + 4.9e8, where QUADPACK's qagi evaluated
@@ -106,6 +114,9 @@ class QuadratureSpec:
 
     ``max_subdivisions`` bounds the number of panels (boxes in two or more
     dimensions) of the final partition, plus one per segment after the first.
+    A half-line starts from eight panels on a budget of at least 32, else
+    from one, so a small budget integrates what it did with the one-panel
+    start.
     """
 
     abs_tol: float = 1e-10
@@ -182,12 +193,14 @@ class _Adaptive:
             width = np.array([[hi - a for a, hi in self.bounds]])
             lo, seg = np.zeros_like(width), np.zeros(1, dtype=int)
         else:
-            # each segment cut evenly, into its share of the initial panels
-            # (a power of two) or, on a smaller budget, one panel; a
-            # half-line is the segment (0, 1] in s, its tail box [0, 1/per]
+            # each segment cut evenly, into its share of the initial panels;
+            # a half-line is the segment (0, 1] in s, its tail box [0, 1/per]
             n_seg = len(self.edges) - 1
-            per = (max(1, _INITIAL_PANELS // n_seg)
-                   if self.spec.max_subdivisions >= _INITIAL_PANELS else 1)
+            if self.half_line:
+                per = (_INITIAL_PANELS if self.spec.max_subdivisions
+                       >= _HALF_LINE_START_BUDGET else 1)
+            else:
+                per = max(1, min(_INITIAL_PANELS, self.spec.max_subdivisions) // n_seg)
             ends = np.array([0.0, 1.0]) if self.half_line else self.edges
             seg = np.repeat(np.arange(n_seg), per)
             step = np.diff(ends) / per
@@ -330,7 +343,7 @@ class _Tail:
     """The tail box ``[0, 2^-depth]`` of a half-line in ``s``, cut into
     rings ``[w/2, w]`` from the outside in.  It starts as the initial panel
     next to ``s = 0``: ``[0, 1/8]`` at depth 3, or ``[0, 1]`` at depth 0 on
-    a budget below the initial panels.
+    a budget below ``_HALF_LINE_START_BUDGET``.
 
     The rings cut so far plus the rule's value on the box left over form a
     sequence with one entry per depth, which converges to the integral over

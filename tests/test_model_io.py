@@ -18,7 +18,7 @@ from helpers import math_density
 from ppdiv import (DiscreteIntensity, MarkedModel, ParseError, PointPattern,
                    SmoothIntensity, ThinningBoundMissing, common_reference,
                    log_lr_finite, mc_divergence_estimate, sample_pp)
-from ppdiv.measure import density_values
+from ppdiv.measure import SummedIntensity, density_values
 from ppdiv.model_io import (_EXPR_NAMES, compile_density, load_pattern,
                             model_from_dict, model_ids, pattern_from_csv,
                             patterns_to_csv)
@@ -284,12 +284,22 @@ class TestPatternIds:
         text = pattern_from_csv(self._csv(eta), discrete=True)
         assert text.ids == ("2", "7")
         assert log_lr_finite(pair, text).log_lr == -math.inf
-        read = pattern_from_csv(self._csv(eta), discrete=True, model=pair.reference)
+        read = pattern_from_csv(self._csv(eta), model=pair.reference)
         assert read == eta
         assert log_lr_finite(pair, read).log_lr == -1.0
         path = tmp_path / "eta.csv"
         path.write_text(self._csv(eta).getvalue())
-        assert load_pattern(path, discrete=True, model=self.LAM) == eta
+        assert load_pattern(path, model=self.LAM) == eta
+        with pytest.raises(TypeError, match="discrete or model"):
+            load_pattern(path, discrete=True, model=self.LAM)
+
+    def test_model_decides_discreteness(self):
+        eta = PointPattern([((0.25,), 1), ((0.5,), 3)])
+        smooth = SmoothIntensity([(0, 1)], lambda x: 1.0)
+        assert pattern_from_csv(self._csv(eta), model=smooth) == eta
+        ids = PointPattern([(7, 2)])
+        summed = SummedIntensity([self.LAM, self.MU])
+        assert pattern_from_csv(self._csv(ids), model=summed) == ids
 
     def test_unknown_texts_and_marked_bases(self):
         marked = MarkedModel(self.LAM, DiscreteIntensity([("u", 1.0)]),
@@ -298,43 +308,3 @@ class TestPatternIds:
             assert model_ids(["7", "7.0", "a"], model) == [7, "7.0", "a"]
         assert model_ids(["7"], SmoothIntensity([(0, 1)], lambda x: 1.0)) == ["7"]
 
-
-class _Kernel(_Counted):
-    reads_floats = True
-
-
-class TestDiscreteMarkTable:
-    """A compiled kernel on a discrete base with numeric ids takes one array
-    call per mark id, bit for bit the per-id table."""
-
-    KERNELS = ["(1 + 0.3*sin(t)*(x - 2))/3",
-               "(1 + 0.5*cos(t*t/7)*(x - 2) if t > 2.5 else exp(-t)*(2 - x) + 1)/3",
-               "(1 + (x - 2)*atan(sqrt(t + 0.25)) / 2)/3"]
-
-    @pytest.mark.parametrize("expression", KERNELS)
-    @pytest.mark.parametrize("atoms", [[1, 2, 7, 40], [0.5, 3.25, 1e6, 0.0, 11]])
-    def test_one_call_per_mark_and_bit_identical(self, expression, atoms):
-        kernel = _Kernel(compile_density(expression, ("t", "x")))
-        marks = DiscreteIntensity([(1, 1.0), (2.0, 1.0), (3, 1.0)])
-        model = MarkedModel(DiscreteIntensity([(a, 1.0) for a in atoms]), marks, kernel)
-        ids = atoms + atoms[::-1]
-        kernel.array_calls = kernel.scalar_calls = 0
-        table = model.mark_table(ids)
-        assert (kernel.array_calls, kernel.scalar_calls) == (3, 0)
-        want = np.array([[kernel.fn(t, x) for x in marks.ids] for t in ids])
-        np.testing.assert_array_equal(table, want)
-
-    @pytest.mark.parametrize("atoms, kernel", [
-        (["a", "b"], _Kernel(compile_density("0.5", ("t", "x")))),
-        ([1, "b"], _Kernel(compile_density("0.5", ("t", "x")))),
-        # a list indexed by the id takes no float
-        ([1, 2], _Counted(lambda t, x: [0.5, 0.25, 0.75][t] if x == "u"
-                          else 1.0 - [0.5, 0.25, 0.75][t])),
-    ])
-    def test_string_ids_and_raw_callables_call_per_id(self, atoms, kernel):
-        marks = DiscreteIntensity([("u", 1.0), ("v", 1.0)])
-        model = MarkedModel(DiscreteIntensity([(a, 1.0) for a in atoms]), marks, kernel)
-        kernel.array_calls = kernel.scalar_calls = 0
-        table = model.mark_table(atoms)
-        assert (kernel.array_calls, kernel.scalar_calls) == (0, 2 * len(atoms))
-        np.testing.assert_array_equal(table.sum(axis=1), 1.0)

@@ -165,8 +165,9 @@ class TestRegressions:
 
 
 class TestHalfLineStart:
-    """A half-line starts from the initial panels of a bounded interval,
-    the tail box [0, 1/8] in s, so a smooth tail settles in a round or two."""
+    """A half-line on a budget of at least 32 panels starts from the initial
+    panels of a bounded interval, the tail box [0, 1/8] in s, so a smooth
+    tail settles in a round or two."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -205,11 +206,19 @@ class TestHalfLineStart:
         ("(1+x)**-2", 1.875, 3, 1.0 / 2.875),
         ("1/(1+x*x)", 0.0, 5, None),
         ("1/(1+x*x)", 1.875, 3, math.atan2(1.0, 1.875)),
+        # each of these ran out of panels from the eight-panel start
+        ("exp(-x)", 0.0, 8, 1.0),
+        ("x*exp(-x)", 0.0, 11, 1.0),
+        ("(1+x)**-1.02", 0.0, 12, 50.0),
+        ("(1+x)**-1.1", 1.875, 16, 10.0 * 2.875 ** -0.1),
+        ("exp(-x/1e4)", 0.0, 22, None),
+        ("exp(-x/1e4)", 0.0, 23, 1e4),
+        ("exp(-x/1e4)", 1.875, 31, 1e4 * math.exp(-1.875e-4)),
     ])
     def test_small_budget_starts_from_one_panel(self, passes, expression, lo,
                                                 budget, want):
-        # a budget below the initial panels keeps the one-panel start, with
-        # the values and failures it had
+        # a budget below 32 panels keeps the one-panel start, with the
+        # values and failures it had
         density = compile_density(expression, ("x",))
         spec = QuadratureSpec(max_subdivisions=budget)
         if want is None:
@@ -219,6 +228,30 @@ class TestHalfLineStart:
             value, _ = integrate_box(density, [(lo, INF)], spec)
             assert value == pytest.approx(want, rel=1e-10)
         assert passes[0] == 1
+
+    @pytest.mark.parametrize("expression, lo, want", [
+        ("exp(-x/1e4)", 1.875, 1e4 * math.exp(-1.875e-4)),
+        ("(1+x)**-1.1", 1.875, 10.0 * 2.875 ** -0.1),
+    ])
+    def test_budget_of_32_starts_from_eight_panels(self, passes, expression, lo, want):
+        density = compile_density(expression, ("x",))
+        value, _ = integrate_box(density, [(lo, INF)], QuadratureSpec(max_subdivisions=32))
+        assert value == pytest.approx(want, rel=1e-10)
+        assert passes[0] == 8
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 6, 7, 8])
+    def test_bounded_start_takes_the_budget(self, passes, budget):
+        # a bounded interval starts from as many of the initial panels as
+        # the budget holds, so a peak at the midpoint settles on budget 6
+        gauss = compile_density("exp(-4*(x - 2)**2)", ("x",))
+        spec = QuadratureSpec(max_subdivisions=budget)
+        if budget < 6:
+            with pytest.raises(QuadratureFailure, match=f"{budget} subdivisions"):
+                integrate_box(gauss, [(0.0, 4.0)], spec)
+        else:
+            value, _ = integrate_box(gauss, [(0.0, 4.0)], spec)
+            assert value == pytest.approx(math.sqrt(math.pi) / 2 * math.erf(4.0), rel=1e-10)
+        assert passes[0] == budget
 
 
 class TestSegments:
