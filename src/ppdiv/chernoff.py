@@ -22,10 +22,10 @@ import numpy as np
 
 from .divergence import _half_order
 from .errors import InfiniteMass
-from .extended import INF, log_ratios
+from .extended import INF
 from .kernel import _renyi_poisson_array
-from .likelihood import _sum_stat
-from .measure import DensityPair, DiscreteIntensity
+from .likelihood import _loglr_batch
+from .measure import DensityPair
 from . import sampler as _sampler
 
 
@@ -109,48 +109,39 @@ def _slope_terms(f: np.ndarray, g: np.ndarray, a: float) -> np.ndarray:
 
 def bayes_risk_sim(pair: DensityPair, prior0: float, n: int, trials: int,
                    seed):
-    """Simulated Bayes risk of the optimal test between the two discrete
-    intensities from ``n`` independent observations.
+    """Simulated Bayes risk of the optimal test between the two intensities
+    of any finite-mass pair from ``n`` independent observations.
 
-    Each trial draws the true hypothesis from the prior, then ``n``
-    independent Poisson vectors under it, and applies the likelihood-ratio
-    threshold test at ``log(prior1 / prior0)``.  Per-component counts are
-    summed first (they are sufficient for the ratio), so a trial is one
-    vector of Poisson counts with ``n`` times the means.  The number of
-    trials under the second hypothesis is one binomial draw, and the count
-    vectors of each hypothesis are drawn column by column, a column with a
-    mean of at least 0.5 and enough trials for its window from one
-    multinomial histogram (:func:`sampler._poisson_rows`).  Returns
+    Each trial draws the true hypothesis from the prior, then one pattern
+    of ``n`` times its intensity (the pooled observations), and applies the
+    likelihood-ratio threshold test at ``log(prior1 / prior0)``.  The
+    trials under the second hypothesis are one binomial draw, and each
+    hypothesis's log ratios come from the block loop of
+    :func:`likelihood._loglr_batch`.  A smooth pair must have a bounded
+    domain, else :class:`InfiniteWindowMass` is raised, and be dominated,
+    as in :func:`mc_divergence_estimate`: a point drawn where the second
+    density vanishes raises :class:`NotAbsolutelyContinuous`.  Returns
     ``(risk, standard_error)``; raises :class:`InfiniteMass` when ``n``
-    times a mean is infinite or past numpy's Poisson limit.
+    times a mass or an exact mean is infinite or past numpy's Poisson limit.
     """
     if not 0.0 <= prior0 <= 1.0:
         raise ValueError("prior0 must lie in [0, 1]")
-    if not isinstance(pair.reference, DiscreteIntensity):
-        raise TypeError("the risk simulator works on discrete intensities "
-                        "(independent Poisson vectors)")
-    n = int(n)
-    trials = int(trials)
+    n, trials = int(n), int(trials)
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
     lam_mass, mu_mass = pair.lambda_mass(), pair.mu_mass()
     # a finite n times each mass keeps n times every mean from overflowing
     if n * lam_mass == INF or n * mu_mass == INF:
         raise InfiniteMass("n observations need finite intensity masses")
-    w, f, g = pair.support_terms()
-    lam, mu = n * (w * f), n * (w * g)
-
-    logratio = log_ratios(f, g)
+    base = -float(n * (lam_mass - mu_mass))
     threshold = _log_prior_ratio(prior0)
-    const = -float(n * (lam_mass - mu_mass))
-
     rng = _sampler.spawn_streams(seed, 1)[0]
     trials1 = int(rng.binomial(trials, 1.0 - prior0))
     # the test decides for the second hypothesis below the threshold
-    stat0 = _sum_stat(_sampler._poisson_rows(lam, trials - trials1, rng), logratio)
-    stat1 = _sum_stat(_sampler._poisson_rows(mu, trials1, rng), logratio)
-    errors = int(np.count_nonzero(stat0 + const < threshold)
-                 + np.count_nonzero(stat1 + const >= threshold))
+    errors = int(np.count_nonzero(
+        _loglr_batch(pair, base, trials - trials1, rng, True, n) < threshold))
+    errors += int(np.count_nonzero(
+        _loglr_batch(pair, base, trials1, rng, False, n) >= threshold))
     risk = errors / trials
     se = math.sqrt(max(risk * (1.0 - risk), 1.0 / trials) / trials)
     return risk, se

@@ -26,7 +26,7 @@ from . import model_io as _io
 from . import sampler as _sampler
 from .errors import PPDivError, ParseError, QuadratureFailure
 from .extended import fmt_extended
-from .measure import DiscreteIntensity, MarkedModel, common_reference
+from .measure import MarkedModel, common_reference
 
 _KINDS = ("tsallis", "renyi", "kl", "hellinger", "hellinger_pp")
 
@@ -112,8 +112,8 @@ def cmd_sample(args) -> int:
     window = _parse_window(args.window, model) if args.window else None
     if isinstance(model, MarkedModel) != args.marked:
         raise ParseError("--marked must match the model file kind")
-    if args.seed < 0:
-        raise ParseError(f"--seed must be >= 0, got {args.seed}")
+    if args.seed < 0 or args.count < 0:
+        raise ParseError(f"--seed and --count must be >= 0, got {args.seed} {args.count}")
     sample = _sampler.sample_marked if args.marked else _sampler.sample_pp
     patterns = [sample(model, window=window,
                        seed=np.random.SeedSequence(entropy=args.seed, spawn_key=(rep,)))
@@ -144,8 +144,6 @@ def _parse_window(text: str, model):
 def cmd_chernoff(args) -> int:
     pair, _, _ = _load_pair(args.model_a, args.model_b)
     if args.simulate:
-        if not isinstance(pair.reference, DiscreteIntensity):
-            raise ParseError("--simulate needs two discrete models")
         n, trials, seed = (_parse_number(int, v, "--simulate value")
                            for v in args.simulate)
         if n < 1 or trials < 1 or seed < 0:

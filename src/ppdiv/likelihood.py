@@ -30,8 +30,9 @@ from .measure import (DensityPair, GridIntensity, PointPattern,
                       SmoothIntensity, _as_ids, _coords, intensity_from_density)
 from . import sampler as _sampler
 
-# Expected thinning proposals per block of Monte Carlo patterns.
-_BLOCK_PROPOSALS = 2 ** 20
+# Values drawn per block of Monte Carlo patterns: Poisson counts (rows
+# times cells) of an exact pair, expected thinning proposals of a smooth one.
+_BLOCK = 2 ** 20
 
 
 @dataclass
@@ -181,12 +182,9 @@ def mc_divergence_estimate(pair: DensityPair, alpha: float, n_samples: int,
     ``n_samples`` must be at least 2 for the standard error.  Raises
     :class:`NonConvergent` when no pattern drawn under the second law is in
     the first law's support, as the ratio power then averages to 0.
-    Discrete and grid pairs draw the counts of all patterns at once,
-    column by column (:func:`sampler._poisson_rows`); smooth
-    pairs thin the patterns in blocks of at most about 2^20 expected
-    proposals, with one density call per block for the thinning and one
-    per density for the log ratios.  Reproducible given
-    ``(seed, n_samples)``.
+    Exact and smooth pairs draw the log ratios through one block loop
+    (:func:`_loglr_batch`), whose memory is bounded but for the
+    ``(n_samples,)`` vector it fills.  Reproducible given ``(seed, n_samples)``.
     """
     if not 0.0 < alpha <= 2.0:
         raise InvalidAlpha("monte carlo estimation is restricted to "
@@ -201,8 +199,7 @@ def mc_divergence_estimate(pair: DensityPair, alpha: float, n_samples: int,
     rng = _sampler.spawn_streams(seed, 1)[0]
 
     sample_from_first = abs(alpha - 1.0) < 1e-12
-    batch = _exact_loglr_batch if pair.is_exact else _smooth_loglr_batch
-    ll = batch(pair, mu - lam, n_samples, rng, sample_from_first)
+    ll = _loglr_batch(pair, mu - lam, n_samples, rng, sample_from_first)
 
     if sample_from_first:
         est = float(np.mean(ll))
@@ -220,13 +217,39 @@ def mc_divergence_estimate(pair: DensityPair, alpha: float, n_samples: int,
     return est, se
 
 
-def _exact_loglr_batch(pair, base, size, rng, sample_from_first):
-    # Counts per atom/cell are sufficient for the log ratio, so a batch is
-    # one row of Poisson counts per pattern.
-    w, f, g = pair.support_terms()
-    means = w * (f if sample_from_first else g)
-    counts = _sampler._poisson_rows(means, size, rng)
-    return base + _sum_stat(counts, log_ratios(f, g))
+def _loglr_batch(pair, base, size, rng, sample_from_first, n=1):
+    """``base`` plus the point log-ratio sum of each of ``size`` patterns,
+    each pooling ``n`` independent ones under the first law (or the
+    second), in blocks of at most about ``_BLOCK`` values: a row of Poisson
+    counts per pattern of an exact pair (:func:`_sum_stat`), or the points
+    of ``n`` thinned patterns of a smooth pair, where a point off the
+    second density's support raises :class:`NotAbsolutelyContinuous`."""
+    if pair.is_exact:
+        w, f, g = pair.support_terms()
+        means = n * (w * (f if sample_from_first else g))
+        logratio = log_ratios(f, g)
+        block = max(1, _BLOCK // max(1, len(means)))
+
+        def draw(k):
+            return _sum_stat(_sampler._poisson_rows(means, k, rng), logratio)
+    else:
+        model = intensity_from_density(pair.reference, pair.f if sample_from_first else pair.g)
+        bound, mean = _sampler._proposal_rate(model, model.bounds)
+        # the probe-grid bound is deterministic: one estimate serves every block
+        model = SmoothIntensity(model.bounds, model.density, model.quadrature, bound)
+        block = max(1, int(_BLOCK / max(n * mean, 1.0)))
+
+        def draw(k):
+            # pattern i pools the n thinned patterns n i, ..., n i + n - 1
+            coords, which = _sampler._thin(model, model.bounds, rng, k * n)
+            ratios = _point_terms(pair.log_ratio_at(coords), coords)
+            return np.bincount(which // n, weights=ratios, minlength=k)
+    out = np.empty(size)
+    # no patterns still draw one empty block, whose mean checks raise
+    for start in range(0, max(size, 1), block):
+        k = min(block, size - start)
+        out[start:start + k] = base + draw(k)
+    return out
 
 
 def _sum_stat(counts: np.ndarray, logratio: np.ndarray) -> np.ndarray:
@@ -240,19 +263,3 @@ def _sum_stat(counts: np.ndarray, logratio: np.ndarray) -> np.ndarray:
         hit = counts[:, j] > 0
         stat = np.where(hit, logratio[j], stat)
     return stat
-
-
-def _smooth_loglr_batch(pair, base, size, rng, sample_from_first):
-    model = intensity_from_density(pair.reference, pair.f if sample_from_first else pair.g)
-    bound, mean = _sampler._proposal_rate(model, model.bounds)
-    # The probe-grid bound is deterministic, so estimating it once serves
-    # every block; a block holds about _BLOCK_PROPOSALS proposals at most.
-    model = SmoothIntensity(model.bounds, model.density, model.quadrature, bound)
-    block = max(1, int(_BLOCK_PROPOSALS / max(mean, 1.0)))
-    out = np.empty(size)
-    for start in range(0, size, block):
-        k = min(block, size - start)
-        coords, which = _sampler._thin(model, model.bounds, rng, k)
-        ratios = _point_terms(pair.log_ratio_at(coords), coords)
-        out[start:start + k] = base + np.bincount(which, weights=ratios, minlength=k)
-    return out

@@ -97,7 +97,7 @@ def compile_density(expression: str, variables: tuple[str, ...]):
     floats, so ``9**9**9`` overflows at once), the variables, ``_OPERATORS``,
     ``a if c else b`` and the ``_EXPR_NAMES`` (functions called by bare name)
     compile; anything else is a :class:`ParseError`.  A domain error or a
-    negative or NaN value raises ``FloatingPointError`` naming the
+    negative, infinite or NaN value raises ``FloatingPointError`` naming the
     expression, an overflow :class:`_Overflow`."""
     slots: dict[str, int] = {}
     try:
@@ -118,12 +118,15 @@ def compile_density(expression: str, variables: tuple[str, ...]):
             at = "on an array of points" if shape else f"at {args}"
             raise type(exc)(f"density {expression!r} {at}: {exc}") from exc
         out = out if out.shape == shape else np.broadcast_to(out, shape)
-        if np.count_nonzero(out >= 0.0) != out.size:
-            bad = np.flatnonzero(~(out >= 0.0))[0]
+        if not shape and 0.0 <= (value := float(out)) < math.inf:
+            return value  # a float check costs a twentieth of an array check
+        ok = (out >= 0.0) & (out < math.inf)
+        if np.count_nonzero(ok) != out.size:
+            bad = np.flatnonzero(~ok)[0]
             at = ", ".join(str(a.flat[bad]) for a in np.broadcast_arrays(*args))
             raise FloatingPointError(f"density {expression!r} at ({at}): value "
-                                     f"{float(out.flat[bad])!r} is not a nonnegative real")
-        return out if shape else float(out)
+                                     f"{float(out.flat[bad])!r} is not a finite nonnegative real")
+        return out
 
     return density
 

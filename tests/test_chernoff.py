@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import golden_chernoff, random_pair
-from ppdiv import chernoff
-from ppdiv import (DensityPair, DiscreteIntensity, InfiniteMass,
+from ppdiv import chernoff, likelihood, sampler
+from ppdiv import (DensityPair, DiscreteIntensity, GridIntensity, InfiniteMass,
                    QuadratureFailure, SmoothIntensity, bayes_risk_sim,
                    chernoff_info, common_reference)
 from ppdiv.model_io import compile_density
@@ -256,6 +256,45 @@ class TestBayesRisk:
         with pytest.raises(InfiniteMass, match="Poisson limit"):
             bayes_risk_sim(pair_of([1e300], [1.0]), 0.5, 2, 10, seed=1)
 
+    # Seeded risks from before the risk simulator drew through the shared
+    # block loop; a run that fits in one block must draw them bit for bit.
+    @pytest.mark.parametrize("lam, mu, prior0, n, trials, seed, want", [
+        ([1.0, 2.5], [2.0, 0.8], 0.5, 2, 20_000, 5, (0.13045, 0.002381520496447595)),
+        ([1.0, 2.5], [2.0, 0.8], 0.3, 3, 3_000, 6,
+         (0.06533333333333333, 0.00451164747769182)),
+        ([1.0], [4.0], 0.5, 10, 50_000, 7, (0.00068, 0.0001165793806811479)),
+        ([0.0, 1.0, 3.0], [2.0, 1.0, 0.0], 0.4, 1, 5_000, 8,
+         (0.0192, 0.0019406885376072069)),
+        ([1270.0] * 4, [1295.4] * 4, 0.5, 2, 40_000, 9,
+         (0.1582, 0.001824642156698129)),
+        ([0.2, 0.1, 0.4, 0.3], [0.3, 0.3, 0.1, 0.2], 0.6, 4, 700, 10,
+         (0.19285714285714287, 0.014912279949573797)),
+    ])
+    def test_seeded_risks_are_pinned(self, lam, mu, prior0, n, trials, seed, want):
+        assert bayes_risk_sim(pair_of(lam, mu), prior0, n, trials, seed) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_grid_of_unit_cells_matches_its_atoms(self, n):
+        lam, mu = [1.0, 2.5, 0.7], [2.0, 0.8, 0.7]
+        grid = common_reference(GridIntensity([(0, 3)], [3], lam),
+                                GridIntensity([(0, 3)], [3], mu))
+        assert (bayes_risk_sim(grid, 0.4, n, 20_000, seed=50 + n)
+                == bayes_risk_sim(pair_of(lam, mu), 0.4, n, 20_000, seed=50 + n))
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_constant_smooth_densities_against_poisson_counts(self, n):
+        # constant densities 1.5 and 3 on [0, 1]: the total count is
+        # sufficient, Poisson(1.5 n) against Poisson(3 n)
+        lam = SmoothIntensity([(0.0, 1.0)], compile_density("1.5", ("x",)))
+        mu = SmoothIntensity([(0.0, 1.0)], compile_density("3", ("x",)))
+        risk, se = bayes_risk_sim(common_reference(lam, mu), 0.5, n, 100_000,
+                                  seed=60 + n)
+        c = np.arange(80)
+        log_fact = np.array([math.lgamma(x + 1.0) for x in c])
+        p0, p1 = (np.exp(c * math.log(m) - m - log_fact) for m in (1.5 * n, 3.0 * n))
+        want = float(np.minimum(0.5 * p0, 0.5 * p1).sum())
+        assert abs(risk - want) <= 4.0 * se
+
 
 def exact_bayes_risk(lam, mu, prior0, n):
     """``sum min(prior0 P0(c), prior1 P1(c))`` over the count vectors ``c``
@@ -279,6 +318,23 @@ class TestBayesRiskOracle:
         risk, se = bayes_risk_sim(pair_of(lam, mu), prior0, n, 200_000,
                                   seed=30 + n)
         assert abs(risk - want) <= 4.0 * se
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_blocked_risk_against_exact_sum(self, monkeypatch, n):
+        # 256 counts a block: 128 trials of two atoms
+        draws, rows = [], sampler._poisson_rows
+
+        def poisson_rows(means, k, rng):
+            draws.append(k * len(means))
+            return rows(means, k, rng)
+
+        monkeypatch.setattr(likelihood, "_BLOCK", 256)
+        monkeypatch.setattr(sampler, "_poisson_rows", poisson_rows)
+        lam, mu = [1.0, 2.5], [2.0, 0.8]
+        risk, se = bayes_risk_sim(pair_of(lam, mu), 0.3, n, 100_000, seed=40 + n)
+        assert len(draws) > 700
+        assert max(draws) <= 256
+        assert abs(risk - exact_bayes_risk(lam, mu, 0.3, n)) <= 4.0 * se
 
     def test_large_means_against_the_total_count(self):
         # n times each mean is 2540 or 2590.8, with about 60,000 trials per

@@ -274,6 +274,18 @@ class TestSample:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    def test_negative_count_is_a_parse_error(self, files, capsys):
+        write, _ = files
+        code = main(["sample", write("m.json", GRID_2), "--seed", "1",
+                     "--count", "-1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed and --count must be >= 0, got 1 -1\n"
+        assert main(["sample", write("m.json", GRID_2), "--seed", "1",
+                     "--count", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["replicate,loc_1,multiplicity"]
+
     def test_mass_past_the_float_range_is_an_input_error(self, files, capsys):
         write, _ = files
         big = {"type": "discrete", "atoms": [["a", 1e308], ["b", 1e308]]}
@@ -358,16 +370,28 @@ class TestChernoffCommand:
         _validate(out, "chernoff")
         assert set(out) == {"C", "alpha_star", "risk", "se"}
 
-    def test_simulation_of_grid_models_rejected(self, files, capsys):
+    def test_simulation_of_grid_models(self, files, capsys):
         write, _ = files
         code = main(["chernoff", write("a.json", GRID_2),
                      write("b.json", GRID_1),
                      "--simulate", "5", "1000", "7"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        _validate(out, "chernoff")
+        assert 0.0 <= out["risk"] <= 1.0
+
+    def test_simulation_on_a_half_line_is_an_input_error(self, files, capsys):
+        # finite masses, but thinning needs a bounded domain
+        write, _ = files
+        half = {"type": "smooth", "bounds": [[0, "inf"]], "density": "exp(-x)"}
+        code = main(["chernoff", write("a.json", half),
+                     write("b.json", dict(half, density="2*exp(-x)")),
+                     "--simulate", "5", "1000", "7"])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1
+        assert captured.err == ("error: smooth sampling needs a bounded window "
+                                "on an unbounded domain\n")
 
     def test_simulated_mass_past_the_float_range_is_an_input_error(
             self, files, capsys):
@@ -565,7 +589,8 @@ def _run_child(args, cwd, timeout):
 class TestFreshProcess:
     @pytest.mark.parametrize("density", ["9**9**9", "exp(1000)",
                                          "sqrt(x - 2)", "1/(x-x)", "x - 0.5",
-                                         "-1", "(x - 2)**0.5"])
+                                         "-1", "(x - 2)**0.5", "inf",
+                                         "inf if x < 0.5 else 1"])
     def test_overflowing_density_is_a_numeric_failure(self, files, density):
         write, tmp_path = files
         bad = {"type": "smooth", "bounds": [[0, 1]], "density": density}

@@ -18,7 +18,7 @@ from ppdiv import (DiscreteIntensity, GridIntensity, InfiniteHellinger,
                    mc_divergence_estimate, sample_pp, tsallis)
 from ppdiv import likelihood, measure
 from ppdiv.extended import log_ratios
-from ppdiv.likelihood import _smooth_loglr_batch, _sum_stat
+from ppdiv.likelihood import _loglr_batch, _sum_stat
 from ppdiv.model_io import compile_density
 from ppdiv.quadrature import _Adaptive, integrate_box
 
@@ -472,6 +472,37 @@ class TestMonteCarlo:
         b = mc_divergence_estimate(pair, 1.0, 5_000, seed=3)
         assert a == b
 
+    # Seeded estimates from before the exact and smooth draws shared one
+    # block loop; a batch that fits in one block must draw them bit for bit.
+    @pytest.mark.parametrize("kind, alpha, n_samples, seed, want", [
+        ("discrete", 1.0, 3000, 11, (1.473580726041498, 0.0351130064300482)),
+        ("discrete", 0.5, 3000, 12, (0.6370720173402574, 0.03589843033761287)),
+        ("discrete", 2.0, 2000, 13, (3.6720000869442435, 0.6856772051562353)),
+        ("grid", 1.0, 3000, 11, (0.36706019609264967, 0.014476550847056978)),
+        ("grid", 0.5, 3000, 12, (0.17988730953276436, 0.016460369971659464)),
+        ("grid", 2.0, 2000, 13, (0.5712898151561573, 0.06630885639714083)),
+        ("smooth", 1.0, 500, 21, (3.484402864864356, 0.11380873916177255)),
+        ("smooth", 0.5, 500, 22, (1.6597238408747008, 0.19562193715776183)),
+    ])
+    def test_seeded_estimates_are_pinned(self, kind, alpha, n_samples, seed, want):
+        pair = {"discrete": lambda: common_reference(
+                    DiscreteIntensity([("a", 1.0), ("b", 2.5), ("c", 0.7)]),
+                    DiscreteIntensity([("a", 2.0), ("b", 0.8), ("c", 0.7)])),
+                "grid": lambda: common_reference(
+                    GridIntensity([(0, 1)], [4], [2.0, 1.0, 0.5, 3.0]),
+                    GridIntensity([(0, 1)], [2], [1.0, 2.0])),
+                "smooth": _smooth_mc_pair}[kind]()
+        assert mc_divergence_estimate(pair, alpha, n_samples, seed) == want
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_blocked_estimate_matches_tsallis(self, monkeypatch, alpha):
+        # 64 counts a block: 21 patterns of three atoms, so about 950 blocks
+        pair = common_reference(DiscreteIntensity([("a", 1.0), ("b", 2.5), ("c", 0.7)]),
+                                DiscreteIntensity([("a", 2.0), ("b", 0.8), ("c", 0.7)]))
+        monkeypatch.setattr(likelihood, "_BLOCK", 64)
+        est, se = mc_divergence_estimate(pair, alpha, 20_000, seed=41)
+        assert abs(est - tsallis(pair, alpha).value) <= 4.0 * se
+
 
 def _smooth_mc_pair():
     lam = SmoothIntensity([(0.0, 2.0)], compile_density("6*(2 + sin(3*x))", ("x",)))
@@ -497,7 +528,7 @@ class TestSmoothMonteCarlo:
         model = measure.intensity_from_density(pair.reference,
                                                pair.f if first else pair.g)
         for seed in range(10):
-            got, = _smooth_loglr_batch(pair, base, 1, np.random.default_rng(seed), first)
+            got, = _loglr_batch(pair, base, 1, np.random.default_rng(seed), first)
             eta = sample_pp(model, seed=np.random.default_rng(seed))
             assert len(eta) > 0
             want = log_lr_finite(pair, eta).log_lr
@@ -509,10 +540,10 @@ class TestSmoothMonteCarlo:
         pair = _smooth_mc_pair()
         base = pair.mu_mass() - pair.lambda_mass()
         model = measure.intensity_from_density(pair.reference, pair.f)
-        monkeypatch.setattr(likelihood, "_BLOCK_PROPOSALS", 1)
-        blocks = _smooth_loglr_batch(pair, base, 30, np.random.default_rng(5), True)
-        assert (blocks == _smooth_loglr_batch(pair, base, 30,
-                                              np.random.default_rng(5), True)).all()
+        monkeypatch.setattr(likelihood, "_BLOCK", 1)
+        blocks = _loglr_batch(pair, base, 30, np.random.default_rng(5), True)
+        assert (blocks == _loglr_batch(pair, base, 30,
+                                       np.random.default_rng(5), True)).all()
         rng = np.random.default_rng(5)
         want = [log_lr_finite(pair, sample_pp(model, seed=rng)).log_lr
                 for _ in range(30)]
@@ -528,7 +559,7 @@ class TestSmoothMonteCarlo:
         mu = SmoothIntensity([(0.0, 2.0)], lambda x: np.where(x < 1.0, 5.0, 0.0))
         pair = common_reference(lam, mu)
         with pytest.raises(NotAbsolutelyContinuous, match="infinite at"):
-            _smooth_loglr_batch(pair, 0.0, 5, np.random.default_rng(0), True)
+            _loglr_batch(pair, 0.0, 5, np.random.default_rng(0), True)
 
 
 # (first densities, second densities, box, point, sigma-finite?): pairs

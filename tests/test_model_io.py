@@ -74,7 +74,7 @@ class TestArrayDensity:
             compile_density("2", ("x0", "x1"))(x0, x1), [2.0, 2.0, 2.0])
 
     @pytest.mark.parametrize("expression", ["sqrt(x - 2)", "1/(x-x)", "x - 0.5",
-                                            "-1", "(x - 2)**0.5", "inf*0"])
+                                            "-1", "(x - 2)**0.5", "inf*0", "inf"])
     def test_invalid_values_raise_on_both_paths(self, expression):
         density = compile_density(expression, ("x",))
         named = re.escape(f"density {expression!r}")
