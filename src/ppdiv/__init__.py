@@ -13,8 +13,8 @@ from .errors import (DomainMismatch, InfiniteHellinger, InfiniteMass,
                      NonConvergent, NonDiffuseBase, NotAbsolutelyContinuous,
                      OutOfWindow, PPDivError, ParseError, PointOutsideDomain,
                      QuadratureFailure, ThinningBoundMissing, ZeroMarkAtom)
-from .extended import INF, ext_mul, fmt_extended
-from .kernel import renyi_poisson, renyi_poisson_oracle
+from .extended import INF, fmt_extended
+from .kernel import renyi_poisson
 from .likelihood import (LogLikelihoodResult, TruncatedLogLikelihood,
                          log_lr_finite, log_lr_sigma_finite,
                          mc_divergence_estimate)

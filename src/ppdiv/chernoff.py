@@ -64,8 +64,7 @@ def chernoff_info(pair: DensityPair, alpha_tol: float = 1e-9) -> ChernoffResult:
 
     def slope(a: float) -> list[float]:
         evals.append(a)  # np.sum, not the slower fsum: the slope only steers
-        terms = pair._integrals(lambda f, g, *_: _slope_terms(f, g, a), 2, exact=False)
-        return [v for v, _ in terms]
+        return [v for v, _ in pair._integrals(lambda f, g, *_: _slope_terms(f, g, a), exact=False)]
 
     # by concavity 1/2 is the maximiser if h'(1/2) = 0, and otherwise only
     # the end that h'(1/2) points to can be

@@ -46,11 +46,6 @@ def ext_fsum(values) -> float:
         return INF
 
 
-def ext_mul(a: float, b: float) -> float:
-    """Product on [0, inf] with the measure-theoretic rule 0 * inf = 0."""
-    return float(ext_muls(a, b))
-
-
 def ext_muls(a, b) -> np.ndarray:
     """Elementwise product of two float arrays on [0, inf], with 0 * inf = 0."""
     a = np.asarray(a, dtype=float)

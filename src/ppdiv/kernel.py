@@ -9,8 +9,9 @@ There is one kernel, ``_renyi_poisson_array``, on arrays of means.  It
 serves every computation: the exact sums over the atoms or cells of
 discrete and grid pairs, and the quadrature integrands of smooth pairs,
 which evaluate it on all nodes of a round at once.  :func:`renyi_poisson`
-is its public form on one pair of means; the pmf summation of
-:func:`renyi_poisson_oracle` is the reference it is tested against.
+is its public form on one pair of means.  The reference it is tested
+against, direct summation over the Poisson pmfs, lives with the tests
+(``renyi_poisson_oracle`` in ``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidAlpha, NonConvergent
+from .errors import InvalidAlpha
 from .extended import INF
 
 # |alpha - 1| up to this uses the KL-plus-correction form: the
@@ -38,8 +39,6 @@ _SERIES_Z = 1e-3
 # 1e5-cell array at once (800 kB temporaries) the kernel took 8.5 ms
 # instead of 3.9 ms on a 2-core host.
 _BLOCK = 8192
-
-_ORACLE_BLOCK = 4096
 
 
 def _validate_alpha(alpha) -> float:
@@ -134,118 +133,3 @@ def _kernel_block(s: np.ndarray, t: np.ndarray, alpha: float) -> np.ndarray:
             value[bad] = m * _kernel_block(s[bad] / m, t[bad] / m, alpha)
     out[live] = np.where(value < 0.0, 0.0, value)
     return out
-
-
-def _log_pmf(k: np.ndarray, mean: float) -> np.ndarray:
-    return -mean + k * math.log(mean) - _log_factorial(k)
-
-
-# log k! for k below _STIRLING_FROM, from math.lgamma
-_STIRLING_FROM = 30
-_LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(_STIRLING_FROM)])
-
-
-def _log_factorial(k: np.ndarray) -> np.ndarray:
-    """``log k!`` of integer-valued floats: a table below 30 and Stirling's
-    series above, whose first omitted term is under 1e-16 there."""
-    n = np.maximum(k, _STIRLING_FROM) + 1.0
-    inv = 1.0 / n
-    inv2 = inv * inv
-    series = inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (
-        1.0 / 1260.0 - inv2 / 1680.0)))
-    stirling = (n - 0.5) * np.log(n) - n + 0.5 * math.log(2.0 * math.pi) + series
-    small = k < _STIRLING_FROM
-    return np.where(small, _LOG_FACTORIALS[np.where(small, k, 0).astype(int)],
-                    stirling)
-
-
-def _logsumexp(values) -> float:
-    """``log(sum(exp(values)))`` without overflow; -inf for no mass."""
-    values = np.asarray(values, dtype=float)
-    top = float(values.max())
-    if top == -INF:
-        return -INF
-    return top + math.log(float(np.sum(np.exp(values - top))))
-
-
-def renyi_poisson_oracle(s: float, t: float, alpha: float,
-                         tail_tol: float = 1e-14,
-                         max_terms: int = 1_000_000) -> float:
-    """Reference value by direct summation over the Poisson pmfs.
-
-    Sums ``sum_k p_s(k)^alpha p_t(k)^(1-alpha)`` (or the pointwise KL sum
-    at alpha = 1) until both pmf tails drop below ``tail_tol`` and, for
-    alpha > 1, until the summand itself has passed its peak and become
-    negligible.  Intended for tests; the closed form above is the
-    production path.
-    """
-    s, t = float(s), float(t)
-    _validate(s, t, alpha)
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError("tail_tol must lie in (0, 1)")
-    alpha = float(alpha)
-
-    if alpha == 0.0:
-        # -log p_t(support of p_s): full support for s > 0, {0} for s = 0
-        return t if s == 0.0 else 0.0
-    if s == 0.0 and t == 0.0:
-        return 0.0
-    if s == 0.0:
-        # only the k = 0 term survives: log e^{-t(1-alpha)} / (alpha - 1) = t
-        return t
-    if t == 0.0:
-        if alpha >= 1.0:
-            return INF
-        return -alpha * s / (alpha - 1.0)
-
-    if alpha == 1.0:
-        return _oracle_kl(s, t, tail_tol, max_terms)
-    return _oracle_power(s, t, alpha, tail_tol, max_terms)
-
-
-def _oracle_kl(s, t, tail_tol, max_terms):
-    total = []
-    cdf_s = cdf_t = 0.0
-    k0 = 0
-    while k0 < max_terms:
-        k = np.arange(k0, min(k0 + _ORACLE_BLOCK, max_terms), dtype=float)
-        lp_s = _log_pmf(k, s)
-        lp_t = _log_pmf(k, t)
-        p_s = np.exp(lp_s)
-        total.append(float(np.sum(p_s * (lp_s - lp_t))))
-        cdf_s += float(np.sum(p_s))
-        cdf_t += float(np.sum(np.exp(lp_t)))
-        k0 += len(k)
-        if 1.0 - cdf_s < tail_tol and 1.0 - cdf_t < tail_tol:
-            return max(math.fsum(total), 0.0)
-    raise NonConvergent(f"KL summation exceeded {max_terms} terms")
-
-
-def _oracle_power(s, t, alpha, tail_tol, max_terms):
-    # The summand is proportional to peak^k / k!, a Poisson-shaped sequence
-    # peaking near k = s^alpha t^(1-alpha); for alpha > 1 that peak can sit
-    # far beyond both pmf tails and must be summed past explicitly.
-    log_peak_mean = alpha * math.log(s) + (1.0 - alpha) * math.log(t)
-    peak = math.exp(log_peak_mean) if log_peak_mean < 700 else INF
-    if peak > max_terms:
-        raise NonConvergent(
-            f"summand peaks near k={peak:.3g}, beyond the {max_terms}-term budget")
-    log_z = -INF
-    cdf_s = cdf_t = 0.0
-    k0 = 0
-    log_tol = math.log(tail_tol)
-    while k0 < max_terms:
-        k = np.arange(k0, min(k0 + _ORACLE_BLOCK, max_terms), dtype=float)
-        lp_s = _log_pmf(k, s)
-        lp_t = _log_pmf(k, t)
-        terms = alpha * lp_s + (1.0 - alpha) * lp_t
-        log_z = _logsumexp([log_z, _logsumexp(terms)])
-        cdf_s += float(np.sum(np.exp(lp_s)))
-        cdf_t += float(np.sum(np.exp(lp_t)))
-        k0 += len(k)
-        tails_done = (1.0 - cdf_s < tail_tol) and (1.0 - cdf_t < tail_tol)
-        past_peak = k0 > peak
-        block_negligible = float(np.max(terms)) - log_z < log_tol
-        if tails_done and past_peak and block_negligible:
-            return max(log_z / (alpha - 1.0), 0.0)
-    raise NonConvergent(f"summation exceeded {max_terms} terms")

@@ -299,8 +299,7 @@ class SmoothIntensity(IntensityModel):
 
     ``density`` takes one positional float (or float64 array, see
     :func:`density_values`) per axis.  Models on an unbounded domain may
-    have infinite total mass (the sigma-finite case) and expose finite-mass
-    truncations ``S_n = domain ∩ (coordinates <= n)`` via :meth:`truncated`.
+    have infinite total mass (the sigma-finite case).
     """
 
     bounds: tuple[tuple[float, float], ...]
@@ -336,15 +335,6 @@ class SmoothIntensity(IntensityModel):
     def density_at(self, location) -> float:
         loc = _coords([location], self.ndim, self.bounds)[0].tolist()
         return ensure_extended(self.density(*loc), "smooth density value")
-
-    def truncated(self, n: float) -> "SmoothIntensity":
-        """Restriction to coordinates at most ``n`` (finite mass for finite n)."""
-        new_bounds = tuple((lo, min(hi, float(n))) for lo, hi in self.bounds)
-        for lo, hi in new_bounds:
-            if hi <= lo:
-                raise ValueError(f"truncation level {n} empties the domain")
-        return SmoothIntensity(new_bounds, self.density, self.quadrature,
-                               self.density_bound, None)
 
     def total_mass(self) -> float:
         try:
@@ -630,16 +620,17 @@ class DensityPair:
             raise QuadratureFailure(f"a density overflows at a probe: {exc}",
                                     possibly_infinite=True) from exc
 
-    def _integrals(self, terms, rows: int = 1, exact: bool = True, cuts=None):
+    def _integrals(self, terms, exact: bool = True, cuts=None):
         """``(value, error_estimate)`` per row of the ``(rows, n)`` pointwise
         terms against the reference: :func:`_weighted_sums` of ``terms(f,
         g)`` with the reference masses of the atoms or cells on exact pairs,
-        one adaptive quadrature per row of ``terms(f, g, *x)`` at the node
-        coordinate arrays ``x`` on smooth ones.  With ``cuts``,
-        increasing break points on the axis of a 1-d pair, value and error
-        are lists with one entry per segment between consecutive cuts, cut
-        to the domain: one sum per segment over the cells cut to it, or one
-        quadrature per row whose first panels are the segments."""
+        one adaptive run for all rows of ``terms(f, g, *x)`` at the node
+        coordinate arrays ``x`` on smooth ones, each row to its tolerance on
+        one panel budget.  With ``cuts``, increasing break points on the
+        axis of a 1-d pair, value and error are lists with one entry per
+        segment between consecutive cuts, cut to the domain: one sum per
+        segment over the cells cut to it, or one run whose first panels are
+        the segments."""
         ref = self.reference
         if self.is_exact:
             t = terms(self.f, self.g)
@@ -649,13 +640,13 @@ class DensityPair:
                     for lo, hi in zip(cuts[:-1], cuts[1:])]
             return [(list(row), [0.0] * len(sums)) for row in zip(*sums)]
 
-        def row(i):
-            return lambda *x: (terms(density_values(self.f, x), density_values(self.g, x),
-                                     *x)[i] * density_values(ref.density, x))
+        def integrand(*x):
+            return (terms(density_values(self.f, x), density_values(self.g, x), *x)
+                    * density_values(ref.density, x))
         if cuts is None:
-            return [integrate_box(row(i), ref.bounds, ref.quadrature) for i in range(rows)]
+            return list(zip(*integrate_box(integrand, ref.bounds, ref.quadrature)))
         edges = np.clip(cuts, *ref.bounds[0])
-        return [integrate_segments(row(i), edges, ref.quadrature) for i in range(rows)]
+        return list(zip(*integrate_segments(integrand, edges, ref.quadrature)))
 
 
 def _weighted_sums(w: np.ndarray, terms: np.ndarray, exact: bool = True) -> list[float]:

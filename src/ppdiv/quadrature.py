@@ -8,9 +8,12 @@ embedded 7-point Gauss rule and QUADPACK's error estimate, as a tensor
 product on boxes of two or more dimensions.  Integrands take **arrays**:
 ``func(*cols)`` receives one float64 array per axis, holding the nodes of
 every new panel of a round, and returns the integrand values as one
-array.  Each round bisects the panels with the largest errors, as few as
-leave the others within half the tolerance, a box across the axis whose
-Gauss rule disagrees most, and evaluates all the halves in one call.
+array, or as ``(rows, n)`` values of integrands that share the panels and
+the panel budget, each to its own tolerance (Shampine's ``quadv``).  Each
+round bisects the panels with the largest errors relative to their row's
+tolerance, as few as leave every row within half its tolerance, a box
+across the axis whose Gauss rule disagrees most in its worst row, and
+evaluates all the halves in one call.
 :func:`integrate_segments` starts a 1-d run from given break points, as
 QUADPACK's ``qagp`` does, and reads the integral over each segment
 between them from the panels that bisection made of it.
@@ -24,10 +27,10 @@ panels of a bounded interval, eight in ``s``, so the tail panel is first
 rounds; on a smaller budget it starts from the one panel ``(0, 1]`` of
 ``qk15i``, which leaves the budget to bisection.  Halving the tail panel
 leaves a geometric ring and a new tail panel; while the rings shrink,
-Wynn's epsilon algorithm extrapolates the tail from them (QUADPACK's
-``qelg``), which settles slowly decaying power tails.  A tail still in
-error at the depth where QUADPACK evaluated a slow exponential tail means
-a divergent integral.
+Wynn's epsilon algorithm extrapolates each row's tail from them
+(QUADPACK's ``qelg``), which settles slowly decaying power tails.  A tail
+still in error at the depth where QUADPACK evaluated a slow exponential
+tail means a divergent integral.
 
 A request the integrator cannot satisfy raises :class:`QuadratureFailure`
 instead of returning a silent best effort, always with
@@ -140,17 +143,17 @@ def integrate_box(func, bounds, spec: QuadratureSpec):
     """Integrate the array integrand ``func`` over an axis-aligned box.
 
     ``func`` takes one float64 array per axis and returns an array of the
-    same length (or a scalar).  A 1-d box may be a half-line ``(lo, inf)``.
-    The result meets ``error <= max(abs_tol, 1e-10 |value|)``.  Returns
-    ``(value, error_estimate)`` or raises QuadratureFailure.
+    same length (or a scalar), or ``(rows, n)`` values of ``rows`` integrands.
+    A 1-d box may be a half-line ``(lo, inf)``.  Each row meets ``error <=
+    max(abs_tol, 1e-10 |value|)``.  Returns ``(value, error_estimate)``,
+    lists of one entry per row for rows, or raises QuadratureFailure.
     """
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    if any(hi <= lo for lo, hi in bounds):
-        return 0.0, 0.0
     if len(bounds) > 1 and any(math.isinf(hi) for _, hi in bounds):
         raise ValueError("only 1-d boxes may be unbounded")
-    (value,), (error,) = _Adaptive(func, bounds, spec).run()
-    return value, error
+    run = _Adaptive(func, bounds, spec)
+    values, errors = ([v for v, in a] for a in run.run())
+    return (values, errors) if run.rows else (values[0], errors[0])
 
 
 def integrate_segments(func, edges, spec: QuadratureSpec):
@@ -159,24 +162,25 @@ def integrate_segments(func, edges, spec: QuadratureSpec):
 
     The run's first panels are the segments, and the error control is
     global: the errors of all segments sum to at most ``max(abs_tol, 1e-10
-    |total|)``.  Returns ``(values, error_estimates)``, one float per
-    segment (0 on an empty one), or raises QuadratureFailure.
+    |total|)`` in each row.  Returns ``(values, error_estimates)``, one
+    float per segment (0 on an empty one), one such list per row for a
+    ``(rows, n)`` integrand, or raises QuadratureFailure.
     """
     edges = np.asarray(edges, dtype=float)
     if not np.isfinite(edges).all() or (np.diff(edges) < 0.0).any():
         raise ValueError("segment edges must be finite and nondecreasing")
-    if edges[-1] == edges[0]:
-        return [0.0] * (len(edges) - 1), [0.0] * (len(edges) - 1)
     # an empty segment's panels have value and error 0, so none is split
-    return _Adaptive(func, ((float(edges[0]), float(edges[-1])),), spec, edges).run()
+    run = _Adaptive(func, ((float(edges[0]), float(edges[-1])),), spec, edges)
+    values, errors = run.run()
+    return (values, errors) if run.rows else (values[0], errors[0])
 
 
 class _Adaptive:
-    """One adaptive integration over a pool of boxes, held as ``(n, d)``
-    arrays of lower ends and widths in the integration variables (``s``
-    on a half-line) with each box's value and error estimates and the
-    segment it lies in.  A bounded 1-d run may be cut into segments at
-    ``edges`` (its two ends and the break points between them)."""
+    """One adaptive integration over a pool of boxes: ``(n, d)`` arrays of
+    lower ends and widths in the integration variables (``s`` on a
+    half-line), the segment of each, and ``(rows, n)`` value and error
+    estimates and split axes.  A bounded 1-d run may be cut into segments
+    at ``edges`` (its two ends and the break points between them)."""
 
     def __init__(self, func, bounds, spec: QuadratureSpec, edges=None):
         self.func = func
@@ -185,17 +189,20 @@ class _Adaptive:
         self.origin = [lo for lo, _ in bounds]
         self.half_line = math.isinf(bounds[0][1])
         self.edges = np.array(bounds[0]) if edges is None else np.asarray(edges)
+        self.rows = None  # the integrand's row count, None for a 1-d one
 
     def run(self):
-        """The values and error estimates of the segments, once the
-        panels of all of them meet the tolerance together."""
+        """Per row, the segments' values and error estimates, once every row is in tolerance."""
+        n_seg = len(self.edges) - 1
+        if any(hi <= lo for lo, hi in self.bounds):  # an empty call gives the rows
+            rows = range(len(self._values([np.empty(0)] * len(self.bounds), (0,))))
+            return [[0.0] * n_seg for _ in rows], [[0.0] * n_seg for _ in rows]
         if len(self.bounds) > 1:
             width = np.array([[hi - a for a, hi in self.bounds]])
             lo, seg = np.zeros_like(width), np.zeros(1, dtype=int)
         else:
             # each segment cut evenly, into its share of the initial panels;
             # a half-line is the segment (0, 1] in s, its tail box [0, 1/per]
-            n_seg = len(self.edges) - 1
             if self.half_line:
                 per = (_INITIAL_PANELS if self.spec.max_subdivisions
                        >= _HALF_LINE_START_BUDGET else 1)
@@ -208,62 +215,70 @@ class _Adaptive:
             lo = (ends[:-1][seg] - ends[0]
                   + np.tile(np.arange(per), n_seg) * step[seg])[:, None]
         value, err, axis = self._rules(lo, width)
-        tail = _Tail(float(value[0]), per.bit_length() - 1) if self.half_line else None
+        tails = ([_Tail(v, per.bit_length() - 1) for v in value[:, 0].tolist()]
+                 if self.half_line else None)
         while True:
-            total, total_err = math.fsum(value.tolist()), float(err.sum())
-            if not (math.isfinite(total) and math.isfinite(total_err)):
-                self._fail("integrand is not finite at a quadrature node",
-                           total, total_err)
-            tol = max(self.spec.abs_tol, _EPSREL * abs(total))
-            if total_err <= tol:
-                mine = [seg == k for k in range(len(self.edges) - 1)]
-                return ([math.fsum(value[m].tolist()) for m in mine],
-                        [float(err[m].sum()) for m in mine])
-            # Split the fewest boxes, largest errors first, that leave the
-            # others' errors within half the tolerance.
-            order = np.argsort(-err)
-            rest = total_err - np.cumsum(err[order])
-            under = np.flatnonzero(rest <= _SPLIT_TARGET * tol)
-            split = order[:under[0] + 1 if len(under) else len(order)]
+            total, total_err = [math.fsum(r) for r in value.tolist()], err.sum(axis=1).tolist()
+            if not all(map(math.isfinite, total + total_err)):
+                self._fail("integrand is not finite at a quadrature node", total, total_err)
+            tol = [max(self.spec.abs_tol, _EPSREL * abs(t)) for t in total]
+            if all(e <= t for e, t in zip(total_err, tol)):
+                if n_seg == 1:  # its running totals
+                    return [[t] for t in total], [[e] for e in total_err]
+                # a segment of one panel takes its value, of more their exact sum
+                counts = np.bincount(seg, minlength=n_seg)
+                ends = np.cumsum(counts)
+                value = value[:, np.argsort(seg, kind="stable")]
+                values = value[:, ends - 1].tolist()
+                for k in np.flatnonzero(counts > 1).tolist():
+                    for row, p in zip(values, value[:, ends[k] - counts[k]:ends[k]].tolist()):
+                        row[k] = math.fsum(p)
+                return values, [np.bincount(seg, e, n_seg).tolist() for e in err]
+            # Split the fewest boxes, largest errors relative to their row's tolerance
+            # first, that leave every row within half its tolerance (the rest falls).
+            scaled = err * np.array([min(tol) / t for t in tol])[:, None]
+            order = np.argsort(-scaled.max(axis=0))
+            split = order[:1 + max(
+                np.count_nonzero(e - np.cumsum(row[order]) > _SPLIT_TARGET * t)
+                for row, e, t in zip(err, total_err, tol))]
             rings = 0
             if self.half_line and (lo[split, 0] == 0.0).any():
-                rings = tail.cut_size()
+                rings = min(max(t.size for t in tails), _TAIL_DEPTH - tails[0].depth)
                 if rings == 0:
                     reach = self.origin[0] + 1.0 / (0.5 ** _TAIL_DEPTH * _XK01[0])
                     self._fail(f"the half-line tail is not settled by x = {reach:.3g}; "
                                "the integral is probably divergent", total, total_err)
             halve = split[lo[split, 0] > 0.0] if rings else split
-            new_lo, new_width = self._bisect(lo[halve], width[halve], axis[halve])
+            new_lo, new_width = self._bisect(  # across its worst row's axis
+                lo[halve], width[halve], axis[scaled[:, halve].argmax(axis=0), halve])
             if rings:
                 # the rings [w/2^(j+1), w/2^j], j < rings, then the tail boxes
                 # [0, w/2^j], j = 1 .. rings, of which all but the last are
                 # read only by the extrapolation
-                ends = 0.5 ** np.arange(tail.depth, tail.depth + rings + 1)
+                ends = 0.5 ** np.arange(tails[0].depth, tails[0].depth + rings + 1)
                 new_lo = np.concatenate([new_lo, ends[1:, None], np.zeros((rings, 1))])
                 new_width = np.concatenate([new_width, (ends[:-1] - ends[1:])[:, None],
                                             ends[1:, None]])
-            budget = self.spec.max_subdivisions + len(self.edges) - 2
-            if len(value) - len(split) + len(new_lo) > budget:
-                self._fail(f"{budget} subdivisions do not "
-                           "meet the tolerance", total, total_err)
+            budget = self.spec.max_subdivisions + n_seg - 1
+            if len(lo) - len(split) + len(new_lo) > budget:
+                self._fail(f"{budget} subdivisions do not meet the tolerance", total, total_err)
             new = self._rules(new_lo, new_width)
             if rings:
-                value_new, err_new = new[0], new[1]
-                value_new[-1], err_new[-1] = tail.cut(
-                    value_new[-2 * rings:-rings].tolist(), value_new[-rings:].tolist(),
-                    float(err_new[-1]))
+                for tail, v, e in zip(tails, new[0], new[1]):
+                    v[-1], e[-1] = tail.cut(v[-2 * rings:-rings].tolist(),
+                                            v[-rings:].tolist(), float(e[-1]))
                 keep = np.ones(len(new_lo), dtype=bool)
                 keep[-rings:-1] = False
                 new_lo, new_width = new_lo[keep], new_width[keep]
-                new = tuple(a[keep] for a in new)
-            stay = np.ones(len(value), dtype=bool)
+                new = tuple(a[:, keep] for a in new)
+            stay = np.ones(len(lo), dtype=bool)
             stay[split] = False
             # halves stay in their panel's segment; a half-line is one segment
             seg = np.concatenate([seg[stay], np.zeros(len(new_lo), dtype=int) if rings
                                   else np.tile(seg[halve], 2)])
             lo = np.concatenate([lo[stay], new_lo])
             width = np.concatenate([width[stay], new_width])
-            value, err, axis = (np.concatenate([old[stay], n])
+            value, err, axis = (np.concatenate([old[:, stay], n], axis=1)
                                 for old, n in zip((value, err, axis), new))
 
     def _bisect(self, lo, width, axes):
@@ -275,11 +290,11 @@ class _Adaptive:
         upper[rows, axes] += width[rows, axes]
         if not ((upper[rows, axes] > lo[rows, axes]).all()
                 and (width[rows, axes] > 0.0).all()):
-            self._fail("a panel cannot be split further", None, None)
+            self._fail("a panel cannot be split further")
         return np.concatenate([lo, upper]), np.concatenate([width, width])
 
     def _rules(self, lo, width):
-        """Kronrod value, error estimate and split axis of each box."""
+        """Kronrod values, error estimates and split axes of the boxes, ``(rows, n)``."""
         n, d = lo.shape
         u = lo[:, :, None] + width[:, :, None] * _XK01  # (n, d, 15)
         if d == 1:
@@ -292,48 +307,53 @@ class _Adaptive:
                 with np.errstate(over="ignore"):
                     f = f / u / u
                 if not np.isfinite(f).all():
-                    self._fail("integrand is not finite at a quadrature node",
-                               None, None)
-            scale = 0.5 * width[:, 0]
+                    self._fail("integrand is not finite at a quadrature node")
+            f = f.reshape(-1, 15)
             rules = f @ _KG
             kron = rules[:, 0]
             resasc = np.abs(f - (0.5 * kron)[:, None]) @ _WK
             err = _qk_error(np.abs(kron - rules[:, 1]), resasc, np.abs(f) @ _WK)
-            return kron * scale, err * scale, np.zeros(n, dtype=int)
-        grid = (n,) + (15,) * d
-        cols = [np.broadcast_to(
-                    (u[:, k] + self.origin[k]).reshape(
-                        (n,) + tuple(15 if j == k else 1 for j in range(d))),
-                    grid).reshape(-1)
-                for k in range(d)]
-        f = self._values(cols, grid)
-        scale = (0.5 * width).prod(axis=1)
-        kron = _contract(f, [_WK] * d)
-        mean = (kron / 2.0 ** d).reshape((n,) + (1,) * d)
-        resasc = _contract(np.abs(f - mean), [_WK] * d)
-        resabs = _contract(np.abs(f), [_WK] * d)
-        # one error per axis, from the Gauss rule on that axis alone
-        axis_err = np.stack(
-            [_qk_error(np.abs(kron - _contract(f, [_WG if j == k else _WK
-                                                  for j in range(d)])),
-                       resasc, resabs)
-             for k in range(d)], axis=1)
-        return kron * scale, axis_err.sum(axis=1) * scale, axis_err.argmax(axis=1)
+            axis, scale = np.zeros(len(f), dtype=int), 0.5 * width[:, 0]
+        else:
+            grid = (n,) + (15,) * d
+            cols = [np.broadcast_to(
+                        (u[:, k] + self.origin[k]).reshape(
+                            (n,) + tuple(15 if j == k else 1 for j in range(d))),
+                        grid).reshape(-1)
+                    for k in range(d)]
+            f = self._values(cols, grid).reshape((-1,) + grid[1:])
+            kron = _contract(f, [_WK] * d)
+            mean = (kron / 2.0 ** d).reshape((-1,) + (1,) * d)
+            resasc = _contract(np.abs(f - mean), [_WK] * d)
+            resabs = _contract(np.abs(f), [_WK] * d)
+            # one error per axis, from the Gauss rule on that axis alone
+            axis_err = np.stack(
+                [_qk_error(np.abs(kron - _contract(f, [_WG if j == k else _WK
+                                                      for j in range(d)])),
+                           resasc, resabs)
+                 for k in range(d)], axis=1)
+            err, axis = axis_err.sum(axis=1), axis_err.argmax(axis=1)
+            scale = (0.5 * width).prod(axis=1)
+        return kron.reshape(-1, n) * scale, err.reshape(-1, n) * scale, axis.reshape(-1, n)
 
     def _values(self, cols, grid):
-        """The integrand at the nodes ``cols``, shaped as ``grid``."""
+        """The integrand at the nodes ``cols``, shaped as ``(rows,) + grid``."""
         try:
             f = np.asarray(self.func(*cols), dtype=float)
         except OverflowError as exc:
-            self._fail(f"integrand overflows at a quadrature node: {exc}", None, None)
-        if f.shape != cols[0].shape:
-            f = np.broadcast_to(f, cols[0].shape)
-        f = f.reshape(grid)
+            self._fail(f"integrand overflows at a quadrature node: {exc}")
+        self.rows = len(f) if f.ndim == 2 else None
+        shape = (self.rows or 1,) + cols[0].shape
+        if f.size != math.prod(shape):
+            f = np.broadcast_to(f, shape)
+        f = f.reshape(shape[:1] + grid)
         if np.count_nonzero(np.isfinite(f)) != f.size:
-            self._fail("integrand is not finite at a quadrature node", None, None)
+            self._fail("integrand is not finite at a quadrature node")
         return f
 
-    def _fail(self, reason, value, error):
+    def _fail(self, reason, value=None, error=None):
+        if value is not None and not self.rows:
+            value, error = value[0], error[0]
         raise QuadratureFailure(
             f"quadrature did not converge on {list(self.bounds)}: {reason}",
             value=value, error_estimate=error, possibly_infinite=True)
@@ -361,9 +381,6 @@ class _Tail:
         self.size = 1  # rings in the next cut
         self.rings: list[float] = []
         self.seq = [value]
-
-    def cut_size(self) -> int:
-        return min(self.size, _TAIL_DEPTH - self.depth)
 
     def cut(self, rings: list[float], boxes: list[float], error: float):
         """Record a cut into ``rings`` (values, outside in) with the rule's

@@ -1,7 +1,8 @@
 """Shared random-model builders for the test suite, and the scalar
 references that the library's array code is tested against: the branchy
-one-pair Poisson kernel, the direct Hellinger sum, the one-pair log ratio
-and a ``math``-namespace evaluator of density expressions."""
+one-pair Poisson kernel, its pmf-summation oracle, the direct Hellinger
+sum, the one-pair log ratio and a ``math``-namespace evaluator of density
+expressions."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import math
 import numpy as np
 
 from ppdiv import DiscreteIntensity, GridIntensity, common_reference, tsallis
+from ppdiv.errors import NonConvergent
 from ppdiv.extended import _TINY, INF
 from ppdiv.kernel import (_ALPHA_NEAR_ONE, _RATIO_HI, _RATIO_LO, _SERIES_Z,
                           _validate)
@@ -139,6 +141,123 @@ def scalar_renyi_poisson(s: float, t: float, alpha: float) -> float:
         # is then inf only when it truly exceeds the float range.
         value = m * scalar_renyi_poisson(s / m, t / m, alpha)
     return 0.0 if value < 0.0 else value
+
+
+_ORACLE_BLOCK = 4096
+
+
+def _log_pmf(k: np.ndarray, mean: float) -> np.ndarray:
+    return -mean + k * math.log(mean) - _log_factorial(k)
+
+
+# log k! for k below _STIRLING_FROM, from math.lgamma
+_STIRLING_FROM = 30
+_LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(_STIRLING_FROM)])
+
+
+def _log_factorial(k: np.ndarray) -> np.ndarray:
+    """``log k!`` of integer-valued floats: a table below 30 and Stirling's
+    series above, whose first omitted term is under 1e-16 there."""
+    n = np.maximum(k, _STIRLING_FROM) + 1.0
+    inv = 1.0 / n
+    inv2 = inv * inv
+    series = inv * (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (
+        1.0 / 1260.0 - inv2 / 1680.0)))
+    stirling = (n - 0.5) * np.log(n) - n + 0.5 * math.log(2.0 * math.pi) + series
+    small = k < _STIRLING_FROM
+    return np.where(small, _LOG_FACTORIALS[np.where(small, k, 0).astype(int)],
+                    stirling)
+
+
+def _logsumexp(values) -> float:
+    """``log(sum(exp(values)))`` without overflow; -inf for no mass."""
+    values = np.asarray(values, dtype=float)
+    top = float(values.max())
+    if top == -INF:
+        return -INF
+    return top + math.log(float(np.sum(np.exp(values - top))))
+
+
+def renyi_poisson_oracle(s: float, t: float, alpha: float,
+                         tail_tol: float = 1e-14,
+                         max_terms: int = 1_000_000) -> float:
+    """Reference value by direct summation over the Poisson pmfs.
+
+    Sums ``sum_k p_s(k)^alpha p_t(k)^(1-alpha)`` (or the pointwise KL sum
+    at alpha = 1) until both pmf tails drop below ``tail_tol`` and, for
+    alpha > 1, until the summand itself has passed its peak and become
+    negligible.  The reference of the closed form in ``ppdiv.kernel``.
+    """
+    s, t = float(s), float(t)
+    _validate(s, t, alpha)
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError("tail_tol must lie in (0, 1)")
+    alpha = float(alpha)
+
+    if alpha == 0.0:
+        # -log p_t(support of p_s): full support for s > 0, {0} for s = 0
+        return t if s == 0.0 else 0.0
+    if s == 0.0 and t == 0.0:
+        return 0.0
+    if s == 0.0:
+        # only the k = 0 term survives: log e^{-t(1-alpha)} / (alpha - 1) = t
+        return t
+    if t == 0.0:
+        if alpha >= 1.0:
+            return INF
+        return -alpha * s / (alpha - 1.0)
+
+    if alpha == 1.0:
+        return _oracle_kl(s, t, tail_tol, max_terms)
+    return _oracle_power(s, t, alpha, tail_tol, max_terms)
+
+
+def _oracle_kl(s, t, tail_tol, max_terms):
+    total = []
+    cdf_s = cdf_t = 0.0
+    k0 = 0
+    while k0 < max_terms:
+        k = np.arange(k0, min(k0 + _ORACLE_BLOCK, max_terms), dtype=float)
+        lp_s = _log_pmf(k, s)
+        lp_t = _log_pmf(k, t)
+        p_s = np.exp(lp_s)
+        total.append(float(np.sum(p_s * (lp_s - lp_t))))
+        cdf_s += float(np.sum(p_s))
+        cdf_t += float(np.sum(np.exp(lp_t)))
+        k0 += len(k)
+        if 1.0 - cdf_s < tail_tol and 1.0 - cdf_t < tail_tol:
+            return max(math.fsum(total), 0.0)
+    raise NonConvergent(f"KL summation exceeded {max_terms} terms")
+
+
+def _oracle_power(s, t, alpha, tail_tol, max_terms):
+    # The summand is proportional to peak^k / k!, a Poisson-shaped sequence
+    # peaking near k = s^alpha t^(1-alpha); for alpha > 1 that peak can sit
+    # far beyond both pmf tails and must be summed past explicitly.
+    log_peak_mean = alpha * math.log(s) + (1.0 - alpha) * math.log(t)
+    peak = math.exp(log_peak_mean) if log_peak_mean < 700 else INF
+    if peak > max_terms:
+        raise NonConvergent(
+            f"summand peaks near k={peak:.3g}, beyond the {max_terms}-term budget")
+    log_z = -INF
+    cdf_s = cdf_t = 0.0
+    k0 = 0
+    log_tol = math.log(tail_tol)
+    while k0 < max_terms:
+        k = np.arange(k0, min(k0 + _ORACLE_BLOCK, max_terms), dtype=float)
+        lp_s = _log_pmf(k, s)
+        lp_t = _log_pmf(k, t)
+        terms = alpha * lp_s + (1.0 - alpha) * lp_t
+        log_z = _logsumexp([log_z, _logsumexp(terms)])
+        cdf_s += float(np.sum(np.exp(lp_s)))
+        cdf_t += float(np.sum(np.exp(lp_t)))
+        k0 += len(k)
+        tails_done = (1.0 - cdf_s < tail_tol) and (1.0 - cdf_t < tail_tol)
+        past_peak = k0 > peak
+        block_negligible = float(np.max(terms)) - log_z < log_tol
+        if tails_done and past_peak and block_negligible:
+            return max(log_z / (alpha - 1.0), 0.0)
+    raise NonConvergent(f"summation exceeded {max_terms} terms")
 
 
 def exact_hellinger(pair) -> float:

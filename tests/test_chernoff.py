@@ -12,8 +12,9 @@ from helpers import golden_chernoff, random_pair
 from ppdiv import chernoff, likelihood, sampler
 from ppdiv import (DensityPair, DiscreteIntensity, GridIntensity, InfiniteMass,
                    QuadratureFailure, SmoothIntensity, bayes_risk_sim,
-                   chernoff_info, common_reference)
+                   chernoff_info, common_reference, tsallis)
 from ppdiv.model_io import compile_density
+from ppdiv.quadrature import _Adaptive
 
 
 def dense_grid_oracle(lam, mu, step=1e-6):
@@ -179,6 +180,21 @@ class TestNewtonAgainstGoldenSection:
     def test_planar_box(self):
         args = ([(0.0, 1.0), (0.0, 1.0)], "1 + x0*x1", "2 - x0", ("x0", "x1"))
         self.assert_agrees(smooth_pair(*args), smooth_pair(*args))
+
+    @pytest.mark.parametrize("bounds, first, second, variables", [
+        ([(0.0, 1.0)], "1 + x", "2 - x*x", ("x",)),
+        ([(0.0, math.inf)], "1 + 0.9*exp(-1.2*x)", "1", ("x",)),
+        ([(0.0, 1.0), (0.0, 1.0)], "1 + x0*x1", "2 - x0", ("x0", "x1")),
+    ])
+    def test_one_run_per_slope(self, monkeypatch, bounds, first, second, variables):
+        # h' and h'' are the two rows of one run, and the objective one more
+        pair = smooth_pair(bounds, first, second, variables)
+        tsallis(pair, 0.5)
+        runs = []
+        run = _Adaptive.run
+        monkeypatch.setattr(_Adaptive, "run", lambda self: runs.append(1) or run(self))
+        result = chernoff_info(pair)
+        assert result.iterations >= 2 and len(runs) == result.iterations + 1
 
 
 def half_line_pair(first, second):

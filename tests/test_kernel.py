@@ -9,9 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import scalar_renyi_poisson
-from ppdiv import (InvalidAlpha, NonConvergent, renyi_poisson,
-                   renyi_poisson_oracle)
+from helpers import renyi_poisson_oracle, scalar_renyi_poisson
+from ppdiv import InvalidAlpha, NonConvergent, renyi_poisson
 from ppdiv.kernel import _ALPHA_NEAR_ONE, _BLOCK, _renyi_poisson_array
 
 INF = math.inf

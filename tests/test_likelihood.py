@@ -224,6 +224,29 @@ class TestLimit:
         assert result.converged
         assert abs(result.log_lr - want) <= 1e-12
 
+    def test_large_n_max_trace_is_pinned(self):
+        # the 20000 levels are gathered from one run of 20000 segments; the
+        # trace stops at level 655 and is pinned bit for bit
+        eta = PointPattern([(x, 1) for x in self.POINTS])
+        traces = [log_lr_sigma_finite(_half_line_pair("1 + exp(-x/30)"), eta,
+                                      n_max=n_max) for n_max in (1000, 20_000)]
+        short, long = (r.truncation_trace for r in traces)
+        assert long == short and len(long) == 655
+        assert traces[1].log_lr == traces[0].log_lr == -28.021401432111492
+        assert [long[i][1] for i in (0, 99, 654)] == [
+            -0.2986684164928589, -26.951181631693895, -28.021401422225406]
+        assert math.fsum(v for _, v in long) == -17471.495117931187
+
+    def test_every_segment_empty(self):
+        # the levels 1..3 lie left of the domain [5, inf), so their segments
+        # are all empty and add nothing
+        lam = SmoothIntensity([(5.0, INF)], compile_density("1 + exp(-x)", ("x",)))
+        mu = SmoothIntensity([(5.0, INF)], compile_density("1", ("x",)))
+        result = log_lr_sigma_finite(common_reference(lam, mu),
+                                     PointPattern([(6.0, 1)]), n_max=3)
+        assert result.truncation_trace == [(1, 0.0), (2, 0.0), (3, 0.0)]
+        assert result.log_lr == -0.0042622618613548345
+
     def test_seeded_patterns_out_to_15(self):
         evaluator = TruncatedLogLikelihood(_half_line_pair("1 + exp(-x)"))
         rng = np.random.default_rng(15)

@@ -27,12 +27,11 @@ PUBLIC_NAMES = [
     "ZeroMarkAtom", "bayes_risk_sim", "chernoff", "chernoff_info",
     "classify_pp_relation", "common_reference", "compound_path",
     "compound_renyi", "count", "counting_path", "disintegration",
-    "divergence", "dominating_intensity", "errors", "ext_mul", "extended",
+    "divergence", "dominating_intensity", "errors", "extended",
     "flatten_product", "fmt_extended", "hellinger_measures", "hellinger_pp",
     "intensity_from_density", "kernel", "kl_pp", "likelihood",
     "log_lr_finite", "log_lr_sigma_finite", "mc_divergence_estimate",
-    "measure", "quadrature", "renyi_poisson", "renyi_poisson_oracle",
-    "renyi_pp", "sample_marked", "sample_pp", "sampler", "spawn_streams",
+    "measure", "quadrature", "renyi_poisson", "renyi_pp", "sample_marked", "sample_pp", "sampler", "spawn_streams",
     "total_mass", "tsallis", "tsallis_product", "tsallis_sanity_bound",
 ]
 
@@ -62,7 +61,7 @@ def test_cli_subcommands_and_flags():
 
 
 @pytest.mark.parametrize("function, parameters", [
-    (ppdiv.renyi_poisson, ["s", "t", "alpha"]), (ppdiv.ext_mul, ["a", "b"]),
+    (ppdiv.renyi_poisson, ["s", "t", "alpha"]),
     (compile_density, ["expression", "variables"])])
 def test_signatures(function, parameters):
     params = inspect.signature(function).parameters.values()

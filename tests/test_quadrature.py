@@ -15,7 +15,7 @@ from ppdiv import (DiscreteIntensity, MarkedModel, PointPattern,
                    QuadratureFailure, SmoothIntensity, common_reference,
                    count, quadrature, tsallis)
 from ppdiv.divergence import _require_ac
-from ppdiv.extended import ext_mul, ext_muls
+from ppdiv.extended import ext_muls
 from ppdiv.model_io import compile_density
 from ppdiv.quadrature import (QuadratureSpec, _wynn_epsilon, integrate_box,
                               integrate_segments, probe_points)
@@ -294,6 +294,76 @@ class TestSegments:
             integrate_segments(lambda x: x, edges, SPEC)
 
 
+class TestRows:
+    """A ``(rows, n)`` integrand is integrated in one run, each row to its
+    own tolerance."""
+
+    @pytest.mark.parametrize("rows, bounds", [
+        # rows that differ in scale and smoothness
+        ((lambda x: 1e6 * (2.0 + np.sin(3.0 * x)),
+          lambda x: np.exp(-np.abs(x - 0.3001))), [(0.0, 1.0)]),
+        ((lambda x: 1e4 * np.exp(-x / 30.0), lambda x: (1.0 + x) ** -2.5),
+         [(0.0, INF)]),
+        # each row varies along one axis only, so a box must be cut across
+        # the axis of its worst row
+        ((lambda x, y: 1e6 * (1.0 + 0.5 * np.cos(20.0 * x)),
+          lambda x, y: 1.0 + 0.5 * np.cos(20.0 * y)), [(0.0, 1.0), (0.0, 1.0)]),
+    ])
+    def test_rows_match_one_run_each(self, rows, bounds):
+        values, errors = integrate_box(
+            lambda *x: np.stack([np.broadcast_to(r(*x), x[0].shape) for r in rows]),
+            bounds, SPEC)
+        for row, value, error in zip(rows, values, errors):
+            alone, _ = integrate_box(row, bounds, SPEC)
+            tol = max(SPEC.abs_tol, 1e-10 * abs(alone))
+            assert error <= tol
+            assert abs(value - alone) <= 2.0 * tol
+
+    @pytest.mark.parametrize("fn, bounds, want", [
+        (lambda x: np.sin(3.0 * x) + 2.0, [(0.25, 3.0)],
+         (6.0476063769195, 6.714191843525951e-14)),
+        (lambda x: np.exp(-x / 30.0), [(0.0, INF)], (30.0, 1.0088508929404653e-09)),
+        (lambda x: (1.0 + x) ** -1.02, [(1.875, INF)],
+         (48.95502169361146, 1.010001076468946e-09)),
+        (lambda x, y: 1.0 + np.cos(3.0 * x + 2.0 * y) * np.exp(-x * y),
+         [(0.0, 1.0), (0.0, 2.0)], (1.4879868124367421, 9.263308313834823e-14)),
+    ])
+    def test_one_row_is_the_scalar_run(self, fn, bounds, want):
+        # pinned from the integrator before it took rows
+        assert integrate_box(fn, bounds, SPEC) == want
+        assert integrate_box(lambda *x: fn(*x)[None], bounds, SPEC) == (
+            [want[0]], [want[1]])
+
+    @pytest.mark.parametrize("second, bounds, spec, match", [
+        (lambda x: 1.0 + np.exp(-x), [(0.0, INF)], SPEC, "probably divergent"),
+        (lambda x: 1.0 / np.sqrt(x), [(0.0, 1.0)], QuadratureSpec(max_subdivisions=8),
+         "subdivisions"),
+    ])
+    def test_one_failing_row_fails_the_run(self, second, bounds, spec, match):
+        with pytest.raises(QuadratureFailure, match=match) as info:
+            integrate_box(lambda x: np.stack([np.exp(-x), second(x)]), bounds, spec)
+        assert info.value.possibly_infinite
+        assert len(info.value.value) == len(info.value.error_estimate) == 2
+
+    def test_empty_domains_give_zero_rows(self):
+        rows = lambda x: np.stack([x, 2.0 * x, 3.0 * x])
+        assert integrate_box(rows, [(1.0, 1.0)], SPEC) == ([0.0] * 3, [0.0] * 3)
+        assert integrate_segments(rows, [2.0, 2.0, 2.0], SPEC) == (
+            [[0.0] * 2] * 3, [[0.0] * 2] * 3)
+
+    @pytest.mark.parametrize("n_seg", [1, 2, 20_000])
+    def test_segments_match_one_box_each(self, n_seg):
+        # cos(10 x) needs two or more panels on most unit segments
+        fn = lambda x: 2.0 + np.cos(10.0 * x)
+        spec = QuadratureSpec(max_subdivisions=100_000)
+        edges = np.arange(n_seg + 1.0)
+        values, errors = integrate_segments(fn, edges, spec)
+        assert math.fsum(errors) <= max(spec.abs_tol, 1e-10 * math.fsum(values))
+        for lo, hi, value, error in zip(edges, edges[1:], values, errors):
+            alone, alone_err = integrate_box(fn, [(lo, hi)], spec)
+            assert abs(value - alone) <= error + alone_err
+
+
 def _family(kind, a, b, c):
     """A smooth positive function as (numpy form, math form)."""
     if kind == "decay":
@@ -428,8 +498,6 @@ def test_array_product_matches_scalar_convention():
     b = [INF, 0.0, 0.0, 0.5, 2.0, INF, 1e200]
     want = [0.0, 0.0, 0.0, 1.0, INF, INF, INF]
     np.testing.assert_array_equal(ext_muls(a, b), want)
-    got = [ext_mul(x, y) for x, y in zip(a, b)]
-    assert got == want and all(type(v) is float for v in got)
 
 
 class TestWindows:
