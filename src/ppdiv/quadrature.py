@@ -378,7 +378,7 @@ class _Tail:
 
     def __init__(self, value: float, depth: int):
         self.depth = depth
-        self.size = 1  # rings in the next cut
+        self.size = 1  # rings this row asks of the next cut
         self.rings: list[float] = []
         self.seq = [value]
 

@@ -351,6 +351,17 @@ class TestRows:
         assert integrate_segments(rows, [2.0, 2.0, 2.0], SPEC) == (
             [[0.0] * 2] * 3, [[0.0] * 2] * 3)
 
+    def test_segment_rows_match_one_run_each(self):
+        rows = (lambda x: 1e6 * (2.0 + np.cos(10.0 * x)), lambda x: np.exp(-np.abs(x - 2.5)))
+        edges = [0.0, 1.0, 1.0, 2.25, 4.0, 5.0]
+        values, errors = integrate_segments(lambda x: np.stack([r(x) for r in rows]),
+                                            edges, SPEC)
+        for row, value, error in zip(rows, values, errors):
+            alone, _ = integrate_segments(row, edges, SPEC)
+            tol = max(SPEC.abs_tol, 1e-10 * abs(math.fsum(alone)))
+            assert math.fsum(error) <= tol
+            np.testing.assert_allclose(value, alone, rtol=0.0, atol=2.0 * tol)
+
     @pytest.mark.parametrize("n_seg", [1, 2, 20_000])
     def test_segments_match_one_box_each(self, n_seg):
         # cos(10 x) needs two or more panels on most unit segments
