@@ -117,9 +117,10 @@ def bayes_risk_sim(pair: DensityPair, prior0: float, n: int, trials: int,
     trials under the second hypothesis are one binomial draw, and each
     hypothesis's log ratios come from the block loop of
     :func:`likelihood._loglr_batch`.  A smooth pair must have a bounded
-    domain, else :class:`InfiniteWindowMass` is raised, and be dominated,
-    as in :func:`mc_divergence_estimate`: a point drawn where the second
-    density vanishes raises :class:`NotAbsolutelyContinuous`.  Returns
+    domain, else :class:`InfiniteWindowMass` is raised.  Neither law need
+    dominate the other: a point where only the second density vanishes has
+    the log ratio ``+inf`` and decides for the first hypothesis, on exact
+    and smooth pairs alike.  Returns
     ``(risk, standard_error)``; raises :class:`InfiniteMass` when ``n``
     times a mass or an exact mean is infinite or past numpy's Poisson limit.
     """

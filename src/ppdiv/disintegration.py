@@ -25,7 +25,6 @@ from .errors import (InvalidAlpha, KernelMismatch, NonDiffuseBase,
 from .extended import INF, ext_muls
 from .kernel import _renyi_poisson_array
 from .measure import DensityPair, DiscreteIntensity, MarkedModel, _weighted_sums
-from .quadrature import probe_columns
 
 
 def _mark_terms(pair: DensityPair, K: MarkedModel, L: MarkedModel, alpha: float):
@@ -83,8 +82,8 @@ def tsallis_product(base_pair: DensityPair, K: MarkedModel, L: MarkedModel,
         return base
 
     if not base_pair.is_exact:
-        f, g, r = base_pair._probe_densities
-        probes = terms(f, g, *probe_columns(base_pair.reference.bounds))[0] * r
+        pts, f, g, r = base_pair._probes
+        probes = terms(f, g, *pts.T)[0] * r
         if (probes == INF).any():
             return DivergenceReport(alpha, INF, 0.0,
                                     ["mark integrand infinite at probe points"])

@@ -11,9 +11,10 @@ pair.
 Outputs live in [0, inf].  For smooth pairs an integrand that is infinite
 on a probe set of positive reference mass yields inf directly; as the
 kernel is inf exactly where ``alpha >= 1``, ``f > 0`` and ``g = 0``, that
-test reads only the pair's one probe read of the densities.  A divergent
-but pointwise-finite integral surfaces as :class:`QuadratureFailure` with
-a possibly-infinite note, since quadrature cannot certify inf.
+test is the pair's one domination decision, ``DensityPair._undominated``,
+which :func:`_require_ac` reads too.  A divergent but pointwise-finite
+integral surfaces as :class:`QuadratureFailure` with a possibly-infinite
+note, since quadrature cannot certify inf.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from .errors import (InfiniteHellinger, NotAbsolutelyContinuous,
                      QuadratureFailure)
 from .extended import INF
 from .kernel import _renyi_poisson_array, _validate_alpha
-from .measure import (DensityPair, IntensityModel, _as_ids, _coords,
-                      density_values, intensity_from_density)
-from .quadrature import probe_points
+from .measure import (DensityPair, IntensityModel, density_values,
+                      intensity_from_density)
 
 _ZERO_TOL = 1e-12
 
@@ -85,11 +85,9 @@ def tsallis(pair: DensityPair, alpha: float) -> DivergenceReport:
 
 
 def _tsallis(pair: DensityPair, alpha: float) -> DivergenceReport:
-    if not pair.is_exact and alpha >= 1.0:
-        f, g, r = pair._probe_densities
-        if ((f > 0.0) & (g == 0.0) & (r > 0.0)).any():
-            return DivergenceReport(alpha, INF, 0.0,
-                                    ["integrand infinite at probe points"])
+    if not pair.is_exact and alpha >= 1.0 and pair._undominated is not None:
+        return DivergenceReport(alpha, INF, 0.0,
+                                ["integrand infinite at probe points"])
     (value, err), = pair._integrals(lambda f, g, *_: _renyi_poisson_array(f, g, alpha)[None])
     if value == INF:
         return DivergenceReport(alpha, INF, 0.0,
@@ -263,24 +261,9 @@ def tsallis_sanity_bound(pair: DensityPair) -> MassBoundCheck:
 
 def _require_ac(pair: DensityPair, locations=()) -> np.ndarray:
     """Raise unless f vanishes wherever g does (on the representable
-    support; probe-based for smooth pairs), and return ``log(f/g)`` at
-    ``locations``, which a smooth pair reads in the same density calls as
-    its probes."""
-    if pair.is_exact:
-        w, f, g = pair.support_terms()
-        if bool(np.any((w > 0) & (f > 0) & (g == 0))):
-            raise NotAbsolutelyContinuous(
-                "first intensity has mass where the second density vanishes")
-        return pair.log_ratio_at(locations)
-    probes = np.array(probe_points(pair.reference.bounds))
-    try:
-        ratios = pair.log_ratio_at(np.concatenate(
-            [probes, _coords(locations, probes.shape[1])]))
-    except OverflowError as exc:
-        raise QuadratureFailure(f"a density overflows at a probe: {exc}",
-                                possibly_infinite=True) from exc
-    bad = np.flatnonzero(ratios[:len(probes)] == INF)
-    if len(bad):
+    support; at the probe points for smooth pairs), and return ``log(f/g)``
+    at ``locations``."""
+    if (at := pair._undominated) is not None:
         raise NotAbsolutelyContinuous(
-            f"density ratio infinite near {_as_ids(probes)[bad[0]]!r}")
-    return ratios[len(probes):]
+            f"first intensity has mass where the second density vanishes, near {at!r}")
+    return pair.log_ratio_at(locations) if len(locations) else np.empty(0)

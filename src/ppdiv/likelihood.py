@@ -181,7 +181,9 @@ def mc_divergence_estimate(pair: DensityPair, alpha: float, n_samples: int,
     law and rescales the log.  Returns ``(estimate, standard_error)``;
     ``n_samples`` must be at least 2 for the standard error.  Raises
     :class:`NonConvergent` when no pattern drawn under the second law is in
-    the first law's support, as the ratio power then averages to 0.
+    the first law's support, as the ratio power then averages to 0, and
+    :class:`NotAbsolutelyContinuous` where the second density vanishes at a
+    probe point, an atom or cell of the first, or (order 1) a drawn point.
     Exact and smooth pairs draw the log ratios through one block loop
     (:func:`_loglr_batch`), whose memory is bounded but for the
     ``(n_samples,)`` vector it fills.  Reproducible given ``(seed, n_samples)``.
@@ -202,6 +204,9 @@ def mc_divergence_estimate(pair: DensityPair, alpha: float, n_samples: int,
     ll = _loglr_batch(pair, mu - lam, n_samples, rng, sample_from_first)
 
     if sample_from_first:
+        if (ll == INF).any():  # a point between the probes where g = 0
+            raise NotAbsolutelyContinuous(
+                "a point drawn under the first law is where the second density vanishes")
         est = float(np.mean(ll))
         se = float(np.std(ll, ddof=1) / math.sqrt(len(ll)))
         return est, se
@@ -222,8 +227,9 @@ def _loglr_batch(pair, base, size, rng, sample_from_first, n=1):
     each pooling ``n`` independent ones under the first law (or the
     second), in blocks of at most about ``_BLOCK`` values: a row of Poisson
     counts per pattern of an exact pair (:func:`_sum_stat`), or the points
-    of ``n`` thinned patterns of a smooth pair, where a point off the
-    second density's support raises :class:`NotAbsolutelyContinuous`."""
+    of ``n`` thinned patterns of a smooth pair.  Either way a pattern with a
+    point where only the first density vanishes sums to ``-inf``, and one
+    with a point where only the second does to ``+inf``."""
     if pair.is_exact:
         w, f, g = pair.support_terms()
         means = n * (w * (f if sample_from_first else g))
@@ -242,8 +248,7 @@ def _loglr_batch(pair, base, size, rng, sample_from_first, n=1):
         def draw(k):
             # pattern i pools the n thinned patterns n i, ..., n i + n - 1
             coords, which = _sampler._thin(model, model.bounds, rng, k * n)
-            ratios = _point_terms(pair.log_ratio_at(coords), coords)
-            return np.bincount(which // n, weights=ratios, minlength=k)
+            return np.bincount(which // n, weights=pair.log_ratio_at(coords), minlength=k)
     out = np.empty(size)
     # no patterns still draw one empty block, whose mean checks raise
     for start in range(0, max(size, 1), block):

@@ -36,7 +36,7 @@ from .errors import (DomainMismatch, OutOfWindow, PointOutsideDomain,
                      QuadratureFailure)
 from .extended import INF, ensure_extended, ext_fsum, log_ratios
 from .quadrature import (QuadratureSpec, integrate_box, integrate_segments,
-                         probe_columns, probe_points)
+                         probe_points)
 
 # Cell budget for the join of two grids, checked before it is built.
 _MAX_REFINED_CELLS = 2_000_000
@@ -519,8 +519,8 @@ class DensityPair:
     models :func:`intensity_from_density` builds.
 
     A pair never changes once built, so it memoises its Tsallis orders,
-    masses, reversed pair and probe read, and the quadrature failure of
-    any of them (a race at worst computes one twice).
+    masses, reversed pair, probe read and domination point, and the
+    quadrature failure of any of them (a race at worst computes one twice).
     """
 
     reference: IntensityModel
@@ -609,16 +609,29 @@ class DensityPair:
         return value
 
     @cached_property
-    def _probe_densities(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``f``, ``g`` and the reference density of a smooth pair at the
-        probe points; an overflow there fails as it would at a node."""
-        cols = probe_columns(self.reference.bounds)
+    def _probes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(n, d)`` probe points of a smooth pair with ``f``, ``g`` and
+        the reference density there; an overflow fails as at a node."""
+        pts = probe_points(self.reference.bounds)
         try:
-            return tuple(density_values(d, cols)
-                         for d in (self.f, self.g, self.reference.density))
+            return (pts, *(density_values(d, pts.T)
+                           for d in (self.f, self.g, self.reference.density)))
         except OverflowError as exc:
             raise QuadratureFailure(f"a density overflows at a probe: {exc}",
                                     possibly_infinite=True) from exc
+
+    @cached_property
+    def _undominated(self):
+        """The first atom id, cell centre or probe point of positive
+        reference mass where ``f > 0`` and ``g = 0``, or None: where the
+        first intensity is not dominated by the second."""
+        if self.is_exact:
+            (w, f, g), where = self.support_terms(), self.reference.support_locations
+        else:
+            pts, f, g, w = self._probes
+            where = lambda: _as_ids(pts)
+        hit = np.flatnonzero((w > 0.0) & (f > 0.0) & (g == 0.0))
+        return where()[hit[0]] if len(hit) else None
 
     def _integrals(self, terms, exact: bool = True, cuts=None):
         """``(value, error_estimate)`` per row of the ``(rows, n)`` pointwise
@@ -917,7 +930,7 @@ class MarkedModel:
         base = self.base.flattened()
         if isinstance(base, _EXACT):
             return base.support_locations()
-        return _as_ids(np.array(probe_points(base.bounds)))
+        return _as_ids(probe_points(base.bounds))
 
     def mark_table(self, locations) -> np.ndarray:
         """``(len(locations), marks)`` kernel densities at base locations:

@@ -218,7 +218,11 @@ class _Adaptive:
         tails = ([_Tail(v, per.bit_length() - 1) for v in value[:, 0].tolist()]
                  if self.half_line else None)
         while True:
-            total, total_err = [math.fsum(r) for r in value.tolist()], err.sum(axis=1).tolist()
+            try:
+                total = [math.fsum(r) for r in value.tolist()]
+            except OverflowError as exc:  # finite panel values, a sum past the float range
+                self._fail(f"the integral overflows: {exc}")
+            total_err = err.sum(axis=1).tolist()
             if not all(map(math.isfinite, total + total_err)):
                 self._fail("integrand is not finite at a quadrature node", total, total_err)
             tol = [max(self.spec.abs_tol, _EPSREL * abs(t)) for t in total]
@@ -441,15 +445,15 @@ def _contract(values: np.ndarray, weights) -> np.ndarray:
     return values
 
 
-def probe_points(bounds):
-    """Deterministic probe locations inside a box, denser near the origin
-    on half-infinite axes.  Used to detect pointwise-infinite integrands
-    before quadrature is attempted."""
+def probe_points(bounds) -> np.ndarray:
+    """Deterministic probe locations inside a box as an ``(n, d)`` array,
+    denser near the origin on half-infinite axes.  Used to detect
+    pointwise-infinite integrands before quadrature is attempted."""
     if len(bounds) > 1:
         # only 1-d domains are unbounded; few points per axis keep the
         # product small
-        return list(itertools.product(
-            *(_midpoints(lo, hi, _BOX_PROBES_PER_AXIS) for lo, hi in bounds)))
+        return np.array(list(itertools.product(
+            *(_midpoints(lo, hi, _BOX_PROBES_PER_AXIS) for lo, hi in bounds))))
     lo, hi = bounds[0]
     if math.isinf(hi):
         pts = [lo + 1e-3] + [lo + 0.1 * (2.0 ** k) for k in range(0, 24)]
@@ -458,13 +462,7 @@ def probe_points(bounds):
         # golden-ratio offsets catch features aligned with the midpoints
         pts += [lo + (hi - lo) * ((i * _GOLDEN) % 1.0)
                 for i in range(1, _PROBES_PER_AXIS, 3)]
-    return [(x,) for x in pts]
-
-
-def probe_columns(bounds) -> list[np.ndarray]:
-    """:func:`probe_points` as one coordinate array per axis."""
-    return [np.array(c, dtype=float)
-            for c in zip(*probe_points(bounds))]
+    return np.array(pts, dtype=float)[:, None]
 
 
 def _midpoints(lo: float, hi: float, n: int) -> list[float]:

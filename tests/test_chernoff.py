@@ -352,6 +352,17 @@ class TestBayesRiskOracle:
         assert max(draws) <= 256
         assert abs(risk - exact_bayes_risk(lam, mu, 0.3, n)) <= 4.0 * se
 
+    def test_smooth_pair_not_dominated_against_atoms(self):
+        # the second density vanishes on [0.5, 1]: a point there decides for
+        # the first hypothesis, as an atom of zero second mass does
+        smooth = common_reference(
+            SmoothIntensity([(0.0, 1.0)], lambda x: 2.0 + 0.0 * x),
+            SmoothIntensity([(0.0, 1.0)], lambda x: np.where(x < 0.5, 4.0, 0.0)))
+        r_smooth, se_smooth = bayes_risk_sim(smooth, 0.5, 1, 10_000, seed=1)
+        r_exact, se_exact = bayes_risk_sim(pair_of([1.0, 1.0], [2.0, 0.0]),
+                                           0.5, 1, 10_000, seed=1)
+        assert abs(r_smooth - r_exact) <= 4.0 * math.hypot(se_smooth, se_exact)
+
     def test_large_means_against_the_total_count(self):
         # n times each mean is 2540 or 2590.8, with about 60,000 trials per
         # hypothesis: every column takes the histogram draw, and at 2540

@@ -407,6 +407,47 @@ class TestMassBound:
             assert tsallis_sanity_bound(pair).holds
 
 
+def step_pair(second):
+    """Smooth constant 5 on [0, 2] against ``second`` there."""
+    return common_reference(SmoothIntensity([(0.0, 2.0)], lambda x: 5.0 + 0.0 * x),
+                            SmoothIntensity([(0.0, 2.0)], second))
+
+
+class TestDomination:
+    """``DensityPair._undominated`` is the one decision whether the first
+    intensity has mass where the second density vanishes."""
+
+    def test_names_the_atom(self):
+        pair = common_reference(DiscreteIntensity([("a", 1.0), ("b", 1.0)]),
+                                DiscreteIntensity([("a", 2.0), ("b", 0.0)]))
+        assert pair._undominated == "b"
+        assert pair.swapped()._undominated is None
+        with pytest.raises(NotAbsolutelyContinuous, match="near 'b'"):
+            tsallis_sanity_bound(pair)
+
+    def test_names_the_cell_centre(self):
+        grids = (GridIntensity([(0, 1)], [4], [1.0, 1.0, 1.0, 1.0]),
+                 GridIntensity([(0, 1)], [4], [1.0, 1.0, 0.0, 1.0]))
+        assert common_reference(*grids)._undominated == 0.625
+        dominated = common_reference(*grids[::-1])
+        assert dominated._undominated is None
+        # a dominated grid pair builds no cell centres
+        assert "_centres" not in vars(dominated.reference)
+
+    def test_names_the_probe_point(self):
+        pair = step_pair(lambda x: np.where(x < 1.0, 5.0, 0.0))
+        # the first probe where g = 0 is the ninth of 17 midpoints, 1 itself
+        assert pair._undominated == 2.0 * 8.5 / 17 == 1.0
+        assert pair.swapped()._undominated is None
+
+    @pytest.mark.parametrize("second", [
+        lambda x: np.where(x < 1.0, 5.0, 0.0), lambda x: 1.0 + x,
+        lambda x: np.where(x < 1.0, 5.0, 2.0)], ids=["step-to-0", "linear", "step-to-2"])
+    def test_smooth_kl_is_inf_exactly_when_undominated(self, second):
+        for pair in (step_pair(second), step_pair(second).swapped()):
+            assert (tsallis(pair, 1.0).value == INF) == (pair._undominated is not None)
+
+
 class TestMemo:
     """A pair memoises its integrals: each is computed once, every caller
     gets a report of its own, and a used pair reads as a fresh one."""

@@ -574,15 +574,28 @@ class TestSmoothMonteCarlo:
         a = mc_divergence_estimate(pair, 1.0, 50, seed=4)
         assert a == mc_divergence_estimate(pair, 1.0, 50, seed=4)
 
-    def test_infinite_ratio_at_a_point_raises(self):
-        # mu vanishes on [1, 2], where lambda does not; called directly, the
-        # batch has no domination probe before it and must see the drawn
-        # points' infinite ratios itself
+    def test_undominated_point_between_probes_raises(self):
+        # mu vanishes on (0.44, 0.5), between the probes at 0.412 and 0.529
+        lam = SmoothIntensity([(0.0, 2.0)], lambda x: 5.0 + 0.0 * x)
+        mu = SmoothIntensity([(0.0, 2.0)],
+                             lambda x: np.where((x > 0.44) & (x < 0.5), 0.0, 5.0))
+        pair = common_reference(lam, mu)
+        assert pair._undominated is None
+        with pytest.raises(NotAbsolutelyContinuous, match="drawn under the first law is where"):
+            mc_divergence_estimate(pair, 1.0, 50, seed=1)
+
+    def test_infinite_ratio_at_a_point_sums_to_inf(self):
+        # mu vanishes on [1, 2], where lambda does not; as on an exact pair,
+        # a pattern with a point there sums to +inf, and under mu a pattern
+        # with a point where lambda vanishes sums to -inf
         lam = SmoothIntensity([(0.0, 2.0)], lambda x: 5.0 + 0.0 * x)
         mu = SmoothIntensity([(0.0, 2.0)], lambda x: np.where(x < 1.0, 5.0, 0.0))
         pair = common_reference(lam, mu)
-        with pytest.raises(NotAbsolutelyContinuous, match="infinite at"):
-            _loglr_batch(pair, 0.0, 5, np.random.default_rng(0), True)
+        for p, first, want in ((pair, True, INF), (pair, False, 0.0),
+                               (pair.swapped(), False, -INF)):
+            # a pattern of lambda (mean 10) misses [1, 2] with chance e^-5
+            ll = _loglr_batch(p, 0.0, 5, np.random.default_rng(0), first)
+            assert ll.tolist() == [want] * 5
 
 
 # (first densities, second densities, box, point, sigma-finite?): pairs

@@ -18,6 +18,7 @@ from helpers import math_density
 from ppdiv import (DiscreteIntensity, MarkedModel, ParseError, PointPattern,
                    SmoothIntensity, ThinningBoundMissing, common_reference,
                    log_lr_finite, mc_divergence_estimate, sample_pp)
+from ppdiv.divergence import _require_ac
 from ppdiv.measure import SummedIntensity, density_values
 from ppdiv.model_io import (_EXPR_NAMES, compile_density, load_pattern,
                             model_from_dict, model_ids, pattern_from_csv,
@@ -182,14 +183,29 @@ class TestAllowList:
         ``quadrature``, which defines ``integrate_box`` and
         ``integrate_segments``, only ``measure`` (that entry and the
         single-model masses) names them."""
-        users = set()
-        for path in sorted(pathlib.Path(ppdiv.__file__).parent.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                name = (getattr(node, "name", None) if isinstance(node, ast.alias)
-                        else getattr(node, "attr", getattr(node, "id", None)))
-                if name in ("integrate_box", "integrate_segments"):
-                    users.add(path.name)
+        users = _modules_naming("integrate_box", "integrate_segments")
         assert users - {"quadrature.py"} <= {"measure.py"}
+
+    def test_only_the_pair_reads_the_probes(self):
+        """A pair's densities are read at the probe points only by
+        ``DensityPair._probes``: besides ``quadrature``, which defines
+        ``probe_points``, only ``measure`` names it, and no module names
+        ``probe_columns`` or ``_probe_densities``."""
+        assert _modules_naming("probe_points") - {"quadrature.py"} <= {"measure.py"}
+        assert _modules_naming("probe_columns", "_probe_densities") == set()
+
+
+def _modules_naming(*names) -> set:
+    """The library modules that name any of ``names``: an import, a
+    definition, a bare name or an attribute."""
+    users = set()
+    for path in sorted(pathlib.Path(ppdiv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (getattr(node, "name", None) if isinstance(node, ast.alias)
+                    else getattr(node, "attr", getattr(node, "id", None)))
+            if name in names:
+                users.add(path.name)
+    return users
 
 
 class TestBatchedThinning:
@@ -251,6 +267,22 @@ class TestNoPerPointCalls:
             scalar_calls.append((f.scalar_calls, g.scalar_calls))
         # the mass integrals and the domination probes do not see the pattern
         assert scalar_calls[0] == scalar_calls[1]
+
+    def test_domination_is_decided_once_per_pair(self):
+        # past the memoised masses, each density is called once at the
+        # probes for every check of the pair, and once per non-empty pattern
+        f = _Counted(compile_density("100*(2 + sin(3*x))", ("x",)))
+        g = _Counted(compile_density("150 + 20*x", ("x",)))
+        pair = common_reference(SmoothIntensity([(0, 2)], f),
+                                SmoothIntensity([(0, 2)], g))
+        pair.lambda_mass(), pair.mu_mass()
+        f.array_calls = f.scalar_calls = g.array_calls = g.scalar_calls = 0
+        _require_ac(pair)
+        _require_ac(pair)
+        for eta in (PointPattern(()), PointPattern([(0.5, 1)]),
+                    PointPattern([(0.25, 1), (1.5, 2)])):
+            log_lr_finite(pair, eta)
+        assert (f.array_calls, f.scalar_calls) == (g.array_calls, g.scalar_calls) == (3, 0)
 
     def test_smooth_monte_carlo_calls_do_not_grow_with_samples(self):
         calls = []

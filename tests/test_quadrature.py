@@ -105,6 +105,12 @@ class TestRegressions:
         with pytest.raises(FloatingPointError, match="invalid"):
             compile_density("sqrt(x - 2)", ("x",))(np.array([1.0]))
 
+    def test_sum_past_the_float_range_is_a_quadrature_failure(self):
+        # every panel value is finite; their sum, 1.2e309, is not
+        with pytest.raises(QuadratureFailure, match="overflows") as info:
+            SmoothIntensity([(0.0, 80.0)], lambda x: 1.5e307 + 0.0 * x).total_mass()
+        assert info.value.possibly_infinite
+
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_overflow_at_a_probe_is_a_quadrature_failure(self, alpha):
         # the half-line probes reach x = 0.1 * 2^23, where x**60 overflows;
@@ -471,7 +477,7 @@ class TestProbePoints:
     def test_box_probes_unchanged(self):
         mids = [(i + 0.5) / 9 for i in range(9)]
         want = list(itertools.product(mids, [2.0 * m for m in mids]))
-        assert probe_points([(0.0, 1.0), (0.0, 2.0)]) == want
+        np.testing.assert_array_equal(probe_points([(0.0, 1.0), (0.0, 2.0)]), want)
 
 
 class _CountedDensity:
