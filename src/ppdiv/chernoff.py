@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergence import _half_order
-from .errors import InfiniteMass
 from .extended import INF
 from .kernel import _renyi_poisson_array
 from .likelihood import _loglr_batch
@@ -111,37 +110,30 @@ def bayes_risk_sim(pair: DensityPair, prior0: float, n: int, trials: int,
     """Simulated Bayes risk of the optimal test between the two intensities
     of any finite-mass pair from ``n`` independent observations.
 
-    Each trial draws the true hypothesis from the prior, then one pattern
-    of ``n`` times its intensity (the pooled observations), and applies the
-    likelihood-ratio threshold test at ``log(prior1 / prior0)``.  The
-    trials under the second hypothesis are one binomial draw, and each
-    hypothesis's log ratios come from the block loop of
-    :func:`likelihood._loglr_batch`.  A smooth pair must have a bounded
-    domain, else :class:`InfiniteWindowMass` is raised.  Neither law need
-    dominate the other: a point where only the second density vanishes has
-    the log ratio ``+inf`` and decides for the first hypothesis, on exact
-    and smooth pairs alike.  Returns
-    ``(risk, standard_error)``; raises :class:`InfiniteMass` when ``n``
-    times a mass or an exact mean is infinite or past numpy's Poisson limit.
+    Each trial draws the true hypothesis from the prior (the second's trials
+    are one binomial draw), then one pattern of ``n`` times its intensity,
+    the pooled observations, and applies the likelihood-ratio test at
+    ``log(prior1 / prior0)`` to its log ratio from the block loop of
+    :func:`likelihood._loglr_batch`.  That loop raises :class:`InfiniteMass`
+    when ``n`` times a mass is infinite or an exact mean is past numpy's
+    Poisson limit, and :class:`InfiniteWindowMass` on a smooth pair with an
+    unbounded domain.  Neither law need dominate the other: a point where
+    only the second density vanishes has the log ratio ``+inf`` and decides
+    for the first hypothesis.  Returns ``(risk, standard_error)``.
     """
     if not 0.0 <= prior0 <= 1.0:
         raise ValueError("prior0 must lie in [0, 1]")
     n, trials = int(n), int(trials)
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
-    lam_mass, mu_mass = pair.lambda_mass(), pair.mu_mass()
-    # a finite n times each mass keeps n times every mean from overflowing
-    if n * lam_mass == INF or n * mu_mass == INF:
-        raise InfiniteMass("n observations need finite intensity masses")
-    base = -float(n * (lam_mass - mu_mass))
     threshold = _log_prior_ratio(prior0)
     rng = _sampler.spawn_streams(seed, 1)[0]
     trials1 = int(rng.binomial(trials, 1.0 - prior0))
     # the test decides for the second hypothesis below the threshold
     errors = int(np.count_nonzero(
-        _loglr_batch(pair, base, trials - trials1, rng, True, n) < threshold))
+        _loglr_batch(pair, trials - trials1, rng, True, n) < threshold))
     errors += int(np.count_nonzero(
-        _loglr_batch(pair, base, trials1, rng, False, n) >= threshold))
+        _loglr_batch(pair, trials1, rng, False, n) >= threshold))
     risk = errors / trials
     se = math.sqrt(max(risk * (1.0 - risk), 1.0 / trials) / trials)
     return risk, se

@@ -69,5 +69,5 @@ class NotAbsolutelyContinuous(PPDivError):
 
 
 class NonConvergent(PPDivError):
-    """A series exceeded its term budget, or a Monte Carlo estimate has no
-    usable sample."""
+    """A Monte Carlo average is 0 or past the float range; the library raises
+    it nowhere else (the tests' pmf series raises it past its term budget)."""

@@ -174,62 +174,62 @@ def log_lr_sigma_finite(pair: DensityPair, eta: PointPattern,
 def mc_divergence_estimate(pair: DensityPair, alpha: float, n_samples: int,
                            seed):
     """Monte Carlo estimate of the order-``alpha`` divergence of the two
-    pattern laws through the likelihood ratio.
+    pattern laws through their likelihood ratio ``L = dP/dQ``.
 
-    At ``alpha = 1`` this averages the log ratio under the first law; away
-    from 1 it averages the ratio to the power ``alpha`` under the second
-    law and rescales the log.  Returns ``(estimate, standard_error)``;
-    ``n_samples`` must be at least 2 for the standard error.  Raises
-    :class:`NonConvergent` when no pattern drawn under the second law is in
-    the first law's support, as the ratio power then averages to 0, and
-    :class:`NotAbsolutelyContinuous` where the second density vanishes at a
-    probe point, an atom or cell of the first, or (order 1) a drawn point.
-    Exact and smooth pairs draw the log ratios through one block loop
-    (:func:`_loglr_batch`), whose memory is bounded but for the
-    ``(n_samples,)`` vector it fills.  Reproducible given ``(seed, n_samples)``.
+    Order 1 averages ``log L`` under the first law.  Other orders estimate
+    ``E_Q[L^alpha]`` and rescale its log: above 1/2 by the mean of
+    ``L^(alpha - 1)`` under the first law, else of ``L^alpha`` under the
+    second (their variances, from ``E_Q[L^(2 alpha - 1)]`` and
+    ``E_Q[L^(2 alpha)]``, are equal at 1/2).  Returns ``(estimate,
+    standard_error)`` from ``n_samples >= 2`` log ratios drawn by
+    :func:`_loglr_batch`, reproducible given ``(seed, n_samples)``.
+    Raises :class:`NonConvergent` when the ratio power averages to 0 or
+    past the float range, and :class:`NotAbsolutelyContinuous` where the
+    second density vanishes at a probe point, an atom or cell of the first,
+    or (orders of at least 1) a drawn point, which adds 0 below order 1.
     """
     if not 0.0 < alpha <= 2.0:
         raise InvalidAlpha("monte carlo estimation is restricted to "
                            f"alpha in (0, 2], got {alpha!r}")
-    lam, mu = pair.lambda_mass(), pair.mu_mass()
-    if lam == INF or mu == INF:
-        raise InfiniteMass("monte carlo estimation needs finite intensities")
     _require_ac(pair)
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     rng = _sampler.spawn_streams(seed, 1)[0]
 
-    sample_from_first = abs(alpha - 1.0) < 1e-12
-    ll = _loglr_batch(pair, mu - lam, n_samples, rng, sample_from_first)
-
-    if sample_from_first:
-        if (ll == INF).any():  # a point between the probes where g = 0
-            raise NotAbsolutelyContinuous(
-                "a point drawn under the first law is where the second density vanishes")
+    first = alpha > 0.5
+    ll = _loglr_batch(pair, n_samples, rng, first)
+    if alpha > 1.0 - 1e-12 and (ll == INF).any():  # a point between the probes where g = 0
+        raise NotAbsolutelyContinuous(
+            "a point drawn under the first law is where the second density vanishes")
+    if abs(alpha - 1.0) < 1e-12:
         est = float(np.mean(ll))
         se = float(np.std(ll, ddof=1) / math.sqrt(len(ll)))
         return est, se
-    x = np.exp(alpha * ll)  # exp(-inf) -> 0 for out-of-support patterns
-    m = float(np.mean(x))
-    if m == 0.0:
-        raise NonConvergent(
-            f"none of the {n_samples} patterns drawn under the second law is "
-            "in the first law's support; the ratio power averages to 0")
-    se_m = float(np.std(x, ddof=1) / math.sqrt(len(x)))
-    est = math.log(m) / (alpha - 1.0)
-    se = se_m / (abs(alpha - 1.0) * m)
-    return est, se
+    with np.errstate(over="ignore"):  # an overflow is an average past the float range
+        x = np.exp((alpha - 1.0 if first else alpha) * ll)  # exp(-inf) -> 0
+        m = float(np.mean(x))
+        if not 0.0 < m < INF:
+            raise NonConvergent(f"the ratio power averages to {m!r}: no drawn pattern is "
+                                "in both laws' support, or the power leaves the float range")
+        se_m = float(np.std(x, ddof=1) / math.sqrt(len(x)))
+    return math.log(m) / (alpha - 1.0), se_m / (abs(alpha - 1.0) * m)
 
 
-def _loglr_batch(pair, base, size, rng, sample_from_first, n=1):
-    """``base`` plus the point log-ratio sum of each of ``size`` patterns,
-    each pooling ``n`` independent ones under the first law (or the
-    second), in blocks of at most about ``_BLOCK`` values: a row of Poisson
-    counts per pattern of an exact pair (:func:`_sum_stat`), or the points
-    of ``n`` thinned patterns of a smooth pair.  Either way a pattern with a
-    point where only the first density vanishes sums to ``-inf``, and one
-    with a point where only the second does to ``+inf``."""
+def _loglr_batch(pair, size, rng, sample_from_first, n=1):
+    """``n (mu(S) - lambda(S))`` plus the point log-ratio sum of each of
+    ``size`` patterns, each pooling ``n`` independent ones under the first
+    law (or the second), in blocks of at most about ``_BLOCK`` values: a
+    row of Poisson counts per pattern of an exact pair (:func:`_sum_stat`),
+    or the points of ``n`` thinned patterns of a smooth pair.  Either way a
+    pattern with a point where only the first density vanishes sums to
+    ``-inf``, and one with a point where only the second does to ``+inf``.
+    Raises :class:`InfiniteMass` unless ``n`` times each mass, and so ``n``
+    times every mean, is finite."""
+    lam, mu = pair.lambda_mass(), pair.mu_mass()
+    if n * lam == INF or n * mu == INF:
+        raise InfiniteMass(f"monte carlo draws of {n} observation(s) need finite masses")
+    base = -float(n * (lam - mu))
     if pair.is_exact:
         w, f, g = pair.support_terms()
         means = n * (w * (f if sample_from_first else g))

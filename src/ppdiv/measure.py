@@ -935,14 +935,22 @@ class MarkedModel:
     def mark_table(self, locations) -> np.ndarray:
         """``(len(locations), marks)`` kernel densities at base locations:
         one kernel call per atom id and mark of a discrete base, one
-        :meth:`mark_densities_on` on the coordinates of a diffuse base."""
+        :meth:`mark_densities_on` on the coordinates of a diffuse base.
+        Raises ValueError on a value that is negative, NaN or infinite."""
         base = self.base.flattened()
         if isinstance(base, DiscreteIntensity):
             marks = self.mark_reference.support_locations()
-            return np.array([[self.mark_density(t, x) for x in marks]
-                             for t in _as_ids(locations)],
-                            dtype=float).reshape(len(locations), len(marks))
-        return self.mark_densities_on(_coords(locations, base.ndim).T)
+            table = np.array([[self.mark_density(t, x) for x in marks]
+                              for t in _as_ids(locations)],
+                             dtype=float).reshape(len(locations), len(marks))
+        else:
+            table = self.mark_densities_on(_coords(locations, base.ndim).T)
+        bad = np.argwhere(~((table >= 0.0) & (table < INF)))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"mark kernel is not a probability kernel at "
+                             f"t={_as_ids(locations)[i]!r}: density {float(table[i, j])!r}")
+        return table
 
     def mark_densities_on(self, cols) -> np.ndarray:
         """``(n, marks)`` kernel densities at the diffuse-base locations

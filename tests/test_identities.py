@@ -6,14 +6,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import exact_hellinger
 from ppdiv import (DensityPair, DiscreteIntensity, GridIntensity, MarkedModel,
-                   SmoothIntensity, chernoff_info, common_reference,
-                   flatten_product, hellinger_measures, hellinger_pp, kl_pp,
-                   renyi_pp, tsallis, tsallis_product)
+                   PPDivError, SmoothIntensity, bayes_risk_sim, chernoff_info,
+                   common_reference, flatten_product, hellinger_measures,
+                   hellinger_pp, kl_pp, mc_divergence_estimate, renyi_pp,
+                   tsallis, tsallis_product)
+from ppdiv.model_io import compile_density
 
 INF = math.inf
 _ORDERS = st.one_of(st.sampled_from([0.25, 0.5, 0.999, 1.0, 1.001, 2.0]),
@@ -168,3 +170,63 @@ class TestExactAgainstQuadrature:
                                   hellinger_measures(smooth) ** 2)
         assert _within_quadrature(chernoff_info(exact).value,
                                   chernoff_info(smooth).value)
+
+
+_CELL_VALUE = st.one_of(st.just(0.0), st.floats(0.5, 4.0))
+
+
+def _three_classes(values):
+    """``values`` on equal cells of [0, 1] as a grid, as a smooth chain of
+    ``a if x < e else b``, and as one atom per cell of the cell's mass."""
+    k = len(values)
+    grid = GridIntensity([(0.0, 1.0)], [k], values)
+    expression = repr(values[-1])
+    for i in reversed(range(k - 1)):
+        expression = f"{values[i]!r} if x < {(i + 1) / k!r} else ({expression})"
+    smooth = SmoothIntensity([(0.0, 1.0)], compile_density(expression, ("x",)))
+    return grid, smooth, DiscreteIntensity(enumerate(grid.masses.tolist()))
+
+
+def _outcome(function, *args):
+    """The value of ``function(*args)``, or the type of its library error."""
+    try:
+        return function(*args)
+    except PPDivError as exc:
+        return type(exc)
+
+
+class TestThreeClasses:
+    """One piecewise-constant measure written as a grid, a smooth density and
+    atoms gives the Monte Carlo functions and ``tsallis`` one answer.  With
+    at most 8 equal cells every cell holds a probe point, so the smooth
+    class sees every zero cell."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(k=st.sampled_from([1, 2, 4, 8]),
+           a=st.lists(_CELL_VALUE, min_size=8, max_size=8),
+           b=st.lists(_CELL_VALUE, min_size=8, max_size=8))
+    @example(k=2, a=[1.0, 2.0] + [0.0] * 6, b=[0.0, 3.0] + [0.0] * 6)
+    def test_one_measure_three_classes(self, k, a, b):
+        first, second = _three_classes(a[:k]), _three_classes(b[:k])
+        for lams, mus in ((first, second), (second, first)):
+            pairs = [common_reference(lam, mu) for lam, mu in zip(lams, mus)]
+            grid, smooth, atoms = pairs
+            for alpha in (0.0, 0.5, 1.0, 2.0):
+                exact = tsallis(grid, alpha).value
+                assert _close(tsallis(atoms, alpha).value, exact, rel=1e-12, abs_=0.0)
+                assert _within_quadrature(exact, tsallis(smooth, alpha).value)
+            for alpha in (0.5, 0.75, 1.0, 2.0):
+                g, s, d = (_outcome(mc_divergence_estimate, p, alpha, 2_000, 7)
+                           for p in pairs)
+                assert g == d
+                if isinstance(g, type) or isinstance(s, type):
+                    assert s is g
+                elif alpha in (0.5, 1.0):
+                    want = tsallis(grid, alpha).value
+                    assert abs(s[0] - want) <= 4.0 * s[1] + _QUAD_TOL * (1.0 + want)
+            g, s, d = (_outcome(bayes_risk_sim, p, 0.4, 2, 2_000, 7) for p in pairs)
+            assert g == d
+            if isinstance(g, type) or isinstance(s, type):
+                assert s is g
+            else:
+                assert abs(s[0] - g[0]) <= 4.0 * math.hypot(s[1], g[1])

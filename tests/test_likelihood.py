@@ -489,6 +489,25 @@ class TestMonteCarlo:
         with pytest.raises(InfiniteMass, match="Poisson limit"):
             mc_divergence_estimate(common_reference(big, big), alpha, 10, seed=0)
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_power_past_the_float_range_is_non_convergent(self, alpha):
+        # under the first law every log ratio is about 4000: L^(alpha - 1) overflows
+        pair = common_reference(DiscreteIntensity([("a", 5000.0)]),
+                                DiscreteIntensity([("a", 1000.0)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonConvergent, match="float range"):
+                mc_divergence_estimate(pair, alpha, 2_000, seed=1)
+
+    def test_every_order_of_the_sweep_pair_matches_tsallis(self):
+        # the pair and defaults of scripts/divergence_sweep.py; orders above
+        # 1/2 draw under the first law, orders at or below it under the second
+        pair = common_reference(GridIntensity([(0.0, 1.0)], [4], [2.0, 0.5, 1.5, 3.0]),
+                                GridIntensity([(0.0, 1.0)], [4], [1.0, 1.0, 2.0, 1.0]))
+        for alpha in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0):
+            est, se = mc_divergence_estimate(pair, alpha, 200_000, seed=1)
+            assert abs(est - tsallis(pair, alpha).value) <= 4.0 * se, alpha
+
     def test_same_seed_is_reproducible(self):
         pair = common_reference(UNIT_2, UNIT_1)
         a = mc_divergence_estimate(pair, 1.0, 5_000, seed=3)
@@ -497,13 +516,15 @@ class TestMonteCarlo:
 
     # Seeded estimates from before the exact and smooth draws shared one
     # block loop; a batch that fits in one block must draw them bit for bit.
+    # The order-2 rows date from when orders above 1/2 drew under the first
+    # law (tsallis: 4.1125 and 0.65625).
     @pytest.mark.parametrize("kind, alpha, n_samples, seed, want", [
         ("discrete", 1.0, 3000, 11, (1.473580726041498, 0.0351130064300482)),
         ("discrete", 0.5, 3000, 12, (0.6370720173402574, 0.03589843033761287)),
-        ("discrete", 2.0, 2000, 13, (3.6720000869442435, 0.6856772051562353)),
+        ("discrete", 2.0, 2000, 13, (3.8090572918330303, 0.14961950255964945)),
         ("grid", 1.0, 3000, 11, (0.36706019609264967, 0.014476550847056978)),
         ("grid", 0.5, 3000, 12, (0.17988730953276436, 0.016460369971659464)),
-        ("grid", 2.0, 2000, 13, (0.5712898151561573, 0.06630885639714083)),
+        ("grid", 2.0, 2000, 13, (0.6754742671084029, 0.02963982635163642)),
         ("smooth", 1.0, 500, 21, (3.484402864864356, 0.11380873916177255)),
         ("smooth", 0.5, 500, 22, (1.6597238408747008, 0.19562193715776183)),
     ])
@@ -533,6 +554,14 @@ def _smooth_mc_pair():
     return common_reference(lam, mu)
 
 
+def _between_probes_pair():
+    # 5 against 5 but on (0.44, 0.5), between the probes at 0.412 and 0.529
+    lam = SmoothIntensity([(0.0, 2.0)], lambda x: 5.0 + 0.0 * x)
+    mu = SmoothIntensity([(0.0, 2.0)],
+                         lambda x: np.where((x > 0.44) & (x < 0.5), 0.0, 5.0))
+    return common_reference(lam, mu)
+
+
 class TestSmoothMonteCarlo:
     """The smooth Monte Carlo thins all patterns of a block at once."""
 
@@ -547,11 +576,10 @@ class TestSmoothMonteCarlo:
         # a batch of one pattern draws what sample_pp draws from the same
         # stream, and its log ratio is log_lr_finite's
         pair = _smooth_mc_pair()
-        base = pair.mu_mass() - pair.lambda_mass()
         model = measure.intensity_from_density(pair.reference,
                                                pair.f if first else pair.g)
         for seed in range(10):
-            got, = _loglr_batch(pair, base, 1, np.random.default_rng(seed), first)
+            got, = _loglr_batch(pair, 1, np.random.default_rng(seed), first)
             eta = sample_pp(model, seed=np.random.default_rng(seed))
             assert len(eta) > 0
             want = log_lr_finite(pair, eta).log_lr
@@ -561,12 +589,10 @@ class TestSmoothMonteCarlo:
         # one pattern per block: the blocks draw, in turn, what sample_pp
         # draws from the one stream
         pair = _smooth_mc_pair()
-        base = pair.mu_mass() - pair.lambda_mass()
         model = measure.intensity_from_density(pair.reference, pair.f)
         monkeypatch.setattr(likelihood, "_BLOCK", 1)
-        blocks = _loglr_batch(pair, base, 30, np.random.default_rng(5), True)
-        assert (blocks == _loglr_batch(pair, base, 30,
-                                       np.random.default_rng(5), True)).all()
+        blocks = _loglr_batch(pair, 30, np.random.default_rng(5), True)
+        assert (blocks == _loglr_batch(pair, 30, np.random.default_rng(5), True)).all()
         rng = np.random.default_rng(5)
         want = [log_lr_finite(pair, sample_pp(model, seed=rng)).log_lr
                 for _ in range(30)]
@@ -584,18 +610,32 @@ class TestSmoothMonteCarlo:
         with pytest.raises(NotAbsolutelyContinuous, match="drawn under the first law is where"):
             mc_divergence_estimate(pair, 1.0, 50, seed=1)
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_orders_above_one_raise_on_a_drawn_undominated_point(self, alpha):
+        # the order-2 divergence is inf; drawn under the second law, which
+        # puts no point where it vanishes, the estimate was -0.600 +- 1e-17
+        with pytest.raises(NotAbsolutelyContinuous, match="drawn under the first law is where"):
+            mc_divergence_estimate(_between_probes_pair(), alpha, 200, seed=1)
+
+    def test_orders_below_one_count_a_drawn_undominated_point_as_zero(self):
+        pair = _between_probes_pair()
+        est, se = mc_divergence_estimate(pair, 0.75, 2_000, seed=1)
+        assert tsallis(pair, 0.75).value == pytest.approx(0.9)
+        assert abs(est - 0.9) <= 4.0 * se
+
     def test_infinite_ratio_at_a_point_sums_to_inf(self):
         # mu vanishes on [1, 2], where lambda does not; as on an exact pair,
         # a pattern with a point there sums to +inf, and under mu a pattern
-        # with a point where lambda vanishes sums to -inf
+        # with a point where lambda vanishes sums to -inf; each row adds
+        # mu(S) - lambda(S)
         lam = SmoothIntensity([(0.0, 2.0)], lambda x: 5.0 + 0.0 * x)
         mu = SmoothIntensity([(0.0, 2.0)], lambda x: np.where(x < 1.0, 5.0, 0.0))
         pair = common_reference(lam, mu)
         for p, first, want in ((pair, True, INF), (pair, False, 0.0),
                                (pair.swapped(), False, -INF)):
             # a pattern of lambda (mean 10) misses [1, 2] with chance e^-5
-            ll = _loglr_batch(p, 0.0, 5, np.random.default_rng(0), first)
-            assert ll.tolist() == [want] * 5
+            ll = _loglr_batch(p, 5, np.random.default_rng(0), first)
+            assert ll.tolist() == [want + p.mu_mass() - p.lambda_mass()] * 5
 
 
 # (first densities, second densities, box, point, sigma-finite?): pairs

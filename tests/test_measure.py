@@ -641,6 +641,21 @@ class TestMarkKernel:
         with pytest.raises(ValueError, match="probability kernel"):
             MarkedModel(base, marks, lambda t, x: 0.5 if t < 20.0 else 0.7)
 
+    def test_negative_kernel_value_rejected(self):
+        # the values sum to one over the marks, but mark 2 could never be drawn
+        with pytest.raises(ValueError, match="probability kernel at t='a'"):
+            MarkedModel(DiscreteIntensity({"a": 50.0}), DiscreteIntensity({1: 1.0, 2: 1.0}),
+                        lambda t, x: {1: 1.5, 2: -0.5}[x])
+
+    def test_negative_kernel_value_between_probes_rejected_when_sampled(self):
+        # the kernel is 0.5 +- 0.6 only on (0.44, 0.5), between the probes at
+        # 0.412 and 0.529: the model is built, but points drawn there refuse it
+        base = SmoothIntensity([(0.0, 2.0)], lambda t: 100.0 + 0.0 * t)
+        marked = MarkedModel(base, DiscreteIntensity({1: 1.0, 2: 1.0}), lambda t, x: np.where(
+            (t > 0.44) & (t < 0.5), 0.5 + (0.6 if x == 1 else -0.6), 0.5))
+        with pytest.raises(ValueError, match="probability kernel at t=0.4"):
+            sample_marked(marked, seed=1)
+
 
 class TestDensityPair:
     def test_reference_weights_respected(self):

@@ -194,6 +194,22 @@ class TestAllowList:
         assert _modules_naming("probe_points") - {"quadrature.py"} <= {"measure.py"}
         assert _modules_naming("probe_columns", "_probe_densities") == set()
 
+    def test_only_the_draw_and_the_finite_ratio_read_the_masses(self):
+        """In ``chernoff`` and ``likelihood`` only ``_loglr_batch`` and
+        ``log_lr_finite`` name ``lambda_mass`` or ``mu_mass``, so the Monte
+        Carlo refusal of an infinite mass and its ``mu(S) - lambda(S)`` have
+        one home; ``_loglr_batch`` takes no ``base``."""
+        def masses_named(node):
+            return sum(getattr(n, "attr", getattr(n, "id", None)) in ("lambda_mass", "mu_mass")
+                       for n in ast.walk(node))
+        for name in ("chernoff.py", "likelihood.py"):
+            path = pathlib.Path(ppdiv.__file__).parent / name
+            tree = ast.parse(path.read_text(), str(path))
+            owners = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+                      and node.name in ("_loglr_batch", "log_lr_finite")}
+            assert masses_named(tree) == sum(map(masses_named, owners.values())), name
+        assert "base" not in [a.arg for a in owners["_loglr_batch"].args.args]
+
 
 def _modules_naming(*names) -> set:
     """The library modules that name any of ``names``: an import, a
